@@ -63,6 +63,17 @@ OR = OrLabel()
 CONST0 = ConstLabel(0)
 CONST1 = ConstLabel(1)
 
+# The gate label of each formula node kind.  Rule patterns compile through
+# this table and unrollings read it backwards.
+TERM_LABELS: dict[type, GateLabel] = {
+    terms.Const0: CONST0,
+    terms.Const1: CONST1,
+    terms.Not: NOT,
+    terms.And: AND,
+    terms.Or: OR,
+}
+_LABEL_TERMS = {label: node for node, label in TERM_LABELS.items()}
+
 # Truth table of each binary operation, rows ordered (p,q) = TT, TF, FT, FF.
 # This table is the single source of truth for op semantics; ops 4 and 6
 # negate their first and second input, 1/2 are constants, 3/5 projections.
@@ -288,16 +299,9 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
         if count > budget:
             raise terms.BudgetError(f"unrolling exceeds {budget} nodes")
         e = c.producer_edge(v)
-        label = e.label
-        if isinstance(label, InputLabel):
-            return terms.Var(f"x{label.index}")
-        if isinstance(label, ConstLabel):
-            return terms.ZERO if label.value == 0 else terms.ONE
-        if isinstance(label, NotLabel):
-            return terms.Not(go(e.args[0]))
-        if isinstance(label, AndLabel):
-            return terms.And(go(e.args[0]), go(e.args[1]))
-        return terms.Or(go(e.args[0]), go(e.args[1]))
+        if isinstance(e.label, InputLabel):
+            return terms.Var(f"x{e.label.index}")
+        return _LABEL_TERMS[e.label](*(go(a) for a in e.args))
 
     return go(c.root)
 

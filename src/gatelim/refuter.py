@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .circuits import (
     AndLabel,
@@ -129,22 +129,25 @@ def literal_of(c: Circuit, vertex: int) -> Optional[tuple[int, bool]]:
     return None
 
 
-def fanout_costly(c: Circuit, index: int) -> int:
-    """Number of distinct and/or gates reading x_index directly or through a negation."""
-    eid = c.input_edge(index)
-    if eid is None:
-        return 0
-    wires = {c.edges[eid].result}
+def costly_readers(c: Circuit, wire: int, order: Iterable[int]) -> list[int]:
+    """And/or gates reading the wire directly or through a negation, in the given order."""
+    wires = {wire}
     wires.update(
         e.result
         for e in c.edges.values()
         if isinstance(e.label, NotLabel) and e.args[0] in wires
     )
-    return sum(
-        1
-        for e in c.edges.values()
-        if is_binary(e.label) and any(v in wires for v in e.args)
-    )
+    return [
+        g
+        for g in order
+        if is_binary(c.edges[g].label) and any(v in wires for v in c.edges[g].args)
+    ]
+
+
+def fanout_costly(c: Circuit, index: int) -> int:
+    """Number of distinct and/or gates reading x_index directly or through a negation."""
+    eid = c.input_edge(index)
+    return 0 if eid is None else len(costly_readers(c, c.edges[eid].result, c.edges))
 
 
 def fixer(c: Circuit, gate: int, index: int) -> int:
@@ -165,41 +168,6 @@ def fixer(c: Circuit, gate: int, index: int) -> int:
                 return 1 if negated else 0
             return 0 if negated else 1
     raise CircuitError(f"gate {gate} does not read x{index}")
-
-
-def _costly_readers(c: Circuit, index: int, order: list[int]) -> list[int]:
-    """And/or gates reading (possibly negated) x_index, topologically ordered."""
-    eid = c.input_edge(index)
-    if eid is None:
-        return []
-    wires = {c.edges[eid].result}
-    wires.update(
-        e.result
-        for e in c.edges.values()
-        if isinstance(e.label, NotLabel) and e.args[0] in wires
-    )
-    return [
-        g
-        for g in order
-        if is_binary(c.edges[g].label) and any(v in wires for v in c.edges[g].args)
-    ]
-
-
-def _costly_successors(c: Circuit, gate: int, order: list[int]) -> list[int]:
-    """And/or gates reading the gate's output, possibly through a negation."""
-    wires = {c.edges[gate].result}
-    wires.update(
-        e.result
-        for e in c.edges.values()
-        if isinstance(e.label, NotLabel) and e.args[0] in wires
-    )
-    return [
-        g
-        for g in order
-        if g != gate
-        and is_binary(c.edges[g].label)
-        and any(v in wires for v in c.edges[g].args)
-    ]
 
 
 def _output_gate(c: Circuit) -> Optional[int]:
@@ -239,16 +207,15 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         p, q = lits[0][0], lits[1][0]
         assert p != q, "normal form: first costly gate reads two distinct variables"
         assert p in restriction.active and q in restriction.active
-        if fanout_costly(work, p) == 1:
+        readers = costly_readers(work, work.edges[work.input_edge(p)].result, order)
+        if len(readers) == 1:
             restriction = restriction.assign(q, fixer(work, h, q))
             return RefuterOutcome("degen", restriction, var=p, iterations=tuple(iterations))
-        other_readers = [g for g in _costly_readers(work, p, order) if g != h]
-        assert other_readers, "fanout >= 2 but no second reader found"
-        f = other_readers[0]
+        f = next(g for g in readers if g != h)
         if _output_gate(work) == f:
             restriction = restriction.assign(p, fixer(work, f, p))
             return RefuterOutcome("const", restriction, var=p, sibling=q, iterations=tuple(iterations))
-        successors = _costly_successors(work, f, order)
+        successors = costly_readers(work, work.edges[f].result, order)
         assert successors, "a non-output gate must feed a costly gate"
         f_prime = successors[0]
         bit = fixer(work, f, p)

@@ -1,12 +1,15 @@
-"""The compiled 16-rule circuit simplification system.
+"""The 16-rule circuit simplification system, compiled from the rule file.
 
-Each formula rule compiles to a pair of circuit patterns.  A pattern is a
-small circuit that may contain one *open* vertex (conventionally ``g``): a
-vertex with no producing edge that matches any wire.  A rule whose formula
-has two occurrences of the rule variable compiles to a pattern whose open
-vertex occurs twice in attachments, so de-duplication matches only when both
-arguments are literally the same wire and the tautology rules only when one
-argument is the other fed through a negation gate.
+``data/demorgan_rules.txt`` is the one source of the rules: ``gatelim trs
+check`` certifies the formula rules it holds, and ``compile_rule`` turns the
+same rules into the circuit patterns this module executes.  A line's position
+in the file sets the deterministic (``det``) rule order for both.
+
+A pattern is a small circuit whose *open* vertices (one per rule variable)
+have no producing edge and match any wire.  Every occurrence of a variable
+shares its open vertex, so de-duplication matches only when both arguments
+are literally the same wire and the tautology rules only when one argument
+is the other fed through a negation gate.
 
 A rewrite step removes the matched gate, splices in the right-hand pattern
 (identifying the site with its root, and the open vertex with its matched
@@ -32,9 +35,9 @@ from typing import Mapping, Optional
 
 from .circuits import (
     AND,
-    CONST1,
     NOT,
     OR,
+    TERM_LABELS,
     Circuit,
     CircuitError,
     ConstLabel,
@@ -45,7 +48,7 @@ from .circuits import (
     reachable_edges,
     topo_order,
 )
-from .terms import BudgetError
+from .terms import BudgetError, Term, TermRule, Var, children, demorgan_system, variables
 
 
 class StaleRedexError(CircuitError):
@@ -78,76 +81,39 @@ class GraphRule:
     rhs: Pattern
 
 
-def _pat(root: str, open_vertices: tuple[str, ...], *edges: tuple) -> Pattern:
-    return Pattern(
-        edges=tuple(PatternEdge(label, att) for label, att in edges),
-        root=root,
-        open_vertices=frozenset(open_vertices),
-    )
+def _compile_term(t: Term) -> Pattern:
+    """The pattern of a term: one edge per non-variable node, in pre-order.
+
+    Each variable becomes an open vertex named after it, shared by all of
+    its occurrences.
+    """
+    edges: list = []
+
+    def vertex(node: Term) -> str:
+        if isinstance(node, Var):
+            return node.name
+        k = len(edges)
+        edges.append(None)  # reserve the slot: parents precede children
+        v = f"#{k}"
+        edges[k] = PatternEdge(TERM_LABELS[type(node)], (v, *map(vertex, children(node))))
+        return v
+
+    root = vertex(t)
+    return Pattern(tuple(edges), root, frozenset(variables(t)))
 
 
-_OPEN_G = _pat("g", ("g",))
-_RHS_ONE = _pat("r", (), (CONST1, ("r",)))
-_RHS_NOT_ONE = _pat("r", (), (NOT, ("r", "c")), (CONST1, ("c",)))
+def compile_rule(rule: TermRule) -> GraphRule:
+    """The circuit form of a formula rule.
 
-RULES: tuple[GraphRule, ...] = (
-    # normalizing
-    GraphRule("zero_elim", _pat("r", (), (ConstLabel(0), ("r",))), _RHS_NOT_ONE),
-    GraphRule("double_neg_elim", _pat("r", ("g",), (NOT, ("r", "a")), (NOT, ("a", "g"))), _OPEN_G),
-    GraphRule("and_dedup", _pat("r", ("g",), (AND, ("r", "g", "g"))), _OPEN_G),
-    GraphRule("or_dedup", _pat("r", ("g",), (OR, ("r", "g", "g"))), _OPEN_G),
-    # fixing
-    GraphRule(
-        "fix_and_right",
-        _pat("r", ("g",), (AND, ("r", "g", "a")), (NOT, ("a", "c")), (CONST1, ("c",))),
-        _RHS_NOT_ONE,
-    ),
-    GraphRule(
-        "fix_and_left",
-        _pat("r", ("g",), (AND, ("r", "a", "g")), (NOT, ("a", "c")), (CONST1, ("c",))),
-        _RHS_NOT_ONE,
-    ),
-    GraphRule("fix_or_right", _pat("r", ("g",), (OR, ("r", "g", "a")), (CONST1, ("a",))), _RHS_ONE),
-    GraphRule("fix_or_left", _pat("r", ("g",), (OR, ("r", "a", "g")), (CONST1, ("a",))), _RHS_ONE),
-    # passing
-    GraphRule("pass_and_right", _pat("r", ("g",), (AND, ("r", "g", "a")), (CONST1, ("a",))), _OPEN_G),
-    GraphRule("pass_and_left", _pat("r", ("g",), (AND, ("r", "a", "g")), (CONST1, ("a",))), _OPEN_G),
-    GraphRule(
-        "pass_or_right",
-        _pat("r", ("g",), (OR, ("r", "g", "a")), (NOT, ("a", "c")), (CONST1, ("c",))),
-        _OPEN_G,
-    ),
-    GraphRule(
-        "pass_or_left",
-        _pat("r", ("g",), (OR, ("r", "a", "g")), (NOT, ("a", "c")), (CONST1, ("c",))),
-        _OPEN_G,
-    ),
-    # tautology
-    GraphRule("taut_and_right", _pat("r", ("g",), (AND, ("r", "g", "a")), (NOT, ("a", "g"))), _RHS_NOT_ONE),
-    GraphRule("taut_and_left", _pat("r", ("g",), (AND, ("r", "a", "g")), (NOT, ("a", "g"))), _RHS_NOT_ONE),
-    GraphRule("taut_or_right", _pat("r", ("g",), (OR, ("r", "g", "a")), (NOT, ("a", "g"))), _RHS_ONE),
-    GraphRule("taut_or_left", _pat("r", ("g",), (OR, ("r", "a", "g")), (NOT, ("a", "g"))), _RHS_ONE),
-)
-
-RULE_ORDER: dict[str, int] = {rule.name: i for i, rule in enumerate(RULES)}
+    ``apply_rewrite`` splices a right-hand side either as a bare variable or
+    as a ground term, so any other right-hand side is rejected.
+    """
+    if not isinstance(rule.rhs, Var) and variables(rule.rhs):
+        raise ValueError(f"rule {rule.name}: right-hand side must be a bare variable or ground")
+    return GraphRule(rule.name, _compile_term(rule.lhs), _compile_term(rule.rhs))
 
 
-def _check_rule_table() -> None:
-    # An open vertex on a right-hand side must be the entire right-hand side;
-    # the splice step below relies on this.
-    for rule in RULES:
-        rhs_open = {v for e in rule.rhs.edges for v in e.att} & rule.rhs.open_vertices
-        if rule.rhs.root in rule.rhs.open_vertices:
-            if rule.rhs.edges:
-                raise AssertionError(f"rule {rule.name}: open rhs root with extra structure")
-        elif rhs_open:
-            raise AssertionError(f"rule {rule.name}: open vertex nested inside rhs")
-        for pe in rule.lhs.edges:
-            if pe.att[0] in rule.lhs.open_vertices:
-                raise AssertionError(f"rule {rule.name}: open vertex has a producer")
-
-
-_check_rule_table()
+RULES: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in demorgan_system().rules)
 
 # Rules grouped by the label kind of their root edge, for redex scanning.
 _RULES_BY_ROOT: dict[type, tuple[GraphRule, ...]] = {}
@@ -161,14 +127,12 @@ class Redex:
     site: int
     rule: GraphRule
     vertex_map: Mapping[str, int]
-    edge_map: Mapping[int, int]
 
 
 def match_at(c: Circuit, rule: GraphRule, site: int) -> Optional[Redex]:
     """Match the rule's left pattern with its root sent to the given vertex."""
     vm: dict[str, int] = {rule.lhs.root: site}
-    em: dict[int, int] = {}
-    for k, pe in enumerate(rule.lhs.edges):
+    for pe in rule.lhs.edges:
         rv = vm[pe.att[0]]
         eid = c.producer.get(rv)
         if eid is None:
@@ -182,8 +146,7 @@ def match_at(c: Circuit, rule: GraphRule, site: int) -> Optional[Redex]:
                 vm[pname] = v
             elif bound != v:
                 return None
-        em[k] = eid
-    return Redex(site, rule, vm, em)
+    return Redex(site, rule, vm)
 
 
 def find_redexes(c: Circuit) -> list[Redex]:

@@ -107,10 +107,6 @@ def variables(t: Term) -> set[str]:
     return out
 
 
-def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
-
-
 def positions(t: Term) -> Iterator[Position]:
     """All subterm positions of t, root first, in left-to-right order."""
     yield ()
@@ -203,12 +199,6 @@ class TRS:
     """An ordered list of rewrite rules; order fixes the deterministic strategy."""
 
     rules: tuple[TermRule, ...]
-
-    def rule(self, name: str) -> TermRule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:

@@ -25,15 +25,10 @@ from __future__ import annotations
 import re
 
 from .circuits import (
-    AndLabel,
     Circuit,
     CircuitBuilder,
     CircuitError,
-    ConstLabel,
     InputLabel,
-    NotLabel,
-    OrLabel,
-    U2Label,
     label_name,
 )
 

@@ -8,6 +8,8 @@ from gatelim.cli import main
 from gatelim.refuter import xor_circuit
 from gatelim.textio import serialize_circuit
 
+from test_refuter import FAILS_INSTANCE
+
 AND2 = "ckt 1\nbasis demorgan\ninputs 2\nn1 = AND x1 x2\noutput n1\n"
 
 
@@ -65,6 +67,61 @@ def test_normalize_with_trace(tmp_path, capsys):
         set(r) == {"step", "rule", "site", "removed_edges", "added_edges", "size_after"}
         for r in records
     )
+
+
+# Two equal negations (merged on entry), then a passing, a de-duplication, a
+# zero elimination and a tautology step, with constants spliced in between.
+CONST_FED = """\
+ckt 1
+basis demorgan
+inputs 2
+n1 = NOT x1
+n2 = NOT x1
+n3 = CONST1
+n4 = AND n1 n3
+n5 = OR n4 n2
+n6 = CONST0
+n7 = OR x2 n6
+n8 = NOT x2
+n9 = AND n7 n8
+n10 = OR n5 n9
+output n10
+"""
+
+
+def _trace_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_normalize_trace_is_pinned(tmp_path, capsys):
+    # Pins rule order and the numbering of spliced vertices and edges.
+    src = tmp_path / "c.ckt"
+    src.write_text(CONST_FED)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["normalize", str(src), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "ckt 1\nbasis demorgan\ninputs 2\nn1 = NOT x1\noutput n1\n"
+    assert _trace_records(trace) == [
+        {"step": 0, "rule": "sharing", "site": None, "removed_edges": [2], "added_edges": [], "size_after": 5},
+        {"step": 1, "rule": "pass_and_right", "site": 4, "removed_edges": [4, 3], "added_edges": [], "size_after": 4},
+        {"step": 2, "rule": "or_dedup", "site": 5, "removed_edges": [5], "added_edges": [], "size_after": 3},
+        {"step": 3, "rule": "zero_elim", "site": 6, "removed_edges": [6], "added_edges": [12, 13], "size_after": 3},
+        {"step": 4, "rule": "pass_or_right", "site": 8, "removed_edges": [8, 12, 13], "added_edges": [], "size_after": 2},
+        {"step": 5, "rule": "taut_and_right", "site": 10, "removed_edges": [10, 7, 9], "added_edges": [12, 13], "size_after": 1},
+        {"step": 6, "rule": "pass_or_right", "site": 11, "removed_edges": [11, 12, 13], "added_edges": [], "size_after": 0},
+    ]
+
+
+def test_refute_trace_is_pinned(tmp_path, capsys):
+    src = tmp_path / "c.ckt"
+    src.write_text(FAILS_INSTANCE)
+    trace = tmp_path / "t.jsonl"
+    assert main(["refute", str(src), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "0010\n"
+    assert _trace_records(trace) == [
+        {"iteration": 0, "h": 3, "f": 8, "f_prime": 9, "var": 1, "bit": 0, "size_before": 6, "size_after": 3},
+        {"iteration": 1, "h": 6, "f": 10, "f_prime": 11, "var": 3, "bit": 1, "size_before": 3, "size_after": 0},
+        {"outcome": "fails", "restriction": {"1": 0, "3": 1}, "var": None, "sibling": None},
+    ]
 
 
 def test_normalize_seeded_random_is_reproducible(tmp_path, capsys):

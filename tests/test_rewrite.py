@@ -24,6 +24,7 @@ from gatelim.circuits import (
 from gatelim.rewrite import (
     RULES,
     apply_rewrite,
+    compile_rule,
     find_redexes,
     graph_measure,
     match_at,
@@ -32,7 +33,7 @@ from gatelim.rewrite import (
     StaleRedexError,
     substitute_input,
 )
-from gatelim.terms import ONE, ZERO, And, Not, Or, Var, demorgan_system, normalize_term
+from gatelim.terms import ONE, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term
 
 TRS_B = demorgan_system()
 
@@ -62,6 +63,20 @@ def test_rule_table_matches_the_formula_system():
     for graph_rule, term_rule in zip(RULES, TRS_B.rules):
         assert pattern_term(graph_rule.lhs) == term_rule.lhs, graph_rule.name
         assert pattern_term(graph_rule.rhs) == term_rule.rhs, graph_rule.name
+
+
+def test_repeated_variable_compiles_to_one_shared_open_vertex():
+    (and_dedup,) = [r for r in RULES if r.name == "and_dedup"]
+    (root_edge,) = and_dedup.lhs.edges
+    assert root_edge.label == AndLabel()
+    (open_vertex,) = and_dedup.lhs.open_vertices
+    assert root_edge.att[1:] == (open_vertex, open_vertex)
+    assert and_dedup.rhs.root == open_vertex and and_dedup.rhs.edges == ()
+
+
+def test_compile_rule_rejects_a_nested_variable_on_the_right():
+    with pytest.raises(ValueError):
+        compile_rule(TermRule("bad", And(Var("g"), ONE), Not(Var("g"))))
 
 
 def test_find_redexes_dedup_requires_shared_wire():
