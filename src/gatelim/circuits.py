@@ -309,24 +309,23 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
 def bisimilar(a: Circuit, b: Circuit) -> bool:
     """Whether the tree unrollings are equal, without materializing them.
 
-    Recursive comparison of producer edges with memoized vertex pairs;
-    polynomial even where unrolling would explode.
+    Walks the pairs of vertices the two unrollings put in the same position,
+    visiting each pair once; polynomial even where unrolling would explode.
     """
     if a.basis != b.basis:
         raise CircuitError("cannot compare circuits over different bases")
-    memo: dict[tuple[int, int], bool] = {}
-
-    def go(u: int, v: int) -> bool:
-        key = (u, v)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    seen = {(a.root, b.root)}
+    stack = [(a.root, b.root)]
+    while stack:
+        u, v = stack.pop()
         ea, eb = a.producer_edge(u), b.producer_edge(v)
-        ok = ea.label == eb.label and all(go(x, y) for x, y in zip(ea.args, eb.args))
-        memo[key] = ok
-        return ok
-
-    return go(a.root, b.root)
+        if ea.label != eb.label:
+            return False
+        for pair in zip(ea.args, eb.args):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def root_morphism(src: Circuit, dst: Circuit) -> Optional[dict[int, int]]:

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation
-(e.g. refuting a circuit that is not undersized), 3 internal assertion -
-something the library guarantees failed to hold, which is a bug.
+(e.g. refuting a circuit that is not undersized), 3 internal error -
+something the library guarantees failed to hold, which is a bug, or the
+interpreter ran out of stack or memory.
 """
 
 from __future__ import annotations
@@ -215,8 +216,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, terms.BudgetError) as exc:
+    except (AssertionError, refuter.InternalError, terms.BudgetError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -43,6 +43,16 @@ class RefuterError(CircuitError):
     """A precondition of the refuter was violated (circuit not undersized)."""
 
 
+class InternalError(Exception):
+    """A guarantee of the refuter failed to hold: a bug, not a bad input."""
+
+
+def _check(ok: bool, message: str) -> None:
+    """Raise InternalError unless ok; unlike ``assert``, runs under ``python -O``."""
+    if not ok:
+        raise InternalError(message)
+
+
 def parity(bits: Sequence[int]) -> int:
     return sum(bits) % 2
 
@@ -181,9 +191,10 @@ def _output_gate(c: Circuit) -> Optional[int]:
 def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     """Find a restriction under which the circuit visibly fails to be parity.
 
-    Requires n > 3 and circuit_size < 3(n-1).  The in-loop assertions are
+    Requires n > 3 and circuit_size < 3(n-1).  The in-loop checks are
     invariants of the search, not legal outcomes; they hold because the
-    working circuit is always a (maximally shared) normal form.
+    working circuit is always a (maximally shared) normal form, and a failed
+    one raises InternalError.
     """
     n = c.num_inputs
     if n <= 3:
@@ -200,13 +211,13 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
             return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
         order = topo_order(work)
         costly = [eid for eid in order if is_binary(work.edges[eid].label)]
-        assert costly, "a normal form reading 3+ variables must contain binary gates"
+        _check(bool(costly), "a normal form reading 3+ variables must contain binary gates")
         h = costly[0]
         lits = [literal_of(work, v) for v in work.edges[h].args]
-        assert all(lit is not None for lit in lits), "first costly gate must read literals"
+        _check(all(lit is not None for lit in lits), "first costly gate must read literals")
         p, q = lits[0][0], lits[1][0]
-        assert p != q, "normal form: first costly gate reads two distinct variables"
-        assert p in restriction.active and q in restriction.active
+        _check(p != q, "normal form: first costly gate reads two distinct variables")
+        _check(p in restriction.active and q in restriction.active, "first costly gate reads a fixed variable")
         readers = costly_readers(work, work.edges[work.input_edge(p)].result, order)
         if len(readers) == 1:
             restriction = restriction.assign(q, fixer(work, h, q))
@@ -216,20 +227,21 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
             restriction = restriction.assign(p, fixer(work, f, p))
             return RefuterOutcome("const", restriction, var=p, sibling=q, iterations=tuple(iterations))
         successors = costly_readers(work, work.edges[f].result, order)
-        assert successors, "a non-output gate must feed a costly gate"
+        _check(bool(successors), "a non-output gate must feed a costly gate")
         f_prime = successors[0]
         bit = fixer(work, f, p)
         restriction = restriction.assign(p, bit)
         size_before = circuit_size(work)
         work, _ = normalize_circuit(substitute_input(work, p, bit))
         size_after = circuit_size(work)
-        assert size_after <= size_before - 3, (
-            f"substitution must remove >= 3 gates, went {size_before} -> {size_after}"
+        _check(
+            size_after <= size_before - 3,
+            f"substitution must remove >= 3 gates, went {size_before} -> {size_after}",
         )
         iterations.append(
             IterationRecord(len(iterations), h, f, f_prime, p, bit, size_before, size_after)
         )
-    assert circuit_size(work) < 3, "final circuit must be too small for 2-variable parity"
+    _check(circuit_size(work) < 3, "final circuit must be too small for 2-variable parity")
     return RefuterOutcome("fails", restriction, iterations=tuple(iterations))
 
 
@@ -244,15 +256,15 @@ def extract_counterexample(c: Circuit, outcome: RefuterOutcome) -> Counterexampl
     """
     if outcome.tag in ("degen", "const"):
         var = outcome.var if outcome.tag == "degen" else outcome.sibling
-        assert var is not None and var in outcome.restriction.active
+        _check(var is not None and var in outcome.restriction.active, f"x{var} is not an active variable")
         base = outcome.restriction.completion(0)
         flipped = flip(base, var)
         left, right = evaluate(c, base), evaluate(c, flipped)
-        assert left == right, f"restricted circuit still depends on x{var}"
+        _check(left == right, f"restricted circuit still depends on x{var}")
         candidate = base if left != parity(base) else flipped
     else:
         active = sorted(outcome.restriction.active)
-        assert len(active) == 2
+        _check(len(active) == 2, f"{len(active)} active variables, expected 2")
         fixed = dict(outcome.restriction.assigned)
         candidate = None
         for b0, b1 in product((0, 1), repeat=2):
@@ -261,10 +273,10 @@ def extract_counterexample(c: Circuit, outcome: RefuterOutcome) -> Counterexampl
             if evaluate(c, bits) != parity(bits):
                 candidate = bits
                 break
-        assert candidate is not None, "undersized circuit agreed with parity on all completions"
+        _check(candidate is not None, "undersized circuit agreed with parity on all completions")
     claimed = evaluate(c, candidate)
     truth = parity(candidate)
-    assert claimed != truth
+    _check(claimed != truth, f"input {candidate} does not refute: circuit gives {claimed}, parity {truth}")
     return Counterexample(candidate, claimed, truth)
 
 
@@ -281,7 +293,7 @@ def refute_detailed(c: Circuit) -> tuple[Counterexample, Optional[RefuterOutcome
         for bits in product((0, 1), repeat=n):
             if evaluate(c, bits) != parity(bits):
                 return Counterexample(bits, evaluate(c, bits), parity(bits)), None
-        raise AssertionError("undersized circuit agreed with parity everywhere")
+        raise InternalError("undersized circuit agreed with parity everywhere")
     outcome = search_bad_restriction(c)
     cex = extract_counterexample(c, outcome)
     return cex, outcome

@@ -16,15 +16,41 @@ A rewrite step removes the matched gate, splices in the right-hand pattern
 wire when the right-hand side reuses it), then garbage-collects everything
 unreachable from the root.
 
-The normalization driver additionally keeps circuits *maximally shared*: after
-every step it merges parallel duplicate edges (same label, same argument
-wires, distinct results).  Merging duplicates never changes the unrolling, so
-it is invisible to bisimilarity, but it is load-bearing for confluence in
-practice: vertex identifications performed by the passing and de-duplication
-rules can split one wire carrying a value into two parallel copies, and the
-non-left-linear patterns above would then never see their redex again.  With
-sharing maintained, a wire-equal pair of subcircuits is always one vertex and
-the graph normal form unrolls to the formula normal form.
+The normalizer keeps circuits *maximally shared*: no two edges carry
+the same label and the same argument wires.  Merging such parallel duplicates
+never changes the unrolling, so it is invisible to bisimilarity, but it is
+load-bearing for confluence in practice: vertex identifications performed by
+the passing and de-duplication rules can split one wire carrying a value into
+two parallel copies, and the non-left-linear patterns above would then never
+see their redex again.  With sharing maintained, a wire-equal pair of
+subcircuits is always one vertex and the graph normal form unrolls to the
+formula normal form.
+
+``normalize_circuit`` rewrites one mutable working graph in place rather than
+rebuilding the circuit after every step.  Besides the edges and the producer
+of each vertex it keeps:
+
+- a reader index, the edges reading each vertex.  Its size is the vertex's
+  reference count: a step deletes the edges it removes and then every edge
+  whose result is no longer read and is not the root, cascading downwards,
+  which collects exactly what is no longer reachable;
+- a hash-cons table from ``(label, argument wires)`` to the one edge carrying
+  them.  ``merge_parallel_edges`` establishes maximal sharing once on entry;
+  after each step only the edges the step created or rewired are looked up,
+  and a duplicate is merged into the lowest-numbered edge of its class, whose
+  readers are rewired in turn until nothing collides.  So maximal sharing
+  holds after every step, and merges are reported pass by pass in the order
+  ``merge_parallel_edges`` reports them;
+- the live binary-gate count, for the trace's ``size_after``;
+- the live redexes, keyed by site in rule order.  One full scan fills it on
+  entry; after a step only the sites that can see a vertex whose producing
+  edge changed - at most the left-hand patterns' depth of reader hops above
+  it - are matched again.
+
+Choosing a redex needs the (topological site, rule) order of the live
+redexes, so ``topo_order`` runs only in steps where redexes at two or more
+sites are live.  New vertex and edge ids are one more than the largest live
+id, as in ``apply_rewrite``, which fires one step on the same working graph.
 """
 
 from __future__ import annotations
@@ -45,7 +71,7 @@ from .circuits import (
     GateLabel,
     InputLabel,
     circuit_size,
-    reachable_edges,
+    is_binary,
     topo_order,
 )
 from .terms import BudgetError, Term, TermRule, Var, children, demorgan_system, variables
@@ -122,6 +148,19 @@ for _rule in RULES:
     _RULES_BY_ROOT[_kind] = _RULES_BY_ROOT.get(_kind, ()) + (_rule,)
 
 
+def _pattern_depth(p: Pattern) -> int:
+    """Producer hops from the root to the deepest edge of the pattern."""
+    depth = {p.root: 0}
+    for pe in p.edges:
+        for name in pe.att[1:]:
+            depth.setdefault(name, depth[pe.att[0]] + 1)
+    return max(depth[pe.att[0]] for pe in p.edges)
+
+
+# A match at a site reads producing edges at most this many hops below it.
+_DEPTH = max(_pattern_depth(rule.lhs) for rule in RULES)
+
+
 @dataclass(frozen=True)
 class Redex:
     site: int
@@ -194,47 +233,197 @@ def _remap(edges: dict[int, Edge], vmap: dict[int, int]) -> dict[int, Edge]:
     return {eid: Edge(e.label, tuple(vmap.get(v, v) for v in e.att)) for eid, e in edges.items()}
 
 
+class _Graph:
+    """A circuit rewritten in place: the working graph of the module docstring.
+
+    ``edges`` and ``producer`` mean what they mean on a ``Circuit``, so
+    ``match_at`` and ``topo_order`` run on the graph as they are.
+    """
+
+    def __init__(self, c: Circuit):
+        self.edges: dict[int, Edge] = dict(c.edges)
+        self.producer: dict[int, int] = dict(c.producer)
+        self.root = c.root
+        self.num_inputs = c.num_inputs
+        self.basis = c.basis
+        self.readers: dict[int, set[int]] = {}  # only vertices that are read
+        self.table: dict[tuple, int] = {}
+        self.size = 0
+        for eid, e in self.edges.items():
+            for v in e.args:
+                self.readers.setdefault(v, set()).add(eid)
+            self.table.setdefault((e.label, e.args), eid)
+            self.size += is_binary(e.label)
+        self.redexes: dict[int, list[Redex]] = {}
+        self.touched: set[int] = set()  # vertices whose producing edge changed or went
+        self.unshared: set[int] = set()  # edges not yet looked up in the table
+        # Results nothing reads: all unreachable, collected by the first step.
+        self.orphans = [v for v in self.producer if v != self.root and v not in self.readers]
+
+    def _add(self, eid: int, e: Edge) -> None:
+        self.edges[eid] = e
+        self.producer[e.result] = eid
+        for v in e.args:
+            self.readers.setdefault(v, set()).add(eid)
+        self.size += is_binary(e.label)
+        self.touched.add(e.result)
+        self.unshared.add(eid)
+
+    def _delete(self, eid: int) -> Edge:
+        e = self.edges.pop(eid)
+        del self.producer[e.result]
+        for v in set(e.args):
+            readers = self.readers[v]
+            readers.discard(eid)
+            if not readers:
+                del self.readers[v]
+        key = (e.label, e.args)
+        if self.table.get(key) == eid:
+            del self.table[key]
+        self.size -= is_binary(e.label)
+        self.touched.add(e.result)
+        return e
+
+    def _redirect(self, old: int, new: int) -> None:
+        """Every reader of vertex ``old`` reads ``new`` instead."""
+        for r in self.readers.pop(old, ()):
+            e = self.edges[r]
+            key = (e.label, e.args)
+            if self.table.get(key) == r:
+                del self.table[key]
+            self.edges[r] = Edge(e.label, tuple(new if v == old else v for v in e.att))
+            self.readers.setdefault(new, set()).add(r)
+            self.touched.add(e.result)
+            self.unshared.add(r)
+        if self.root == old:
+            self.root = new
+
+    def _collect(self, candidates: list[int]) -> list[int]:
+        """Delete the producers of unread non-root vertices, cascading; their edge ids."""
+        dead = []
+        while candidates:
+            v = candidates.pop()
+            eid = self.producer.get(v)
+            if eid is None or v == self.root or v in self.readers:
+                continue
+            dead.append(eid)
+            candidates.extend(self._delete(eid).args)
+        return dead
+
+    def fire(self, redex: Redex) -> TraceStep:
+        """Re-verify the redex, splice its right-hand side in place and collect garbage."""
+        fresh = match_at(self, redex.rule, redex.site)
+        if fresh is None or fresh.vertex_map != redex.vertex_map:
+            raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
+        site = redex.site
+        rhs = redex.rule.rhs
+        ground = rhs.root not in rhs.open_vertices
+        if ground:
+            next_v = max(max(self.producer), max(self.readers, default=-1)) + 1
+            next_e = max(self.edges) + 1
+        removed = [self.producer[site]]
+        candidates = [*self._delete(removed[0]).args, *self.orphans]
+        self.orphans = []
+        added: list[int] = []
+        if ground:
+            local: dict[str, int] = {rhs.root: site}
+            for pe in rhs.edges:
+                for name in pe.att:
+                    if name not in local:
+                        local[name] = next_v
+                        next_v += 1
+                self._add(next_e, Edge(pe.label, tuple(local[n] for n in pe.att)))
+                added.append(next_e)
+                next_e += 1
+        else:
+            self._redirect(site, redex.vertex_map[rhs.root])
+        removed.extend(sorted(self._collect(candidates)))
+        return TraceStep(0, redex.rule.name, site, tuple(removed), tuple(added), self.size)
+
+    def share(self) -> list[int]:
+        """Merge the duplicates among the unshared edges, cascading; the merged edge ids.
+
+        Each round is one pass of ``merge_parallel_edges``: the same classes,
+        the same kept edge and the same order of removal.
+        """
+        merged: list[int] = []
+        while self.unshared:
+            classes: dict[tuple, list[int]] = {}
+            for eid in self.unshared:
+                e = self.edges.get(eid)
+                if e is not None:
+                    classes.setdefault((e.label, e.args), []).append(eid)
+            self.unshared = set()
+            duplicates = []
+            for key, ids in classes.items():
+                owner = self.table.get(key)
+                if owner is not None:
+                    ids.append(owner)
+                ids.sort()
+                self.table[key] = ids[0]
+                if len(ids) > 1:
+                    duplicates.append(ids)
+            moves = []
+            for keep, *others in sorted(duplicates):
+                for other in others:
+                    merged.append(other)
+                    moves.append((self._delete(other).result, self.edges[keep].result))
+            for old, new in moves:
+                self._redirect(old, new)
+        return merged
+
+    def _match(self, site: int) -> None:
+        label = self.edges[self.producer[site]].label
+        found = []
+        for rule in _RULES_BY_ROOT.get(type(label), ()):
+            r = match_at(self, rule, site)
+            if r is not None:
+                found.append(r)
+        if found:
+            self.redexes[site] = found
+        else:
+            self.redexes.pop(site, None)
+
+    def scan(self) -> None:
+        for site in self.producer:
+            self._match(site)
+
+    def rematch(self) -> None:
+        """Match again every site within pattern depth above a touched vertex."""
+        for v in self.touched:
+            self.redexes.pop(v, None)
+        region = {v for v in self.touched if v in self.producer}
+        frontier = region
+        for _ in range(_DEPTH):
+            frontier = {self.edges[r].result for v in frontier for r in self.readers.get(v, ())} - region
+            region |= frontier
+        self.touched = set()
+        for site in region:
+            self._match(site)
+
+    def ordered(self) -> list[Redex]:
+        """The live redexes in (topological site, rule) order."""
+        if len(self.redexes) == 1:
+            return next(iter(self.redexes.values()))
+        position = {eid: i for i, eid in enumerate(topo_order(self))}
+        sites = sorted(self.redexes, key=lambda v: position[self.producer[v]])
+        return [r for site in sites for r in self.redexes[site]]
+
+    def snapshot(self) -> Circuit:
+        return Circuit(self.edges, self.root, self.num_inputs, self.basis)
+
+
 def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     """One proper rewrite step at the redex.
 
     Removes the unique gate producing the site, splices in the right-hand
     pattern (site = its root; the open vertex, when reused, = its matched
-    wire), and garbage-collects.  The redex is re-verified first.
+    wire), and garbage-collects.  The redex is re-verified first.  Parallel
+    duplicates the step makes are left in place.
     """
-    fresh = match_at(c, redex.rule, redex.site)
-    if fresh is None or fresh.vertex_map != redex.vertex_map:
-        raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
-    site = redex.site
-    rhs = redex.rule.rhs
-    edges = dict(c.edges)
-    removed = [c.producer[site]]
-    del edges[removed[0]]
-    added: list[int] = []
-    root = c.root
-    if rhs.root in rhs.open_vertices:
-        # right-hand side is the bare open vertex: identify site with its match
-        target = redex.vertex_map[rhs.root]
-        edges = _remap(edges, {site: target})
-        if root == site:
-            root = target
-    else:
-        next_v = max(c.vertices) + 1
-        next_e = max(c.edges) + 1
-        local: dict[str, int] = {rhs.root: site}
-        for pe in rhs.edges:
-            for name in pe.att:
-                if name not in local:
-                    local[name] = next_v
-                    next_v += 1
-            edges[next_e] = Edge(pe.label, tuple(local[n] for n in pe.att))
-            added.append(next_e)
-            next_e += 1
-    keep = reachable_edges(edges, root)
-    removed.extend(sorted(set(edges) - keep))
-    edges = {eid: edges[eid] for eid in keep}
-    new_c = Circuit(edges, root, c.num_inputs, c.basis)
-    step = TraceStep(0, redex.rule.name, site, tuple(removed), tuple(added), circuit_size(new_c))
-    return new_c, step
+    graph = _Graph(c)
+    step = graph.fire(redex)
+    return graph.snapshot(), step
 
 
 def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
@@ -315,22 +504,24 @@ def normalize_circuit(
     if merged:
         steps.append(TraceStep(0, "sharing", None, merged, (), circuit_size(c)))
     budget = graph_measure(c) + 1
+    graph = _Graph(c)
+    graph.scan()
     fired = 0
-    while True:
-        redexes = find_redexes(c)
-        if not redexes:
-            break
+    while graph.redexes:
+        redexes = graph.ordered()
         chosen = redexes[0] if strategy == "det" else rng.choice(redexes)
-        c, step = apply_rewrite(c, chosen)
-        c, merged = merge_parallel_edges(c)
-        step = replace(
-            step,
-            step=len(steps),
-            removed_edges=step.removed_edges + merged,
-            size_after=circuit_size(c),
+        step = graph.fire(chosen)
+        merged = graph.share()
+        graph.rematch()
+        steps.append(
+            replace(
+                step,
+                step=len(steps),
+                removed_edges=step.removed_edges + tuple(merged),
+                size_after=graph.size,
+            )
         )
-        steps.append(step)
         fired += 1
         if fired > budget:
             raise BudgetError(f"no normal form within {budget} steps")
-    return c, RewriteTrace(tuple(steps))
+    return (graph.snapshot() if fired else c), RewriteTrace(tuple(steps))

@@ -155,32 +155,27 @@ def parse_circuit(text: str) -> Circuit:
 
 def serialize_circuit(c: Circuit) -> str:
     """Canonical text for the circuit; the parse of the result is isomorphic to c."""
-    lines = ["ckt 1", f"basis {c.basis}", f"inputs {c.num_inputs}"]
-    names: dict[int, str] = {}
-    emitted: set[int] = set()
+    names: dict[int, str] = {}  # wire -> its name; "" while its gate is on the stack
     body: list[str] = []
-
-    def wire_name(v: int) -> str:
-        e = c.producer_edge(v)
-        if isinstance(e.label, InputLabel):
-            return f"x{e.label.index}"
-        return names[v]
-
-    def emit(v: int) -> None:
-        if v in emitted:
-            return
-        emitted.add(v)
-        e = c.producer_edge(v)
-        if isinstance(e.label, InputLabel):
-            return
-        for a in e.args:
-            emit(a)
-        name = f"n{len(names) + 1}"
-        names[v] = name
-        operands = "".join(" " + wire_name(a) for a in e.args)
-        body.append(f"{name} = {label_name(e.label)}{operands}")
-
-    emit(c.root)
-    lines.extend(body)
-    lines.append(f"output {wire_name(c.root)}")
+    # Depth-first post-order from the output, with an explicit stack so that
+    # depth costs no recursion.  The bottom frame's one argument is the output.
+    stack: list = [(None, None, iter((c.root,)))]
+    while stack:
+        v, e, args = stack[-1]
+        for a in args:
+            if a not in names:
+                ea = c.producer_edge(a)
+                if isinstance(ea.label, InputLabel):
+                    names[a] = f"x{ea.label.index}"
+                else:
+                    names[a] = ""
+                    stack.append((a, ea, iter(ea.args)))
+                    break
+        else:
+            stack.pop()
+            if e is not None:
+                names[v] = name = f"n{len(body) + 1}"
+                operands = "".join(" " + names[a] for a in e.args)
+                body.append(f"{name} = {label_name(e.label)}{operands}")
+    lines = ["ckt 1", f"basis {c.basis}", f"inputs {c.num_inputs}", *body, f"output {names[c.root]}"]
     return "\n".join(lines) + "\n"

@@ -32,6 +32,22 @@ def random_circuit(rng: random.Random, n: int, gates: int) -> Circuit:
     return b.build(last, prune=True)
 
 
+def neartight_parity(n: int, weak_at: int) -> Circuit:
+    """Parity as a chain of three-gate blocks, with the block of x_weak_at one OR.
+
+    Size 3(n-1)-2, two gates below the parity bound.
+    """
+    b = CircuitBuilder(n)
+    acc = b.input(1)
+    for k in range(2, n + 1):
+        xk = b.input(k)
+        if k == weak_at:
+            acc = b.or_(acc, xk)
+        else:
+            acc = b.or_(b.and_(acc, b.not_(xk)), b.and_(b.not_(acc), xk))
+    return b.build(acc)
+
+
 def undersized_circuit(rng: random.Random, n: int) -> Circuit:
     """A random circuit with fewer than 3(n-1) binary gates."""
     bound = 3 * (n - 1)

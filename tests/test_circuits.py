@@ -146,6 +146,7 @@ def test_bisimilar():
     c_tree = b.build(b.or_(left, right))
     assert bisimilar(c_shared, c_shared)
     assert bisimilar(c_shared, c_tree)
+    assert bisimilar(xor_circuit(1000), xor_circuit(1000))  # deep: no recursion
 
     b = CircuitBuilder(2)
     c1 = b.build(b.and_(b.input(1), b.input(2)))

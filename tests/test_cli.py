@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from gatelim import rewrite
+from gatelim.circuits import isomorphic
 from gatelim.cli import main
 from gatelim.refuter import xor_circuit
-from gatelim.textio import serialize_circuit
+from gatelim.textio import parse_circuit, serialize_circuit
+from gatelim.u2 import demorgan_to_u2
 
 from test_refuter import FAILS_INSTANCE
 
@@ -199,3 +202,35 @@ def test_demo_nonconfluence(capsys):
     # deterministic output
     assert main(["demo-nonconfluence"]) == 0
     assert capsys.readouterr().out == out
+
+
+def alternating_chain(depth):
+    """An already-normal and/or chain, one gate per level, over x1 and x2."""
+    lines = ["ckt 1", "basis demorgan", "inputs 2"]
+    acc = "x1"
+    for k in range(1, depth + 1):
+        lines.append(f"n{k} = {'AND' if k % 2 else 'OR'} {acc} x{1 + k % 2}")
+        acc = f"n{k}"
+    return "\n".join(lines + [f"output {acc}"]) + "\n"
+
+
+def test_deep_chain_normalizes_and_translates(tmp_path, capsys):
+    text = alternating_chain(5000)
+    src = tmp_path / "deep.ckt"
+    src.write_text(text)
+    assert main(["normalize", str(src)]) == 0
+    assert isomorphic(parse_circuit(capsys.readouterr().out), parse_circuit(text))
+    assert main(["translate", str(src), "--to", "u2"]) == 0
+    assert isomorphic(parse_circuit(capsys.readouterr().out), demorgan_to_u2(parse_circuit(text)))
+
+
+def test_exhausted_interpreter_is_an_internal_error(and2, capsys, monkeypatch):
+    for exc in (RecursionError("maximum recursion depth exceeded"), MemoryError()):
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(rewrite, "normalize_circuit", fail)
+        assert main(["normalize", and2]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {type(exc).__name__}") and err.count("\n") == 1

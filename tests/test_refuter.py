@@ -1,14 +1,21 @@
 """The parity refuter: fixers, the restriction search, and extraction."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gen import assignments, random_circuit, truth_table, undersized_circuit, xor_table
+from gen import assignments, neartight_parity, random_circuit, truth_table, undersized_circuit, xor_table
 
 from gatelim.circuits import Circuit, CircuitBuilder, circuit_size, evaluate
+import gatelim
+from gatelim import refuter
 from gatelim.refuter import (
     Counterexample,
+    InternalError,
     RefuterError,
     Restriction,
     extract_counterexample,
@@ -22,8 +29,8 @@ from gatelim.refuter import (
     search_bad_restriction,
     xor_circuit,
 )
-from gatelim.rewrite import normalize_circuit, substitute_input
-from gatelim.textio import parse_circuit
+from gatelim.rewrite import RewriteTrace, normalize_circuit, substitute_input
+from gatelim.textio import parse_circuit, serialize_circuit
 
 # A pinned instance whose restriction search runs two full elimination rounds
 # and exits with two live variables (found by seed scan over the generator).
@@ -243,15 +250,7 @@ def test_barely_undersized_parity_variants_are_refuted():
     # the bound, the tightest refutable family
     for n in (5, 7):
         for weak_at in range(2, n + 1):
-            b = CircuitBuilder(n)
-            acc = b.input(1)
-            for k in range(2, n + 1):
-                xk = b.input(k)
-                if k == weak_at:
-                    acc = b.or_(acc, xk)
-                else:
-                    acc = b.or_(b.and_(acc, b.not_(xk)), b.and_(b.not_(acc), xk))
-            c = b.build(acc)
+            c = neartight_parity(n, weak_at)
             assert circuit_size(c) == 3 * (n - 1) - 2
             cex, _ = refute_detailed(c)
             assert evaluate(c, cex.input) != parity(cex.input)
@@ -288,3 +287,68 @@ def test_schnorr_exhaustive_check():
     assert (x1 & x2) in one_gate
     # and the three-gate upper bound is a real parity circuit
     assert truth_table(xor_circuit(2)) == (0, 1, 1, 0)
+
+
+# The soundness checks below must raise even under python -O, so each is
+# forced to fail by patching the refuter's view of parity or of its search.
+
+
+def and_of_first_two(n):
+    b = CircuitBuilder(n)
+    return b.build(b.and_(b.input(1), b.input(2)))
+
+
+def test_unverified_counterexample_is_an_internal_error(monkeypatch):
+    c = and_of_first_two(4)  # x3 unread: a degen outcome
+    monkeypatch.setattr(refuter, "parity", lambda bits: evaluate(c, bits))
+    with pytest.raises(InternalError, match="does not refute"):
+        refute(c)
+
+
+def test_brute_force_agreeing_with_parity_is_an_internal_error(monkeypatch):
+    c = and_of_first_two(2)
+    monkeypatch.setattr(refuter, "parity", lambda bits: evaluate(c, bits))
+    with pytest.raises(InternalError, match="agreed with parity everywhere"):
+        refute(c)
+
+
+def test_round_removing_fewer_than_three_gates_is_an_internal_error(monkeypatch):
+    real_normalize = refuter.normalize_circuit
+    calls = []
+
+    def normalize_only_first(c, *args, **kwargs):
+        # later rounds get the substituted circuit back unsimplified
+        calls.append(c)
+        return real_normalize(c, *args, **kwargs) if len(calls) == 1 else (c, RewriteTrace(()))
+
+    monkeypatch.setattr(refuter, "normalize_circuit", normalize_only_first)
+    with pytest.raises(InternalError, match="must remove >= 3 gates"):
+        search_bad_restriction(neartight_parity(6, 6))
+
+
+def test_search_ending_with_a_large_circuit_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(Restriction, "active", property(lambda self: frozenset({1, 2})))
+    with pytest.raises(InternalError, match="too small for 2-variable parity"):
+        search_bad_restriction(neartight_parity(6, 6))
+
+
+def test_soundness_check_fails_the_cli_under_optimize(tmp_path):
+    # sitecustomize runs at interpreter start-up: it makes the refuter's
+    # parity agree with the circuit, so the found input refutes nothing.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import gatelim.refuter\ngatelim.refuter.parity = lambda bits: bits[0] & bits[1]\n"
+    )
+    path = tmp_path / "and2.ckt"
+    path.write_text(serialize_circuit(and_of_first_two(4)))
+    src = Path(gatelim.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "gatelim.cli", "refute", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert run.returncode == 3, run
+    assert run.stderr.startswith("internal error:")
+    assert run.stdout == ""

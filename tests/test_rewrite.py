@@ -5,13 +5,16 @@ import random
 
 import pytest
 
-from gen import random_circuit, truth_table
+import reference_rewrite
+from gen import neartight_parity, random_circuit, truth_table
 
 from gatelim.circuits import (
     AndLabel,
+    Circuit,
     CircuitBuilder,
     CircuitError,
     ConstLabel,
+    Edge,
     InputLabel,
     NotLabel,
     OrLabel,
@@ -21,6 +24,7 @@ from gatelim.circuits import (
     unroll_term,
     validate,
 )
+from gatelim import rewrite
 from gatelim.rewrite import (
     RULES,
     apply_rewrite,
@@ -34,6 +38,7 @@ from gatelim.rewrite import (
     substitute_input,
 )
 from gatelim.terms import ONE, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term
+from gatelim.textio import serialize_circuit
 
 TRS_B = demorgan_system()
 
@@ -331,3 +336,134 @@ def test_normalize_rejects_u2():
     c = b.build(b.u2(11, b.input(1), b.input(2)))
     with pytest.raises(CircuitError):
         normalize_circuit(c)
+
+
+def assert_normalizers_agree(c):
+    """The incremental normalizer matches the rescan reference on every strategy."""
+    for strategy, seed in [("det", None)] + [("rand", k) for k in range(5)]:
+        nf, trace = normalize_circuit(c, strategy, seed=seed)
+        ref_nf, ref_trace = reference_rewrite.normalize_circuit(c, strategy, seed=seed)
+        assert serialize_circuit(nf) == serialize_circuit(ref_nf)
+        assert (nf.edges, nf.root) == (ref_nf.edges, ref_nf.root)
+        assert [s.as_dict() for s in trace.steps] == [s.as_dict() for s in ref_trace.steps]
+
+
+def test_merges_of_one_pass_are_reported_in_first_id_order():
+    # pass_and_right sends wire 4 to x1, so edges 2 and 9 become duplicates
+    # of edges 1 and 5 in the same pass; merge_parallel_edges reports the
+    # class with the lower first id first, whatever order they were met in.
+    edges = {
+        0: Edge(InputLabel(1), (0,)),
+        3: Edge(InputLabel(2), (3,)),
+        6: Edge(ConstLabel(1), (6,)),
+        4: Edge(AndLabel(), (4, 0, 6)),
+        1: Edge(NotLabel(), (1, 0)),
+        2: Edge(NotLabel(), (2, 4)),
+        5: Edge(OrLabel(), (5, 0, 3)),
+        9: Edge(OrLabel(), (9, 4, 3)),
+        7: Edge(AndLabel(), (7, 1, 2)),
+        8: Edge(AndLabel(), (8, 5, 9)),
+        10: Edge(OrLabel(), (10, 7, 8)),
+    }
+    c = Circuit(edges, 10, 2)
+    assert validate(c) == []
+    _, trace = normalize_circuit(c)
+    assert trace.steps[0].removed_edges == (4, 6, 2, 9)
+    assert_normalizers_agree(c)
+
+
+def with_unreachable_edges(c, junk):
+    """c plus a renumbered copy of junk that nothing reachable from c's root reads."""
+    shift = 1 + max(max(c.edges), max(c.vertices))
+    edges = dict(c.edges)
+    for eid, e in junk.edges.items():
+        edges[eid + shift] = Edge(e.label, tuple(v + shift for v in e.att))
+    return Circuit(edges, c.root, max(c.num_inputs, junk.num_inputs))
+
+
+def test_incremental_normalizer_matches_reference_on_random_circuits():
+    rng = random.Random(26)
+    for _ in range(80):
+        c = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 14))
+        assert_normalizers_agree(c)
+        assert_normalizers_agree(with_unreachable_edges(c, random_circuit(rng, 3, rng.randint(1, 6))))
+        for redex in find_redexes(c):
+            out, step = apply_rewrite(c, redex)
+            ref_out, ref_step = reference_rewrite.apply_rewrite(c, redex)
+            assert (out.edges, out.root, step) == (ref_out.edges, ref_out.root, ref_step)
+
+
+def test_incremental_normalizer_matches_reference_on_constant_fed_circuits(monkeypatch):
+    # Substituting inputs by constants gives unshared constant edges, so the
+    # merges on entry and the merges after a step both meet CONST edges.
+    entry = None
+    merged_in_steps = []
+    real_merge = reference_rewrite.merge_parallel_edges
+
+    def recording_merge(c):
+        out, removed = real_merge(c)
+        if c is not entry:
+            merged_in_steps.extend(c.edges[eid].label for eid in removed)
+        return out, removed
+
+    monkeypatch.setattr(reference_rewrite, "merge_parallel_edges", recording_merge)
+    rng = random.Random(27)
+    sharing_steps = 0
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        c = random_circuit(rng, n, rng.randint(2, 16))
+        for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            if c.input_edge(i) is not None:
+                c = substitute_input(c, i, rng.randint(0, 1))
+        entry = c
+        assert_normalizers_agree(c)
+        _, trace = normalize_circuit(c)
+        sharing_steps += any(step.rule == "sharing" for step in trace.steps)
+    assert sharing_steps > 0
+    assert any(isinstance(label, ConstLabel) for label in merged_in_steps)
+
+
+def test_incremental_normalizer_matches_reference_on_substituted_neartight_parity():
+    # The refuter's pattern: normalize, substitute one input, normalize again.
+    for n in range(4, 8):
+        for weak_at in (2, n // 2 + 1, n):
+            for bit in (0, 1):
+                work = neartight_parity(n, weak_at)
+                assert_normalizers_agree(work)
+                for i in range(1, n + 1):
+                    work, _ = normalize_circuit(work)
+                    if work.input_edge(i) is None:
+                        continue
+                    work = substitute_input(work, i, bit)
+                    assert_normalizers_agree(work)
+
+
+def and_chain_from_zero(length):
+    b = CircuitBuilder(1)
+    x, acc = b.input(1), b.const(0)
+    for _ in range(length):
+        acc = b.and_(acc, x)
+    return b.build(acc)
+
+
+def test_match_attempts_grow_linearly_along_a_collapsing_chain(monkeypatch):
+    # Each step re-matches only the sites near what it changed.  A normalizer
+    # that rescans the whole circuit every step makes about L^2 attempts here.
+    calls = 0
+    real_match = rewrite.match_at
+
+    def counting_match(*args):
+        nonlocal calls
+        calls += 1
+        return real_match(*args)
+
+    monkeypatch.setattr(rewrite, "match_at", counting_match)
+    attempts = {}
+    for length in (100, 400):
+        calls = 0
+        nf, trace = normalize_circuit(and_chain_from_zero(length))
+        assert len(trace.steps) == length + 1
+        assert unroll_term(nf) == Not(ONE)
+        attempts[length] = calls
+    assert attempts[400] <= 40 * 400
+    assert attempts[400] / attempts[100] <= 4.5
