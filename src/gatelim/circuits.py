@@ -287,23 +287,32 @@ def evaluate(c: Circuit, bits: Sequence[int]) -> int:
 def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
     """The tree unrolling of the circuit; shared subgraphs duplicate.
 
-    Worst-case exponential in the circuit, hence the node budget.
+    Worst-case exponential in the circuit, hence the node budget.  Built
+    bottom-up with explicit stacks, so depth costs no recursion.
     """
     if c.basis != "demorgan":
         raise CircuitError("only demorgan circuits unroll to terms")
     count = 0
-
-    def go(v: int) -> terms.Term:
-        nonlocal count
+    built: list[terms.Term] = []  # finished subterms, leftmost first
+    todo: list = [c.root]  # a vertex to unroll, or an edge whose args are the last in built
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Edge):
+            k = len(built) - len(item.args)
+            node = _LABEL_TERMS[item.label](*built[k:])
+            del built[k:]
+            built.append(node)
+            continue
         count += 1
         if count > budget:
             raise terms.BudgetError(f"unrolling exceeds {budget} nodes")
-        e = c.producer_edge(v)
+        e = c.producer_edge(item)
         if isinstance(e.label, InputLabel):
-            return terms.Var(f"x{e.label.index}")
-        return _LABEL_TERMS[e.label](*(go(a) for a in e.args))
-
-    return go(c.root)
+            built.append(terms.Var(f"x{e.label.index}"))
+        else:
+            todo.append(e)
+            todo.extend(reversed(e.args))
+    return built[0]
 
 
 def bisimilar(a: Circuit, b: Circuit) -> bool:

@@ -36,7 +36,7 @@ from .circuits import (
     is_binary,
     topo_order,
 )
-from .rewrite import normalize_circuit, substitute_input
+from .rewrite import WorkingGraph
 
 
 class RefuterError(CircuitError):
@@ -127,7 +127,7 @@ class Counterexample:
     truth: int
 
 
-def literal_of(c: Circuit, vertex: int) -> Optional[tuple[int, bool]]:
+def literal_of(c: Circuit | WorkingGraph, vertex: int) -> Optional[tuple[int, bool]]:
     """(variable index, negated) if the wire carries an input literal, else None."""
     e = c.producer_edge(vertex)
     if isinstance(e.label, InputLabel):
@@ -139,28 +139,21 @@ def literal_of(c: Circuit, vertex: int) -> Optional[tuple[int, bool]]:
     return None
 
 
-def costly_readers(c: Circuit, wire: int, order: Iterable[int]) -> list[int]:
+def costly_readers(g: WorkingGraph, wire: int, order: Iterable[int]) -> list[int]:
     """And/or gates reading the wire directly or through a negation, in the given order."""
-    wires = {wire}
-    wires.update(
-        e.result
-        for e in c.edges.values()
-        if isinstance(e.label, NotLabel) and e.args[0] in wires
-    )
-    return [
-        g
-        for g in order
-        if is_binary(c.edges[g].label) and any(v in wires for v in c.edges[g].args)
-    ]
+    wires = [wire]
+    wires += (g.edges[r].result for r in g.readers.get(wire, ()) if isinstance(g.edges[r].label, NotLabel))
+    gates = {r for v in wires for r in g.readers.get(v, ()) if is_binary(g.edges[r].label)}
+    return [eid for eid in order if eid in gates]
 
 
 def fanout_costly(c: Circuit, index: int) -> int:
     """Number of distinct and/or gates reading x_index directly or through a negation."""
     eid = c.input_edge(index)
-    return 0 if eid is None else len(costly_readers(c, c.edges[eid].result, c.edges))
+    return 0 if eid is None else len(costly_readers(WorkingGraph(c), c.edges[eid].result, c.edges))
 
 
-def fixer(c: Circuit, gate: int, index: int) -> int:
+def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
     """The bit for x_index that turns the gate constant.
 
     An and-gate is killed by making the literal it reads false, an or-gate by
@@ -180,7 +173,7 @@ def fixer(c: Circuit, gate: int, index: int) -> int:
     raise CircuitError(f"gate {gate} does not read x{index}")
 
 
-def _output_gate(c: Circuit) -> Optional[int]:
+def _output_gate(c: WorkingGraph) -> Optional[int]:
     """The edge whose (possibly negated) value is the circuit output."""
     e = c.producer_edge(c.root)
     if isinstance(e.label, NotLabel):
@@ -191,9 +184,11 @@ def _output_gate(c: Circuit) -> Optional[int]:
 def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     """Find a restriction under which the circuit visibly fails to be parity.
 
-    Requires n > 3 and circuit_size < 3(n-1).  The in-loop checks are
+    Requires n > 3 and circuit_size < 3(n-1).  One working graph carries
+    the circuit through every round: a round relabels the chosen input as a
+    constant and normalizes again in place.  The in-loop checks are
     invariants of the search, not legal outcomes; they hold because the
-    working circuit is always a (maximally shared) normal form, and a failed
+    working graph is always a (maximally shared) normal form, and a failed
     one raises InternalError.
     """
     n = c.num_inputs
@@ -201,12 +196,12 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         raise RefuterError("the restriction search requires n > 3")
     if circuit_size(c) >= 3 * (n - 1):
         raise RefuterError(f"circuit size {circuit_size(c)} is not below 3(n-1) = {3 * (n - 1)}")
-    work, _ = normalize_circuit(c)
+    work = WorkingGraph(c)
+    work.normalize()
     restriction = Restriction(n)
     iterations: list[IterationRecord] = []
     while len(restriction.active) > 2:
-        read = work.read_inputs()
-        unread = sorted(v for v in restriction.active if v not in read)
+        unread = sorted(v for v in restriction.active if work.input_edge(v) is None)
         if unread:
             return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
         order = topo_order(work)
@@ -231,9 +226,10 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         f_prime = successors[0]
         bit = fixer(work, f, p)
         restriction = restriction.assign(p, bit)
-        size_before = circuit_size(work)
-        work, _ = normalize_circuit(substitute_input(work, p, bit))
-        size_after = circuit_size(work)
+        size_before = work.size
+        work.substitute(p, bit)
+        work.normalize()
+        size_after = work.size
         _check(
             size_after <= size_before - 3,
             f"substitution must remove >= 3 gates, went {size_before} -> {size_after}",
@@ -241,7 +237,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         iterations.append(
             IterationRecord(len(iterations), h, f, f_prime, p, bit, size_before, size_after)
         )
-    _check(circuit_size(work) < 3, "final circuit must be too small for 2-variable parity")
+    _check(work.size < 3, "final circuit must be too small for 2-variable parity")
     return RefuterOutcome("fails", restriction, iterations=tuple(iterations))
 
 

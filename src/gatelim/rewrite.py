@@ -26,35 +26,46 @@ see their redex again.  With sharing maintained, a wire-equal pair of
 subcircuits is always one vertex and the graph normal form unrolls to the
 formula normal form.
 
-``normalize_circuit`` rewrites one mutable working graph in place rather than
-rebuilding the circuit after every step.  Besides the edges and the producer
-of each vertex it keeps:
+``normalize_circuit`` rewrites one mutable working graph (``WorkingGraph``)
+in place rather than rebuilding the circuit after every step.  Besides the
+edges and the producer of each vertex it keeps:
 
 - a reader index, the edges reading each vertex.  Its size is the vertex's
   reference count: a step deletes the edges it removes and then every edge
   whose result is no longer read and is not the root, cascading downwards,
   which collects exactly what is no longer reachable;
 - a hash-cons table from ``(label, argument wires)`` to the one edge carrying
-  them.  ``merge_parallel_edges`` establishes maximal sharing once on entry;
-  after each step only the edges the step created or rewired are looked up,
-  and a duplicate is merged into the lowest-numbered edge of its class, whose
-  readers are rewired in turn until nothing collides.  So maximal sharing
-  holds after every step, and merges are reported pass by pass in the order
-  ``merge_parallel_edges`` reports them;
-- the live binary-gate count, for the trace's ``size_after``;
-- the live redexes, keyed by site in rule order.  One full scan fills it on
-  entry; after a step only the sites that can see a vertex whose producing
-  edge changed - at most the left-hand patterns' depth of reader hops above
-  it - are matched again.
+  them.  Only edges that are new, rewired or relabelled are looked up, all of
+  them on entry; a duplicate is merged into the lowest-numbered edge of its
+  class, whose readers are rewired in turn until nothing collides.  So
+  maximal sharing holds after every step, and merges are reported pass by
+  pass in the order ``merge_parallel_edges`` reports them;
+- the live binary-gate count, for the trace's ``size_after``, and the live
+  graph measure, for the step budget;
+- the live redexes, keyed by site in rule order.  On entry every site is
+  matched; after a change only the sites that can see a vertex whose
+  producing edge changed - at most the left-hand patterns' depth of reader
+  hops above it - are matched again.
 
 Choosing a redex needs the (topological site, rule) order of the live
-redexes, so ``topo_order`` runs only in steps where redexes at two or more
-sites are live.  New vertex and edge ids are one more than the largest live
-id, as in ``apply_rewrite``, which fires one step on the same working graph.
+redexes.  When redexes at two or more sites are live, the choice runs
+``topo_order``'s Kahn algorithm over the reader index from the inputs and
+constants, and stops at the first live site (``det``) or once every live
+site has come out (``rand``).  New vertex and edge ids are one more than the
+largest live id, as in ``apply_rewrite``, which fires one step on the same
+working graph.
+
+The refuter keeps one working graph for a whole search: each round
+relabels one input edge as a constant (``WorkingGraph.substitute``) and
+normalizes again, so only the sites around that input are matched again.
+After the relabelling the graph holds exactly the circuit that
+``substitute_input`` would build, so the round fires the same steps, edge
+ids included, as normalizing that circuit from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
@@ -70,7 +81,6 @@ from .circuits import (
     Edge,
     GateLabel,
     InputLabel,
-    circuit_size,
     is_binary,
     topo_order,
 )
@@ -233,39 +243,57 @@ def _remap(edges: dict[int, Edge], vmap: dict[int, int]) -> dict[int, Edge]:
     return {eid: Edge(e.label, tuple(vmap.get(v, v) for v in e.att)) for eid, e in edges.items()}
 
 
-class _Graph:
+_MEASURE = {ConstLabel(0): 5, AND: 4, OR: 4, ConstLabel(1): 2, NOT: 1}
+
+
+def _weight(label: GateLabel) -> int:
+    """A gate's part of the termination measure: inputs weigh 1, u2 gates nothing."""
+    return 1 if isinstance(label, InputLabel) else _MEASURE.get(label, 0)
+
+
+class WorkingGraph:
     """A circuit rewritten in place: the working graph of the module docstring.
 
     ``edges`` and ``producer`` mean what they mean on a ``Circuit``, so
-    ``match_at`` and ``topo_order`` run on the graph as they are.
+    ``match_at`` and ``topo_order`` run on the graph as they are.  A new graph
+    is neither shared nor scanned; its first ``normalize`` does both.
     """
 
     def __init__(self, c: Circuit):
-        self.edges: dict[int, Edge] = dict(c.edges)
-        self.producer: dict[int, int] = dict(c.producer)
+        self.edges: dict[int, Edge] = {}
+        self.producer: dict[int, int] = {}
         self.root = c.root
         self.num_inputs = c.num_inputs
         self.basis = c.basis
         self.readers: dict[int, set[int]] = {}  # only vertices that are read
         self.table: dict[tuple, int] = {}
+        self.leaves: set[int] = set()  # edges without arguments: inputs and constants
         self.size = 0
-        for eid, e in self.edges.items():
-            for v in e.args:
-                self.readers.setdefault(v, set()).add(eid)
-            self.table.setdefault((e.label, e.args), eid)
-            self.size += is_binary(e.label)
+        self.measure = 0
         self.redexes: dict[int, list[Redex]] = {}
         self.touched: set[int] = set()  # vertices whose producing edge changed or went
         self.unshared: set[int] = set()  # edges not yet looked up in the table
+        for eid, e in c.edges.items():
+            self._add(eid, e)
         # Results nothing reads: all unreachable, collected by the first step.
         self.orphans = [v for v in self.producer if v != self.root and v not in self.readers]
+
+    def producer_edge(self, vertex: int) -> Edge:
+        return self.edges[self.producer[vertex]]
+
+    def input_edge(self, index: int) -> Optional[int]:
+        """The edge of x_index, or None; reads the table, so only on a shared graph."""
+        return self.table.get((InputLabel(index), ()))
 
     def _add(self, eid: int, e: Edge) -> None:
         self.edges[eid] = e
         self.producer[e.result] = eid
         for v in e.args:
             self.readers.setdefault(v, set()).add(eid)
+        if not e.args:
+            self.leaves.add(eid)
         self.size += is_binary(e.label)
+        self.measure += _weight(e.label)
         self.touched.add(e.result)
         self.unshared.add(eid)
 
@@ -277,10 +305,12 @@ class _Graph:
             readers.discard(eid)
             if not readers:
                 del self.readers[v]
+        self.leaves.discard(eid)
         key = (e.label, e.args)
         if self.table.get(key) == eid:
             del self.table[key]
         self.size -= is_binary(e.label)
+        self.measure -= _weight(e.label)
         self.touched.add(e.result)
         return e
 
@@ -384,10 +414,6 @@ class _Graph:
         else:
             self.redexes.pop(site, None)
 
-    def scan(self) -> None:
-        for site in self.producer:
-            self._match(site)
-
     def rematch(self) -> None:
         """Match again every site within pattern depth above a touched vertex."""
         for v in self.touched:
@@ -401,13 +427,85 @@ class _Graph:
         for site in region:
             self._match(site)
 
-    def ordered(self) -> list[Redex]:
-        """The live redexes in (topological site, rule) order."""
+    def ordered(self, first: bool) -> list[Redex]:
+        """The live redexes in (topological site, rule) order; with ``first``, those of the first site.
+
+        Runs ``topo_order``'s Kahn algorithm (ready edges on a min-id heap,
+        so the same pop sequence) from the argument-free edges along the
+        reader index, and stops as soon as the sites it needs have popped.
+        """
         if len(self.redexes) == 1:
             return next(iter(self.redexes.values()))
-        position = {eid: i for i, eid in enumerate(topo_order(self))}
-        sites = sorted(self.redexes, key=lambda v: position[self.producer[v]])
-        return [r for site in sites for r in self.redexes[site]]
+        ready = sorted(self.leaves)
+        waiting: dict[int, int] = {}  # edge -> arguments whose producers have not popped
+        left = len(self.redexes)
+        out: list[Redex] = []
+        while left:
+            v = self.edges[heapq.heappop(ready)].result
+            found = self.redexes.get(v)
+            if found:
+                if first:
+                    return found
+                out += found
+                left -= 1
+            for r in self.readers.get(v, ()):
+                k = waiting.pop(r, None) or len(set(self.edges[r].args))
+                if k == 1:
+                    heapq.heappush(ready, r)
+                else:
+                    waiting[r] = k - 1
+        return out
+
+    def substitute(self, index: int, bit: int) -> None:
+        """Relabel the x_index edge as the constant bit, keeping its edge id.
+
+        The next ``normalize`` merges a duplicate constant into the
+        lowest-numbered edge, as ``merge_parallel_edges`` would, and matches
+        again only around the relabelled edge.
+        """
+        eid = self.input_edge(index)
+        if eid is None:
+            raise CircuitError(f"input x{index} is not present")
+        self._add(eid, Edge(ConstLabel(int(bit)), self._delete(eid).att))
+
+    def normalize(self, strategy: str = "det", seed: Optional[int] = None) -> list[TraceStep]:
+        """Share, match again what changed and fire redexes until none is live; the steps taken.
+
+        A leading ``sharing`` step reports the merges made on entry.  The
+        budget is one more step than the graph measure after them.
+        """
+        if self.basis != "demorgan":
+            raise CircuitError("the rule system is defined for demorgan circuits")
+        if strategy not in ("det", "rand"):
+            raise CircuitError(f"unknown strategy {strategy!r}")
+        rng = random.Random(seed)
+        steps: list[TraceStep] = []
+        merged = self.share()
+        if merged:
+            steps.append(TraceStep(0, "sharing", None, tuple(merged), (), self.size))
+        self.rematch()
+        budget = self.measure + 1
+        fired = 0
+        while self.redexes:
+            if strategy == "det":
+                chosen = self.ordered(first=True)[0]
+            else:
+                chosen = rng.choice(self.ordered(first=False))
+            step = self.fire(chosen)
+            merged = self.share()
+            self.rematch()
+            steps.append(
+                replace(
+                    step,
+                    step=len(steps),
+                    removed_edges=step.removed_edges + tuple(merged),
+                    size_after=self.size,
+                )
+            )
+            fired += 1
+            if fired > budget:
+                raise BudgetError(f"no normal form within {budget} steps")
+        return steps
 
     def snapshot(self) -> Circuit:
         return Circuit(self.edges, self.root, self.num_inputs, self.basis)
@@ -421,7 +519,7 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     wire), and garbage-collects.  The redex is re-verified first.  Parallel
     duplicates the step makes are left in place.
     """
-    graph = _Graph(c)
+    graph = WorkingGraph(c)
     step = graph.fire(redex)
     return graph.snapshot(), step
 
@@ -469,20 +567,11 @@ def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
     return Circuit(edges, c.root, c.num_inputs, c.basis)
 
 
-_MEASURE = {ConstLabel(0): 5, AND: 4, OR: 4, ConstLabel(1): 2, NOT: 1}
-
-
 def graph_measure(c: Circuit) -> int:
     """Termination measure; strictly decreases on every rewrite step."""
     if c.basis != "demorgan":
         raise CircuitError("the measure is defined for demorgan circuits")
-    total = 0
-    for e in c.edges.values():
-        if isinstance(e.label, InputLabel):
-            total += 1
-        else:
-            total += _MEASURE[e.label]
-    return total
+    return sum(_weight(e.label) for e in c.edges.values())
 
 
 def normalize_circuit(
@@ -494,34 +583,6 @@ def normalize_circuit(
     ``rand`` picks uniformly with the given seed.  Maximal sharing is
     restored on entry and after every step (see module docstring).
     """
-    if c.basis != "demorgan":
-        raise CircuitError("the rule system is defined for demorgan circuits")
-    if strategy not in ("det", "rand"):
-        raise CircuitError(f"unknown strategy {strategy!r}")
-    rng = random.Random(seed)
-    steps: list[TraceStep] = []
-    c, merged = merge_parallel_edges(c)
-    if merged:
-        steps.append(TraceStep(0, "sharing", None, merged, (), circuit_size(c)))
-    budget = graph_measure(c) + 1
-    graph = _Graph(c)
-    graph.scan()
-    fired = 0
-    while graph.redexes:
-        redexes = graph.ordered()
-        chosen = redexes[0] if strategy == "det" else rng.choice(redexes)
-        step = graph.fire(chosen)
-        merged = graph.share()
-        graph.rematch()
-        steps.append(
-            replace(
-                step,
-                step=len(steps),
-                removed_edges=step.removed_edges + tuple(merged),
-                size_after=graph.size,
-            )
-        )
-        fired += 1
-        if fired > budget:
-            raise BudgetError(f"no normal form within {budget} steps")
-    return (graph.snapshot() if fired else c), RewriteTrace(tuple(steps))
+    graph = WorkingGraph(c)
+    steps = graph.normalize(strategy, seed)
+    return (graph.snapshot() if steps else c), RewriteTrace(tuple(steps))

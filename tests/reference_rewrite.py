@@ -1,4 +1,4 @@
-"""Reference normalizer for the tests: rescan and rebuild the circuit every step.
+"""Reference normalizer and refuter for the tests: rebuild the circuit every step.
 
 This is the normalizer that ``gatelim.rewrite.normalize_circuit`` replaced
 with its incremental working graph.  Every step it rescans the whole circuit
@@ -6,6 +6,11 @@ with ``find_redexes``, rebuilds it with a copying rewrite step that
 garbage-collects by reachability, and restores maximal sharing with
 ``merge_parallel_edges``.  It is slow and plainly correct, so the tests
 require the incremental normalizer to agree with it byte for byte.
+
+``search_bad_restriction`` is the refuter's restriction search as it ran
+before the refuter kept one working graph across rounds: every round
+substitutes into an immutable circuit and normalizes the result from
+scratch, and every structural question is answered by scanning that circuit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import random
 from dataclasses import replace
 from typing import Optional
 
-from gatelim.circuits import Circuit, Edge, circuit_size, reachable_edges
+from gatelim.circuits import Circuit, Edge, NotLabel, circuit_size, is_binary, reachable_edges, topo_order
+from gatelim.refuter import IterationRecord, RefuterOutcome, Restriction, fixer, literal_of
 from gatelim.rewrite import (
     Redex,
     RewriteTrace,
@@ -24,7 +30,9 @@ from gatelim.rewrite import (
     graph_measure,
     match_at,
     merge_parallel_edges,
+    substitute_input,
 )
+from gatelim.rewrite import normalize_circuit as incremental_normalize
 from gatelim.terms import BudgetError
 
 
@@ -99,3 +107,44 @@ def normalize_circuit(
         if fired > budget:
             raise BudgetError(f"no normal form within {budget} steps")
     return c, RewriteTrace(tuple(steps))
+
+
+def costly_readers(c: Circuit, wire: int, order) -> list[int]:
+    """And/or gates reading the wire directly or through a negation, by a scan of every edge."""
+    wires = {wire} | {e.result for e in c.edges.values() if isinstance(e.label, NotLabel) and e.args[0] == wire}
+    return [g for g in order if is_binary(c.edges[g].label) and any(v in wires for v in c.edges[g].args)]
+
+
+def search_bad_restriction(c: Circuit) -> RefuterOutcome:
+    """The per-round refuter: ``normalize_circuit(substitute_input(work, p, bit))`` each round."""
+    n = c.num_inputs
+    work, _ = incremental_normalize(c)
+    restriction = Restriction(n)
+    iterations: list[IterationRecord] = []
+    while len(restriction.active) > 2:
+        read = work.read_inputs()
+        unread = sorted(v for v in restriction.active if v not in read)
+        if unread:
+            return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
+        order = topo_order(work)
+        h = next(eid for eid in order if is_binary(work.edges[eid].label))
+        (p, _), (q, _) = (literal_of(work, v) for v in work.edges[h].args)
+        readers = costly_readers(work, work.edges[work.input_edge(p)].result, order)
+        if len(readers) == 1:
+            restriction = restriction.assign(q, fixer(work, h, q))
+            return RefuterOutcome("degen", restriction, var=p, iterations=tuple(iterations))
+        f = next(g for g in readers if g != h)
+        root = work.producer_edge(work.root)
+        output_gate = work.producer[root.args[0]] if isinstance(root.label, NotLabel) else work.producer[work.root]
+        if output_gate == f:
+            restriction = restriction.assign(p, fixer(work, f, p))
+            return RefuterOutcome("const", restriction, var=p, sibling=q, iterations=tuple(iterations))
+        f_prime = costly_readers(work, work.edges[f].result, order)[0]
+        bit = fixer(work, f, p)
+        restriction = restriction.assign(p, bit)
+        size_before = circuit_size(work)
+        work, _ = incremental_normalize(substitute_input(work, p, bit))
+        iterations.append(
+            IterationRecord(len(iterations), h, f, f_prime, p, bit, size_before, circuit_size(work))
+        )
+    return RefuterOutcome("fails", restriction, iterations=tuple(iterations))

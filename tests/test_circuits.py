@@ -24,7 +24,7 @@ from gatelim.circuits import (
     validate,
 )
 from gatelim.refuter import xor_circuit
-from gatelim.terms import And, Not, Or, Var
+from gatelim.terms import And, Not, Or, Var, children
 
 
 def single_input():
@@ -219,4 +219,24 @@ def test_unroll_budget():
         v = b.and_(v, v)
     c = b.build(v)
     with pytest.raises(BudgetError):
-        unroll_term(c)
+        unroll_term(c, budget=2**12)
+
+
+def test_unroll_deep_chain_without_recursion():
+    depth = 1500
+    b = CircuitBuilder(2)
+    acc = b.input(1)
+    for k in range(depth):
+        acc = (b.and_ if k % 2 == 0 else b.or_)(acc, b.input(2))
+    t = unroll_term(b.build(acc))
+    # walk the term iteratively: dataclass equality and repr would recurse
+    kinds: dict[str, int] = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kinds[type(node).__name__] = kinds.get(type(node).__name__, 0) + 1
+        stack.extend(children(node))
+        if isinstance(node, Var):
+            assert node.name == ("x1" if kinds["Var"] == depth + 1 else "x2")
+    assert kinds == {"Or": depth // 2, "And": depth // 2, "Var": depth + 1}
+    assert isinstance(t, Or)

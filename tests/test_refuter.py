@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import reference_rewrite
 from gen import assignments, neartight_parity, random_circuit, truth_table, undersized_circuit, xor_table
 
-from gatelim.circuits import Circuit, CircuitBuilder, circuit_size, evaluate
+from gatelim.circuits import CONST1, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
 import gatelim
-from gatelim import refuter
+from gatelim import circuits, refuter, rewrite
 from gatelim.refuter import (
     Counterexample,
     InternalError,
@@ -29,7 +30,7 @@ from gatelim.refuter import (
     search_bad_restriction,
     xor_circuit,
 )
-from gatelim.rewrite import RewriteTrace, normalize_circuit, substitute_input
+from gatelim.rewrite import WorkingGraph, normalize_circuit, substitute_input
 from gatelim.textio import parse_circuit, serialize_circuit
 
 # A pinned instance whose restriction search runs two full elimination rounds
@@ -313,17 +314,18 @@ def test_brute_force_agreeing_with_parity_is_an_internal_error(monkeypatch):
 
 
 def test_round_removing_fewer_than_three_gates_is_an_internal_error(monkeypatch):
-    real_normalize = refuter.normalize_circuit
+    real_normalize = WorkingGraph.normalize
     calls = []
 
-    def normalize_only_first(c, *args, **kwargs):
-        # later rounds get the substituted circuit back unsimplified
-        calls.append(c)
-        return real_normalize(c, *args, **kwargs) if len(calls) == 1 else (c, RewriteTrace(()))
+    def normalize_only_first(graph, *args, **kwargs):
+        # later rounds leave the substituted graph unsimplified
+        calls.append(graph)
+        return real_normalize(graph, *args, **kwargs) if len(calls) == 1 else []
 
-    monkeypatch.setattr(refuter, "normalize_circuit", normalize_only_first)
+    monkeypatch.setattr(WorkingGraph, "normalize", normalize_only_first)
     with pytest.raises(InternalError, match="must remove >= 3 gates"):
         search_bad_restriction(neartight_parity(6, 6))
+    assert len(calls) == 2
 
 
 def test_search_ending_with_a_large_circuit_is_an_internal_error(monkeypatch):
@@ -352,3 +354,80 @@ def test_soundness_check_fails_the_cli_under_optimize(tmp_path):
     assert run.returncode == 3, run
     assert run.stderr.startswith("internal error:")
     assert run.stdout == ""
+
+
+# The refuter keeps one working graph across its rounds.  The reference
+# refuter normalizes every round's substituted circuit from scratch; by
+# convergence both must take the same rounds and reach the same outcome.
+
+
+def assert_refuter_matches_reference(c):
+    cex, outcome = refute_detailed(c)
+    expected = reference_rewrite.search_bad_restriction(c)
+    assert outcome == expected
+    assert cex == extract_counterexample(c, expected)
+
+
+def test_refuter_matches_reference_on_neartight_parity():
+    # every weak position up to n=12; above that, for time, the middle and
+    # the end, where the search runs the most elimination rounds
+    for n in [*range(5, 13), *range(13, 41, 3)]:
+        for pos in range(2, n + 1) if n <= 12 else (n // 2, n):
+            assert_refuter_matches_reference(neartight_parity(n, pos))
+
+
+def test_refuter_matches_reference_on_undersized_circuits():
+    rng = random.Random(47)
+    for _ in range(30):
+        assert_refuter_matches_reference(undersized_circuit(rng, rng.randint(4, 12)))
+
+
+def test_refuter_matches_reference_when_the_substituted_constant_merges(monkeypatch):
+    # An unreachable CONST1 edge with the lowest id survives the (step-free)
+    # first normalization; the first round sets x1 to 1, and the new constant
+    # must merge into that edge, as merge_parallel_edges merges it.
+    c = neartight_parity(8, 8)
+    edges = {eid + 1: e for eid, e in c.edges.items()}
+    edges[0] = Edge(CONST1, (max(c.vertices) + 1,))
+    junk_fed = Circuit(edges, c.root, c.num_inputs)
+    merges = []
+    real_share = WorkingGraph.share
+
+    def recording_share(graph):
+        merged = real_share(graph)
+        merges.extend(merged)
+        return merged
+
+    monkeypatch.setattr(WorkingGraph, "share", recording_share)
+    assert_refuter_matches_reference(junk_fed)
+    assert search_bad_restriction(junk_fed).iterations[0].bit == 1
+    assert 1 in merges  # x1's edge, now CONST1, merged into edge 0
+
+
+def test_refuter_rounds_cost_linear_match_attempts(monkeypatch):
+    # A round re-matches only around the substituted input, and a det step
+    # runs Kahn's algorithm only up to the first live site, so neither the
+    # match attempts nor the topo_order calls grow with rounds times size.
+    counts = {"match": 0, "topo": 0}
+    real_match, real_topo = rewrite.match_at, circuits.topo_order
+
+    def counting_match(*args):
+        counts["match"] += 1
+        return real_match(*args)
+
+    def counting_topo(*args):
+        counts["topo"] += 1
+        return real_topo(*args)
+
+    monkeypatch.setattr(rewrite, "match_at", counting_match)
+    for module in (circuits, rewrite, refuter):
+        monkeypatch.setattr(module, "topo_order", counting_topo)
+    attempts = {}
+    for n in (40, 80):
+        counts.update(match=0, topo=0)
+        outcome = search_bad_restriction(neartight_parity(n, n))
+        assert outcome.tag == "fails" and len(outcome.iterations) == n - 2
+        assert counts["topo"] <= len(outcome.iterations) + 2
+        attempts[n] = counts["match"]
+    assert attempts[80] <= 20_000
+    assert attempts[80] / attempts[40] <= 2.3
