@@ -26,6 +26,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _load(path: str) -> Circuit:
     try:
         with open(path) as handle:
@@ -189,7 +199,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("trs", help="formula rewriting system commands")
     trs_sub = p.add_subparsers(dest="trs_command", required=True)
     q = trs_sub.add_parser("check", help="run the convergence certificate")
-    q.add_argument("--samples", type=int, default=1000)
+    q.add_argument("--samples", type=_non_negative, default=1000)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=_cmd_trs_check)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .circuits import (
     AndLabel,
@@ -34,7 +34,6 @@ from .circuits import (
     circuit_size,
     evaluate,
     is_binary,
-    topo_order,
 )
 from .rewrite import WorkingGraph
 
@@ -139,18 +138,31 @@ def literal_of(c: Circuit | WorkingGraph, vertex: int) -> Optional[tuple[int, bo
     return None
 
 
-def costly_readers(g: WorkingGraph, wire: int, order: Iterable[int]) -> list[int]:
-    """And/or gates reading the wire directly or through a negation, in the given order."""
+def costly_readers(g: WorkingGraph, wire: int, walk: Iterator[int], seen: dict[int, int]) -> list[int]:
+    """And/or gates reading the wire directly or through a negation, in the walk's order.
+
+    ``walk`` yields edge ids, ``g.walk()`` for topological order, and may be
+    partly consumed; ``seen`` maps the gates already taken from it to
+    increasing positions.  The walk advances, recording what it yields into
+    ``seen``, only until each gate has come out.
+    """
     wires = [wire]
     wires += (g.edges[r].result for r in g.readers.get(wire, ()) if isinstance(g.edges[r].label, NotLabel))
     gates = {r for v in wires for r in g.readers.get(v, ()) if is_binary(g.edges[r].label)}
-    return [eid for eid in order if eid in gates]
+    missing = len(gates - seen.keys())
+    while missing:
+        eid = next(walk)
+        seen[eid] = len(seen)
+        missing -= eid in gates
+    return sorted(gates, key=seen.__getitem__)
 
 
 def fanout_costly(c: Circuit, index: int) -> int:
     """Number of distinct and/or gates reading x_index directly or through a negation."""
     eid = c.input_edge(index)
-    return 0 if eid is None else len(costly_readers(WorkingGraph(c), c.edges[eid].result, c.edges))
+    if eid is None:
+        return 0
+    return len(costly_readers(WorkingGraph(c), c.edges[eid].result, iter(c.edges), {}))
 
 
 def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
@@ -204,16 +216,16 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         unread = sorted(v for v in restriction.active if work.input_edge(v) is None)
         if unread:
             return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
-        order = topo_order(work)
-        costly = [eid for eid in order if is_binary(work.edges[eid].label)]
-        _check(bool(costly), "a normal form reading 3+ variables must contain binary gates")
-        h = costly[0]
+        walk = work.walk()
+        h = next((eid for eid in walk if is_binary(work.edges[eid].label)), None)
+        _check(h is not None, "a normal form reading 3+ variables must contain binary gates")
+        seen = {h: 0}  # h precedes every other gate
         lits = [literal_of(work, v) for v in work.edges[h].args]
         _check(all(lit is not None for lit in lits), "first costly gate must read literals")
         p, q = lits[0][0], lits[1][0]
         _check(p != q, "normal form: first costly gate reads two distinct variables")
         _check(p in restriction.active and q in restriction.active, "first costly gate reads a fixed variable")
-        readers = costly_readers(work, work.edges[work.input_edge(p)].result, order)
+        readers = costly_readers(work, work.edges[work.input_edge(p)].result, walk, seen)
         if len(readers) == 1:
             restriction = restriction.assign(q, fixer(work, h, q))
             return RefuterOutcome("degen", restriction, var=p, iterations=tuple(iterations))
@@ -221,7 +233,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         if _output_gate(work) == f:
             restriction = restriction.assign(p, fixer(work, f, p))
             return RefuterOutcome("const", restriction, var=p, sibling=q, iterations=tuple(iterations))
-        successors = costly_readers(work, work.edges[f].result, order)
+        successors = costly_readers(work, work.edges[f].result, walk, seen)
         _check(bool(successors), "a non-output gate must feed a costly gate")
         f_prime = successors[0]
         bit = fixer(work, f, p)

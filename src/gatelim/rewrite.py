@@ -43,32 +43,44 @@ edges and the producer of each vertex it keeps:
 - the live binary-gate count, for the trace's ``size_after``, and the live
   graph measure, for the step budget;
 - the live redexes, keyed by site in rule order.  On entry every site is
-  matched; after a change only the sites that can see a vertex whose
-  producing edge changed - at most the left-hand patterns' depth of reader
-  hops above it - are matched again.
+  matched; after a change only the sites whose match can read a vertex whose
+  producing edge changed are matched again.  That region lies at most the
+  left-hand patterns' depth of reader hops above the vertex, and it climbs
+  past the first hop only from edges whose label some inner left-hand edge
+  with a non-open child carries (``_CLIMB_LABELS``, derived from ``RULES``).
 
+At a site only the rules whose left-hand root edge fits the site's first
+level are tried: its label kind, the label kinds of its arguments' producers
+and which arguments are the same wire.  This is term indexing at the first
+level, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
+holds only label types, so it stays small, and ``match_at`` still decides.
+
+One generator, ``WorkingGraph.walk``, yields the edges in ``topo_order``'s
+order - Kahn's algorithm over the reader index from the inputs and
+constants, ready edges on a min-id heap - only as far as it is consumed.
 Choosing a redex needs the (topological site, rule) order of the live
-redexes.  When redexes at two or more sites are live, the choice runs
-``topo_order``'s Kahn algorithm over the reader index from the inputs and
-constants, and stops at the first live site (``det``) or once every live
-site has come out (``rand``).  New vertex and edge ids are one more than the
-largest live id, as in ``apply_rewrite``, which fires one step on the same
-working graph.
+redexes: with redexes at two or more sites live, the choice consumes the walk
+up to the first live site (``det``) or until every live site has come out
+(``rand``).  New vertex and edge ids are one more than the largest live id,
+as in ``apply_rewrite``, which fires one step on the same working graph.
 
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
 normalizes again, so only the sites around that input are matched again.
 After the relabelling the graph holds exactly the circuit that
 ``substitute_input`` would build, so the round fires the same steps, edge
-ids included, as normalizing that circuit from scratch.
+ids included, as normalizing that circuit from scratch.  A round orders its
+gates with one walk of the graph, advanced only until the gates it compares
+have come out, so no round orders the whole graph with ``topo_order``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .circuits import (
     AND,
@@ -169,6 +181,38 @@ def _pattern_depth(p: Pattern) -> int:
 
 # A match at a site reads producing edges at most this many hops below it.
 _DEPTH = max(_pattern_depth(rule.lhs) for rule in RULES)
+
+# Labels of the non-root left-hand edges with a non-open child.  A change two
+# or more hops below a site can reach its match only through a chain of such
+# edges, so the rematch region climbs past the first hop only through them.
+_CLIMB_LABELS = frozenset(
+    pe.label
+    for rule in RULES
+    for pe in rule.lhs.edges[1:]
+    if any(name not in rule.lhs.open_vertices for name in pe.att[1:])
+)
+
+
+def _fits(rule: GraphRule, key: tuple) -> bool:
+    """Whether the rule's left-hand root edge can match a site with this first-level key."""
+    kind, arg_kinds, shape = key
+    root = rule.lhs.edges[0]
+    names = root.att[1:]
+    produced = {pe.att[0]: type(pe.label) for pe in rule.lhs.edges}
+    return (
+        type(root.label) is kind
+        and len(names) == len(arg_kinds)
+        and all(
+            produced.get(name, k) is k and shape[i] == shape[names.index(name)]
+            for i, (name, k) in enumerate(zip(names, arg_kinds))
+        )
+    )
+
+
+@functools.cache
+def _candidates(key: tuple) -> tuple[GraphRule, ...]:
+    """The rules, in rule order, that ``_fits`` admits for the key; keys hold only types."""
+    return tuple(rule for rule in _RULES_BY_ROOT.get(key[0], ()) if _fits(rule, key))
 
 
 @dataclass(frozen=True)
@@ -402,10 +446,21 @@ class WorkingGraph:
                 self._redirect(old, new)
         return merged
 
+    def candidates(self, site: int) -> tuple[GraphRule, ...]:
+        """The rules whose left-hand root edge fits the site's first level.
+
+        The key is the label kind of the site's edge, the label kinds of its
+        arguments' producers and which arguments are the same wire; ``match_at``
+        decides, and it matches none of the rules of the site's kind left out.
+        """
+        e = self.edges[self.producer[site]]
+        producers = [self.producer.get(v) for v in e.args]
+        arg_kinds = tuple(None if p is None else type(self.edges[p].label) for p in producers)
+        return _candidates((type(e.label), arg_kinds, tuple(map(e.args.index, e.args))))
+
     def _match(self, site: int) -> None:
-        label = self.edges[self.producer[site]].label
         found = []
-        for rule in _RULES_BY_ROOT.get(type(label), ()):
+        for rule in self.candidates(site):
             r = match_at(self, rule, site)
             if r is not None:
                 found.append(r)
@@ -415,45 +470,60 @@ class WorkingGraph:
             self.redexes.pop(site, None)
 
     def rematch(self) -> None:
-        """Match again every site within pattern depth above a touched vertex."""
+        """Match again every site whose match can read the producing edge of a touched vertex.
+
+        Such a site lies at most ``_DEPTH`` reader hops above the vertex, and
+        every hop past the first climbs from an edge labelled in ``_CLIMB_LABELS``.
+        """
         for v in self.touched:
             self.redexes.pop(v, None)
         region = {v for v in self.touched if v in self.producer}
-        frontier = region
+        climb = region
         for _ in range(_DEPTH):
-            frontier = {self.edges[r].result for v in frontier for r in self.readers.get(v, ())} - region
-            region |= frontier
+            above = {self.edges[r].result for v in climb for r in self.readers.get(v, ())} - region
+            region |= above
+            climb = {v for v in above if self.edges[self.producer[v]].label in _CLIMB_LABELS}
         self.touched = set()
         for site in region:
             self._match(site)
 
-    def ordered(self, first: bool) -> list[Redex]:
-        """The live redexes in (topological site, rule) order; with ``first``, those of the first site.
+    def walk(self) -> Iterator[int]:
+        """The edge ids in ``topo_order``'s order, computed only as far as they are consumed.
 
         Runs ``topo_order``'s Kahn algorithm (ready edges on a min-id heap,
         so the same pop sequence) from the argument-free edges along the
-        reader index, and stops as soon as the sites it needs have popped.
+        reader index.  The graph must not change while the walk is in use.
         """
-        if len(self.redexes) == 1:
-            return next(iter(self.redexes.values()))
         ready = sorted(self.leaves)
         waiting: dict[int, int] = {}  # edge -> arguments whose producers have not popped
-        left = len(self.redexes)
-        out: list[Redex] = []
-        while left:
-            v = self.edges[heapq.heappop(ready)].result
-            found = self.redexes.get(v)
-            if found:
-                if first:
-                    return found
-                out += found
-                left -= 1
-            for r in self.readers.get(v, ()):
+        while ready:
+            eid = heapq.heappop(ready)
+            yield eid
+            for r in self.readers.get(self.edges[eid].result, ()):
                 k = waiting.pop(r, None) or len(set(self.edges[r].args))
                 if k == 1:
                     heapq.heappush(ready, r)
                 else:
                     waiting[r] = k - 1
+
+    def ordered(self, first: bool) -> list[Redex]:
+        """The live redexes in (topological site, rule) order; with ``first``, those of the first site.
+
+        Consumes ``walk`` only until the sites it needs have come out.
+        """
+        if len(self.redexes) == 1:
+            return next(iter(self.redexes.values()))
+        left = len(self.redexes)
+        out: list[Redex] = []
+        for eid in self.walk():
+            found = self.redexes.get(self.edges[eid].result)
+            if found:
+                if first:
+                    return found
+                out += found
+                left -= 1
+                if not left:
+                    break
         return out
 
     def substitute(self, index: int, bit: int) -> None:

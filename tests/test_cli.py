@@ -188,6 +188,14 @@ def test_trs_check(capsys):
     assert "convergent" in out
 
 
+def test_trs_check_rejects_negative_samples(capsys):
+    assert main(["trs", "check", "--samples", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    assert main(["trs", "check", "--samples", "0"]) == 0
+
+
 def test_schnorr_check(capsys):
     assert main(["schnorr-check"]) == 0
     out = capsys.readouterr().out

@@ -405,9 +405,9 @@ def test_refuter_matches_reference_when_the_substituted_constant_merges(monkeypa
 
 
 def test_refuter_rounds_cost_linear_match_attempts(monkeypatch):
-    # A round re-matches only around the substituted input, and a det step
-    # runs Kahn's algorithm only up to the first live site, so neither the
-    # match attempts nor the topo_order calls grow with rounds times size.
+    # A round re-matches only around the substituted input, tries at a site
+    # only the rules its first level admits, and orders the graph with the
+    # working graph's lazy walk, never with a whole-graph topo_order.
     counts = {"match": 0, "topo": 0}
     real_match, real_topo = rewrite.match_at, circuits.topo_order
 
@@ -421,13 +421,14 @@ def test_refuter_rounds_cost_linear_match_attempts(monkeypatch):
 
     monkeypatch.setattr(rewrite, "match_at", counting_match)
     for module in (circuits, rewrite, refuter):
-        monkeypatch.setattr(module, "topo_order", counting_topo)
+        monkeypatch.setattr(module, "topo_order", counting_topo, raising=False)
     attempts = {}
     for n in (40, 80):
+        c = neartight_parity(n, n)
         counts.update(match=0, topo=0)
-        outcome = search_bad_restriction(neartight_parity(n, n))
+        outcome = search_bad_restriction(c)
         assert outcome.tag == "fails" and len(outcome.iterations) == n - 2
-        assert counts["topo"] <= len(outcome.iterations) + 2
+        assert counts["topo"] == 0
         attempts[n] = counts["match"]
-    assert attempts[80] <= 20_000
+    assert attempts[80] <= 5_000
     assert attempts[80] / attempts[40] <= 2.3

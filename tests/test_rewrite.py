@@ -25,8 +25,10 @@ from gatelim.circuits import (
     validate,
 )
 from gatelim import rewrite
+from gatelim.refuter import search_bad_restriction
 from gatelim.rewrite import (
     RULES,
+    WorkingGraph,
     apply_rewrite,
     compile_rule,
     find_redexes,
@@ -338,9 +340,12 @@ def test_normalize_rejects_u2():
         normalize_circuit(c)
 
 
+STRATEGIES = [("det", None)] + [("rand", k) for k in range(5)]
+
+
 def assert_normalizers_agree(c):
     """The incremental normalizer matches the rescan reference on every strategy."""
-    for strategy, seed in [("det", None)] + [("rand", k) for k in range(5)]:
+    for strategy, seed in STRATEGIES:
         nf, trace = normalize_circuit(c, strategy, seed=seed)
         ref_nf, ref_trace = reference_rewrite.normalize_circuit(c, strategy, seed=seed)
         assert serialize_circuit(nf) == serialize_circuit(ref_nf)
@@ -467,3 +472,54 @@ def test_match_attempts_grow_linearly_along_a_collapsing_chain(monkeypatch):
         attempts[length] = calls
     assert attempts[400] <= 40 * 400
     assert attempts[400] / attempts[100] <= 4.5
+
+
+def redex_keys(redexes):
+    return sorted((r.site, r.rule.name, sorted(r.vertex_map.items())) for r in redexes)
+
+
+@pytest.fixture
+def checked_rematch(monkeypatch):
+    """After every rematch, the live redexes are those of a full rescan.
+
+    Also checks the candidate index: at every site, each rule of the site's
+    root kind that the index leaves out fails to match.
+    """
+    real_rematch = WorkingGraph.rematch
+    calls = []
+
+    def checking_rematch(graph):
+        real_rematch(graph)
+        calls.append(len(graph.edges))
+        live = [r for found in graph.redexes.values() for r in found]
+        assert redex_keys(live) == redex_keys(find_redexes(graph.snapshot()))
+        for e in graph.edges.values():
+            kept = graph.candidates(e.result)
+            for rule in RULES:
+                if type(rule.lhs.edges[0].label) is type(e.label) and rule not in kept:
+                    assert match_at(graph, rule, e.result) is None
+
+    monkeypatch.setattr(WorkingGraph, "rematch", checking_rematch)
+    return calls
+
+
+def test_live_redexes_equal_a_rescan_on_random_circuits(checked_rematch):
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        c = random_circuit(rng, n, rng.randint(1, 16))
+        fed = c
+        for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            if fed.input_edge(i) is not None:
+                fed = substitute_input(fed, i, rng.randint(0, 1))
+        for circuit in (c, fed):
+            for strategy, seed in STRATEGIES:
+                normalize_circuit(circuit, strategy, seed=seed)
+    assert len(checked_rematch) > 1000
+
+
+def test_live_redexes_equal_a_rescan_through_neartight_refutations(checked_rematch):
+    for n in range(5, 11):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert len(checked_rematch) > 200
