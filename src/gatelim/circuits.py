@@ -232,7 +232,18 @@ def circuit_size(c: Circuit) -> int:
 
 
 def topo_order(c: Circuit) -> list[int]:
-    """Edge ids in dependency order, ties broken by ascending edge id."""
+    """Edge ids in dependency order, ties broken by ascending edge id.
+
+    This is Kahn's algorithm with the ready edges on a min-id heap.  When
+    every argument's producer has a smaller id than the edge reading it, that
+    order is ascending id order: at each pop the smallest id not yet popped
+    has all of its producers popped, so it is ready and it is the least
+    ready id.  One pass checks for that case, as parsed and built circuits
+    number their gates; any other circuit, cyclic ones included, runs Kahn.
+    """
+    producer = c.producer
+    if all(producer.get(v, -1) < eid for eid, e in c.edges.items() for v in e.args):
+        return sorted(c.edges)
     consumers: dict[int, list[int]] = {eid: [] for eid in c.edges}
     indegree: dict[int, int] = {}
     for eid, e in c.edges.items():

@@ -51,18 +51,25 @@ edges and the producer of each vertex it keeps:
 
 At a site only the rules whose left-hand root edge fits the site's first
 level are tried: its label kind, the label kinds of its arguments' producers
-and which arguments are the same wire.  This is term indexing at the first
+and which arguments are the same wire, where a constant's kind is its value
+and any other label's kind its type.  This is term indexing at the first
 level, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
-holds only label types, so it stays small, and ``match_at`` still decides.
+holds only kinds, so it stays small, and ``match_at`` still decides.
 
 One generator, ``WorkingGraph.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
 constants, ready edges on a min-id heap - only as far as it is consumed.
 Choosing a redex needs the (topological site, rule) order of the live
-redexes: with redexes at two or more sites live, the choice consumes the walk
-up to the first live site (``det``) or until every live site has come out
-(``rand``).  New vertex and edge ids are one more than the largest live id,
-as in ``apply_rewrite``, which fires one step on the same working graph.
+redexes.  The graph counts its inversions (``inverted``): the pairs of an
+edge and a distinct argument wire whose producer's id is not smaller than the
+edge's.  With none, the walk's order is ascending edge id (the lemma of
+``topo_order``), so the live sites are ordered by their producers' ids and
+nothing is walked.  Otherwise, with redexes at two or more sites live, the
+choice consumes the walk up to the first live site (``det``) or until every
+live site has come out (``rand``).  New vertex and edge ids are one more than
+the largest live id, as in ``apply_rewrite``, which fires one step on the
+same working graph.  On a circuit that starts without inversions only a
+ground right-hand side, numbered so from its root down, makes any.
 
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
@@ -166,8 +173,8 @@ RULES: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in demorgan_system().
 # Rules grouped by the label kind of their root edge, for redex scanning.
 _RULES_BY_ROOT: dict[type, tuple[GraphRule, ...]] = {}
 for _rule in RULES:
-    _kind = type(_rule.lhs.edges[0].label)
-    _RULES_BY_ROOT[_kind] = _RULES_BY_ROOT.get(_kind, ()) + (_rule,)
+    _root_type = type(_rule.lhs.edges[0].label)
+    _RULES_BY_ROOT[_root_type] = _RULES_BY_ROOT.get(_root_type, ()) + (_rule,)
 
 
 def _pattern_depth(p: Pattern) -> int:
@@ -193,17 +200,22 @@ _CLIMB_LABELS = frozenset(
 )
 
 
+def _kind(label: GateLabel) -> object:
+    """What the candidate index knows of a label: a constant's value, else only its type."""
+    return label if isinstance(label, ConstLabel) else type(label)
+
+
 def _fits(rule: GraphRule, key: tuple) -> bool:
     """Whether the rule's left-hand root edge can match a site with this first-level key."""
     kind, arg_kinds, shape = key
     root = rule.lhs.edges[0]
     names = root.att[1:]
-    produced = {pe.att[0]: type(pe.label) for pe in rule.lhs.edges}
+    produced = {pe.att[0]: _kind(pe.label) for pe in rule.lhs.edges}
     return (
-        type(root.label) is kind
+        _kind(root.label) == kind
         and len(names) == len(arg_kinds)
         and all(
-            produced.get(name, k) is k and shape[i] == shape[names.index(name)]
+            produced.get(name, k) == k and shape[i] == shape[names.index(name)]
             for i, (name, k) in enumerate(zip(names, arg_kinds))
         )
     )
@@ -211,8 +223,8 @@ def _fits(rule: GraphRule, key: tuple) -> bool:
 
 @functools.cache
 def _candidates(key: tuple) -> tuple[GraphRule, ...]:
-    """The rules, in rule order, that ``_fits`` admits for the key; keys hold only types."""
-    return tuple(rule for rule in _RULES_BY_ROOT.get(key[0], ()) if _fits(rule, key))
+    """The rules, in rule order, that ``_fits`` admits for the key; keys hold types and constants."""
+    return tuple(rule for rule in RULES if _fits(rule, key))
 
 
 @dataclass(frozen=True)
@@ -317,6 +329,7 @@ class WorkingGraph:
         self.redexes: dict[int, list[Redex]] = {}
         self.touched: set[int] = set()  # vertices whose producing edge changed or went
         self.unshared: set[int] = set()  # edges not yet looked up in the table
+        self.inverted = 0  # (reader, distinct argument) pairs whose producer's id is not smaller
         for eid, e in c.edges.items():
             self._add(eid, e)
         # Results nothing reads: all unreachable, collected by the first step.
@@ -329,11 +342,25 @@ class WorkingGraph:
         """The edge of x_index, or None; reads the table, so only on a shared graph."""
         return self.table.get((InputLabel(index), ()))
 
+    def _inversions(self, eid: int, args: tuple[int, ...]) -> int:
+        """How many of the distinct argument wires of edge ``eid`` have a producer not below it."""
+        producer = self.producer
+        return len({v for v in args if producer.get(v, -1) >= eid})
+
+    def _inverted_readers(self, eid: int, vertex: int) -> int:
+        """How many readers of the vertex have an id not above ``eid``, its producer's."""
+        readers = self.readers.get(vertex)
+        return sum([eid >= r for r in readers]) if readers else 0
+
     def _add(self, eid: int, e: Edge) -> None:
+        self.inverted += self._inverted_readers(eid, e.result)
         self.edges[eid] = e
         self.producer[e.result] = eid
         for v in e.args:
-            self.readers.setdefault(v, set()).add(eid)
+            readers = self.readers.setdefault(v, set())
+            if eid not in readers:
+                readers.add(eid)
+                self.inverted += self.producer.get(v, -1) >= eid
         if not e.args:
             self.leaves.add(eid)
         self.size += is_binary(e.label)
@@ -343,12 +370,14 @@ class WorkingGraph:
 
     def _delete(self, eid: int) -> Edge:
         e = self.edges.pop(eid)
-        del self.producer[e.result]
         for v in set(e.args):
+            self.inverted -= self.producer.get(v, -1) >= eid
             readers = self.readers[v]
             readers.discard(eid)
             if not readers:
                 del self.readers[v]
+        del self.producer[e.result]
+        self.inverted -= self._inverted_readers(eid, e.result)
         self.leaves.discard(eid)
         key = (e.label, e.args)
         if self.table.get(key) == eid:
@@ -365,7 +394,8 @@ class WorkingGraph:
             key = (e.label, e.args)
             if self.table.get(key) == r:
                 del self.table[key]
-            self.edges[r] = Edge(e.label, tuple(new if v == old else v for v in e.att))
+            self.edges[r] = rewired = Edge(e.label, tuple(new if v == old else v for v in e.att))
+            self.inverted += self._inversions(r, rewired.args) - self._inversions(r, e.args)
             self.readers.setdefault(new, set()).add(r)
             self.touched.add(e.result)
             self.unshared.add(r)
@@ -449,14 +479,15 @@ class WorkingGraph:
     def candidates(self, site: int) -> tuple[GraphRule, ...]:
         """The rules whose left-hand root edge fits the site's first level.
 
-        The key is the label kind of the site's edge, the label kinds of its
-        arguments' producers and which arguments are the same wire; ``match_at``
-        decides, and it matches none of the rules of the site's kind left out.
+        The key is the kind (``_kind``) of the site's label, the kinds of its
+        arguments' producers' labels and which arguments are the same wire;
+        ``match_at`` decides, and it matches none of the rules of the site's
+        label type left out.
         """
         e = self.edges[self.producer[site]]
         producers = [self.producer.get(v) for v in e.args]
-        arg_kinds = tuple(None if p is None else type(self.edges[p].label) for p in producers)
-        return _candidates((type(e.label), arg_kinds, tuple(map(e.args.index, e.args))))
+        arg_kinds = tuple(None if p is None else _kind(self.edges[p].label) for p in producers)
+        return _candidates((_kind(e.label), arg_kinds, tuple(map(e.args.index, e.args))))
 
     def _match(self, site: int) -> None:
         found = []
@@ -509,10 +540,17 @@ class WorkingGraph:
     def ordered(self, first: bool) -> list[Redex]:
         """The live redexes in (topological site, rule) order; with ``first``, those of the first site.
 
-        Consumes ``walk`` only until the sites it needs have come out.
+        With no inversion the walk's order is ascending edge id (the lemma of
+        ``topo_order``), so the sites are ordered by their producers' ids and
+        nothing is walked.  Otherwise consumes ``walk`` only until the sites
+        it needs have come out.
         """
         if len(self.redexes) == 1:
             return next(iter(self.redexes.values()))
+        if not self.inverted:
+            if first:
+                return self.redexes[min(self.redexes, key=self.producer.__getitem__)]
+            return [r for site in sorted(self.redexes, key=self.producer.__getitem__) for r in self.redexes[site]]
         left = len(self.redexes)
         out: list[Redex] = []
         for eid in self.walk():

@@ -41,6 +41,7 @@ class ParseError(Exception):
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INPUT_RE = re.compile(r"^x([0-9]+)$")
+_U2_RE = re.compile(r"^U2_([0-9]+)$")
 
 _OPS = {
     "AND": ("demorgan", 2),
@@ -87,14 +88,15 @@ def parse_circuit(text: str) -> Circuit:
     root: int | None = None
 
     def operand(no: int, token: str) -> int:
+        vertex = names.get(token)  # gate names never have the form x<k>
+        if vertex is not None:
+            return vertex
         m = _INPUT_RE.match(token)
         if m:
             index = int(m.group(1))
             if not 1 <= index <= num_inputs:
                 raise ParseError(no, f"input {token} out of declared range 1..{num_inputs}")
             return builder.input(index)
-        if token in names:
-            return names[token]
         if _NAME_RE.match(token):
             raise ParseError(no, f"undefined operand {token!r}")
         raise ParseError(no, f"bad operand {token!r}")
@@ -117,7 +119,7 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(no, f"gate name {name!r} is reserved for inputs")
         if name in names:
             raise ParseError(no, f"duplicate gate name {name!r}")
-        u2_match = re.match(r"^U2_([0-9]+)$", op)
+        u2_match = _U2_RE.match(op)
         if u2_match:
             if basis != "u2":
                 raise ParseError(no, f"{op} gate in a {basis} circuit")

@@ -58,6 +58,13 @@ def undersized_circuit(rng: random.Random, n: int) -> Circuit:
             return c
 
 
+def renumbered(c: Circuit, rng: random.Random) -> Circuit:
+    """c with its edge ids shuffled, so producers may outnumber their readers; vertices stay."""
+    ids = list(c.edges)
+    shuffled = rng.sample(ids, len(ids))
+    return Circuit({new: c.edges[old] for old, new in zip(ids, shuffled)}, c.root, c.num_inputs)
+
+
 def assignments(n: int):
     return itertools.product((0, 1), repeat=n)
 

@@ -11,15 +11,28 @@ require the incremental normalizer to agree with it byte for byte.
 before the refuter kept one working graph across rounds: every round
 substitutes into an immutable circuit and normalizes the result from
 scratch, and every structural question is answered by scanning that circuit.
+
+``kahn_order`` is the plain min-id Kahn order that ``topo_order`` must give,
+without its ascending-id shortcut.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import replace
 from typing import Optional
 
-from gatelim.circuits import Circuit, Edge, NotLabel, circuit_size, is_binary, reachable_edges, topo_order
+from gatelim.circuits import (
+    Circuit,
+    CircuitError,
+    Edge,
+    NotLabel,
+    circuit_size,
+    is_binary,
+    reachable_edges,
+    topo_order,
+)
 from gatelim.refuter import IterationRecord, RefuterOutcome, Restriction, fixer, literal_of
 from gatelim.rewrite import (
     Redex,
@@ -34,6 +47,25 @@ from gatelim.rewrite import (
 )
 from gatelim.rewrite import normalize_circuit as incremental_normalize
 from gatelim.terms import BudgetError
+
+
+def kahn_order(c: Circuit) -> list[int]:
+    """Kahn's algorithm, ready edges on a min-id heap; raises on a cycle as ``topo_order`` does."""
+    deps = {eid: {c.producer[v] for v in e.args if v in c.producer} for eid, e in c.edges.items()}
+    ready = [eid for eid, d in deps.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        eid = heapq.heappop(ready)
+        order.append(eid)
+        for succ, d in deps.items():
+            if eid in d:
+                d.discard(eid)
+                if not d:
+                    heapq.heappush(ready, succ)
+    if len(order) != len(c.edges):
+        raise CircuitError("cycle detected among edges " + str(sorted(set(c.edges) - set(order))))
+    return order
 
 
 def _remap(edges: dict[int, Edge], vmap: dict[int, int]) -> dict[int, Edge]:

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from gen import assignments, random_circuit, term_truth_table, truth_table
+from gen import (
+    assignments,
+    neartight_parity,
+    random_circuit,
+    renumbered,
+    term_truth_table,
+    truth_table,
+    undersized_circuit,
+)
+from reference_rewrite import kahn_order
 
 from gatelim.circuits import (
     AND,
@@ -82,6 +91,52 @@ def test_topo_order_is_a_linear_extension():
         for eid, e in c.edges.items():
             for v in e.args:
                 assert placed[c.producer[v]] < placed[eid]
+
+
+def ids_ascend_topologically(c):
+    return all(c.producer[v] < eid for eid, e in c.edges.items() for v in e.args)
+
+
+def test_topo_order_equals_min_id_kahn():
+    # Built circuits number every gate after its arguments, so topo_order
+    # takes its ascending-id shortcut; shuffled ids make it run Kahn.
+    rng = random.Random(5)
+    circuits = [random_circuit(rng, rng.randint(1, 6), rng.randint(1, 16)) for _ in range(60)]
+    circuits += [undersized_circuit(rng, rng.randint(4, 7)) for _ in range(20)]
+    circuits += [neartight_parity(n, pos) for n in (4, 7) for pos in range(2, n + 1)]
+    shuffled = 0
+    for c in circuits:
+        assert ids_ascend_topologically(c)
+        assert topo_order(c) == kahn_order(c) == sorted(c.edges)
+        for _ in range(3):
+            d = renumbered(c, rng)
+            shuffled += not ids_ascend_topologically(d)
+            assert topo_order(d) == kahn_order(d)
+    assert shuffled > 200
+
+
+def test_topo_order_reports_a_cycle_as_kahn_does():
+    rng = random.Random(6)
+    cycles = 0
+    for _ in range(60):
+        c = random_circuit(rng, rng.randint(2, 5), rng.randint(2, 12))
+        gates = [eid for eid, e in c.edges.items() if e.args]
+        if not gates:
+            continue
+        # One argument of a gate reads the output, which depends on that gate.
+        eid = rng.choice(gates)
+        e = c.edges[eid]
+        edges = dict(c.edges)
+        edges[eid] = Edge(e.label, (e.result, c.root, *e.args[1:]))
+        for d in (Circuit(edges, c.root, c.num_inputs), renumbered(Circuit(edges, c.root, c.num_inputs), rng)):
+            with pytest.raises(CircuitError) as expected:
+                kahn_order(d)
+            with pytest.raises(CircuitError) as got:
+                topo_order(d)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("cycle detected among edges")
+            cycles += 1
+    assert cycles > 60
 
 
 def test_topo_order_simple_chain():

@@ -242,3 +242,29 @@ def test_exhausted_interpreter_is_an_internal_error(and2, capsys, monkeypatch):
         assert main(["normalize", and2]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {type(exc).__name__}") and err.count("\n") == 1
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; each call must still parse afresh.
+    src = tmp_path / "x.ckt"
+    src.write_text(serialize_circuit(xor_circuit(4)))
+    calls = []
+    real_normalize = rewrite.normalize_circuit
+
+    def recording_normalize(c, strategy, seed):
+        calls.append((strategy, seed))
+        return real_normalize(c, strategy=strategy, seed=seed)
+
+    monkeypatch.setattr(rewrite, "normalize_circuit", recording_normalize)
+    assert main(["normalize", str(src), "--strategy", "rand", "--seed", "3"]) == 0
+    assert main(["normalize", str(src)]) == 0
+    assert calls == [("rand", 3), ("det", 0)]
+    capsys.readouterr()
+
+    assert main(["normalize", str(src), "--strategy", "bogus"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["normalize", str(src)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == serialize_circuit(real_normalize(xor_circuit(4))[0])
+    assert calls[-1] == ("det", 0)

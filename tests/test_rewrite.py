@@ -6,7 +6,7 @@ import random
 import pytest
 
 import reference_rewrite
-from gen import neartight_parity, random_circuit, truth_table
+from gen import neartight_parity, random_circuit, renumbered, truth_table
 
 from gatelim.circuits import (
     AndLabel,
@@ -523,3 +523,95 @@ def test_live_redexes_equal_a_rescan_through_neartight_refutations(checked_remat
         for pos in range(2, n + 1):
             search_bad_restriction(neartight_parity(n, pos))
     assert len(checked_rematch) > 200
+
+
+def walk_order(graph, first):
+    """The live redexes in (topological site, rule) order, taken from a full walk."""
+    out = []
+    for eid in graph.walk():
+        found = graph.redexes.get(graph.edges[eid].result, [])
+        if first and found:
+            return found
+        out += found
+    return out
+
+
+def recount_inverted(graph):
+    return sum(
+        graph.producer.get(v, -1) >= eid for eid, e in graph.edges.items() for v in set(e.args)
+    )
+
+
+@pytest.fixture
+def checked_order(monkeypatch):
+    """After every step the inversion count is a recount, and every redex choice equals a full walk's.
+
+    Returns how many choices with two or more live sites were made without
+    inversions (the ordered shortcut) and with them (the walk).
+    """
+    real_rematch, real_ordered = WorkingGraph.rematch, WorkingGraph.ordered
+    choices = {"shortcut": 0, "walk": 0}
+
+    def checking_rematch(graph):
+        real_rematch(graph)
+        assert graph.inverted == recount_inverted(graph)
+
+    def checking_ordered(graph, first):
+        assert graph.inverted == recount_inverted(graph)
+        got = real_ordered(graph, first)
+        assert got == walk_order(graph, first)
+        if len(graph.redexes) > 1:
+            choices["walk" if graph.inverted else "shortcut"] += 1
+        return got
+
+    monkeypatch.setattr(WorkingGraph, "rematch", checking_rematch)
+    monkeypatch.setattr(WorkingGraph, "ordered", checking_ordered)
+    return choices
+
+
+def test_redex_choice_equals_a_full_walk(checked_order):
+    rng = random.Random(62)
+    circuits = []
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        c = random_circuit(rng, n, rng.randint(2, 16))
+        fed = c
+        for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            if fed.input_edge(i) is not None:
+                fed = substitute_input(fed, i, rng.randint(0, 1))
+        circuits += [c, fed, renumbered(fed, rng)]
+    circuits += [neartight_parity(n, pos) for n in (5, 8) for pos in (2, n // 2 + 1, n)]
+    for c in circuits:
+        for strategy, seed in STRATEGIES:
+            normalize_circuit(c, strategy, seed=seed)
+    for n in range(5, 9):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert checked_order["shortcut"] > 150
+    assert checked_order["walk"] > 150
+
+
+def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
+    # The candidate index keys constants by value, so a CONST1 site is
+    # offered no rule at all: zero_elim is the only rule rooted at a constant.
+    attempts = []
+    const1_sites = 0
+    real_match, real_site_match = rewrite.match_at, WorkingGraph._match
+
+    def recording_match(c, rule, site):
+        attempts.append((rule.name, c.producer_edge(site).label))
+        return real_match(c, rule, site)
+
+    def counting_site_match(graph, site):
+        nonlocal const1_sites
+        const1_sites += graph.producer_edge(site).label == ConstLabel(1)
+        real_site_match(graph, site)
+
+    monkeypatch.setattr(rewrite, "match_at", recording_match)
+    monkeypatch.setattr(WorkingGraph, "_match", counting_site_match)
+    for n in range(5, 11):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert const1_sites > 100
+    assert any(name == "zero_elim" for name, _ in attempts)
+    assert not any(label == ConstLabel(1) for _, label in attempts)
