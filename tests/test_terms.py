@@ -1,5 +1,6 @@
 """Formula rewriting: matching, normalization, and the convergence certificate."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from gatelim.terms import (
     ZERO,
     And,
     BudgetError,
+    Const0,
     Not,
     Or,
     TermRule,
@@ -30,6 +32,7 @@ from gatelim.terms import (
     rewrite_step,
     term_weight,
     variables,
+    weight_shape,
 )
 
 G = Var("g")
@@ -106,6 +109,67 @@ def test_term_weight():
     assert term_weight(And(X1, ONE)) == 3
     lhs = apply_substitution(And(G, Not(G)), {"g": X1})
     assert term_weight(lhs) == 4 > term_weight(Not(ONE)) == 2
+
+
+def test_term_weight_of_a_deep_chain():
+    t = ZERO
+    for _ in range(10_000):
+        t = Not(t)
+    assert term_weight(t) == 10_003
+    assert weight_shape(t) == (10_003, 0)
+
+
+def test_weight_shape_gives_the_weight_of_every_instance():
+    rng = random.Random(12)
+    shapes = [(rule, weight_shape(rule.lhs), weight_shape(rule.rhs)) for rule in TRS_B.rules]
+    for k in range(1000):
+        g = random_term(rng, k % 6)
+        w = term_weight(g)
+        for rule, (lhs_skel, lhs_occ), (rhs_skel, rhs_occ) in shapes:
+            binding = {name: g for name in variables(rule.lhs)}
+            assert lhs_skel + lhs_occ * w == term_weight(apply_substitution(rule.lhs, binding)), rule.name
+            assert rhs_skel + rhs_occ * w == term_weight(apply_substitution(rule.rhs, binding)), rule.name
+
+
+def reference_weight(t):
+    """The measure as first written: zero weighs 3, every other node 1."""
+    w = 3 if isinstance(t, Const0) else 1
+    if isinstance(t, Not):
+        return w + reference_weight(t.child)
+    if isinstance(t, (And, Or)):
+        return w + reference_weight(t.left) + reference_weight(t.right)
+    return w
+
+
+def reference_violations(trs, samples, seed):
+    """certify_convergence's weight check done by instantiating and weighing every rule."""
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(samples):
+        g = random_term(rng, max_depth=4)
+        for rule in trs.rules:
+            binding = {name: g for name in variables(rule.lhs)}
+            lhs_w = reference_weight(apply_substitution(rule.lhs, binding))
+            rhs_w = reference_weight(apply_substitution(rule.rhs, binding))
+            if lhs_w <= rhs_w:
+                violations += 1
+    return violations
+
+
+def test_weight_violations_equal_the_instance_loop():
+    # violates exactly when term_weight(g) >= 3, so the count depends on every sample's weight
+    flip = TRS((TermRule("flip", And(G, And(ONE, ONE)), And(G, G)),))
+    for seed in range(5):
+        report = certify_convergence(flip, samples=200, seed=seed)
+        assert report.weight_violations == reference_violations(flip, 200, seed), seed
+        assert not report.convergent
+    assert certify_convergence(flip, samples=200, seed=1).weight_violations == 146
+
+
+def test_certify_rejects_negative_samples():
+    with pytest.raises(ValueError):
+        certify_convergence(TRS_B, samples=-5)
+    assert certify_convergence(TRS_B, samples=0).weight_samples == 0
 
 
 def test_every_rule_strictly_decreases_weight():
@@ -247,6 +311,13 @@ def test_all_critical_pairs_joinable():
         assert joinable(TRS_B, p.left, p.right), (p.outer_rule, p.inner_rule, p.position)
     # recorded count of the shipped system's critical pairs
     assert len(pairs) == 61
+
+
+def test_critical_pairs_are_pinned():
+    # sha256 of the 61 pairs, in order, as the first implementation listed them
+    key = [(p.outer_rule, p.inner_rule, p.position, repr(p.left), repr(p.right)) for p in critical_pairs(TRS_B)]
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()
+    assert digest == "dae8cbdd0cc8d821578a83d71c753627fa87e8f69e9ac9e7fb2bd1dfd15851f8"
 
 
 def test_joinable_examples():
