@@ -15,8 +15,8 @@ inputs are free.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Sequence, Union
 
 from . import terms
 
@@ -25,54 +25,32 @@ class CircuitError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InputLabel:
-    index: int
+@dataclass(frozen=True, eq=False)
+class LabelKind:
+    """The facts every label of one kind shares: a row of ``KINDS``, or ``INPUT``.
 
+    Kinds compare and hash by identity, so a dict keyed by kind costs what
+    one keyed by type does.
+    """
 
-@dataclass(frozen=True)
-class ConstLabel:
-    value: int
+    name: str  # the op in the text format; an input's name is this and its index
+    arity: int
+    basis: Optional[str]  # None for inputs, which every basis has
+    truth: Optional[tuple[int, ...]]  # output bit per row of argument bits, in ``output``'s order
+    weight: int  # the gate's part of the termination measure
+    term: Optional[type]  # the formula node it unrolls to; u2 gates have none
 
+    def output(self, *bits: int) -> int:
+        """The output bit on these argument bits.
 
-@dataclass(frozen=True)
-class NotLabel:
-    pass
+        Row r is where the complemented bits, the first most significant,
+        spell r in binary, so the all-ones row is row 0.
+        """
+        row = 0
+        for bit in bits:
+            row = 2 * row + 1 - bit
+        return self.truth[row]
 
-
-@dataclass(frozen=True)
-class AndLabel:
-    pass
-
-
-@dataclass(frozen=True)
-class OrLabel:
-    pass
-
-
-@dataclass(frozen=True)
-class U2Label:
-    op: int
-
-
-GateLabel = Union[InputLabel, ConstLabel, NotLabel, AndLabel, OrLabel, U2Label]
-
-NOT = NotLabel()
-AND = AndLabel()
-OR = OrLabel()
-CONST0 = ConstLabel(0)
-CONST1 = ConstLabel(1)
-
-# The gate label of each formula node kind.  Rule patterns compile through
-# this table and unrollings read it backwards.
-TERM_LABELS: dict[type, GateLabel] = {
-    terms.Const0: CONST0,
-    terms.Const1: CONST1,
-    terms.Not: NOT,
-    terms.And: AND,
-    terms.Or: OR,
-}
-_LABEL_TERMS = {label: node for node, label in TERM_LABELS.items()}
 
 # Truth table of each binary operation, rows ordered (p,q) = TT, TF, FT, FF.
 # This table is the single source of truth for op semantics; ops 4 and 6
@@ -94,31 +72,97 @@ U2_TRUTH: dict[int, tuple[int, int, int, int]] = {
     14: (0, 0, 0, 1),
 }
 
+INPUT = LabelKind("x", 0, None, None, 1, terms.Var)
 
-def arity(label: GateLabel) -> int:
-    if isinstance(label, (InputLabel, ConstLabel)):
-        return 0
-    if isinstance(label, NotLabel):
-        return 1
-    return 2
+# Every gate kind by its text name.  Truth rows are ordered as in U2_TRUTH;
+# the weights make ``graph_measure`` fall on every rewrite step.
+KINDS: dict[str, LabelKind] = {
+    kind.name: kind
+    for kind in (
+        LabelKind("CONST0", 0, "demorgan", (0,), 5, terms.Const0),
+        LabelKind("CONST1", 0, "demorgan", (1,), 2, terms.Const1),
+        LabelKind("NOT", 1, "demorgan", (0, 1), 1, terms.Not),
+        LabelKind("AND", 2, "demorgan", (1, 0, 0, 0), 4, terms.And),
+        LabelKind("OR", 2, "demorgan", (1, 1, 1, 0), 4, terms.Or),
+        *(LabelKind(f"U2_{op}", 2, "u2", truth, 0, None) for op, truth in U2_TRUTH.items()),
+    )
+}
+
+
+def _kind_of(label: object, name: str, error: str) -> None:
+    """Give a parameterized label the kind its parameter names; ``error`` if there is none."""
+    kind = KINDS.get(name)
+    if kind is None:
+        raise CircuitError(error)
+    object.__setattr__(label, "kind", kind)
+
+
+@dataclass(frozen=True)
+class InputLabel:
+    index: int
+    kind: ClassVar[LabelKind] = INPUT
+
+
+@dataclass(frozen=True)
+class ConstLabel:
+    value: int
+    kind: LabelKind = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _kind_of(self, f"CONST{self.value}", f"constant {self.value} is not 0 or 1")
+
+
+@dataclass(frozen=True)
+class NotLabel:
+    kind: ClassVar[LabelKind] = KINDS["NOT"]
+
+
+@dataclass(frozen=True)
+class AndLabel:
+    kind: ClassVar[LabelKind] = KINDS["AND"]
+
+
+@dataclass(frozen=True)
+class OrLabel:
+    kind: ClassVar[LabelKind] = KINDS["OR"]
+
+
+@dataclass(frozen=True)
+class U2Label:
+    op: int
+    kind: LabelKind = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _kind_of(self, f"U2_{self.op}", f"u2 op {self.op} out of range 1..14")
+
+
+GateLabel = Union[InputLabel, ConstLabel, NotLabel, AndLabel, OrLabel, U2Label]
+
+NOT = NotLabel()
+AND = AndLabel()
+OR = OrLabel()
+CONST0 = ConstLabel(0)
+CONST1 = ConstLabel(1)
+
+# The one label of each u2 op, and of each gate kind by text name, so that
+# builders and the parser construct none.
+U2_LABELS: dict[int, U2Label] = {op: U2Label(op) for op in U2_TRUTH}
+LABELS: dict[str, GateLabel] = {
+    label.kind.name: label for label in (CONST0, CONST1, NOT, AND, OR, *U2_LABELS.values())
+}
+
+# The gate label of each formula node kind.  Rule patterns compile through
+# this table and unrollings read the kinds' term nodes.
+TERM_LABELS: dict[type, GateLabel] = {label.kind.term: label for label in LABELS.values() if label.kind.term}
 
 
 def is_binary(label: GateLabel) -> bool:
-    return isinstance(label, (AndLabel, OrLabel, U2Label))
+    return label.kind.arity == 2
 
 
 def label_name(label: GateLabel) -> str:
-    if isinstance(label, InputLabel):
-        return f"x{label.index}"
-    if isinstance(label, ConstLabel):
-        return f"CONST{label.value}"
-    if isinstance(label, NotLabel):
-        return "NOT"
-    if isinstance(label, AndLabel):
-        return "AND"
-    if isinstance(label, OrLabel):
-        return "OR"
-    return f"U2_{label.op}"
+    kind = label.kind
+    return f"{kind.name}{label.index}" if kind is INPUT else kind.name
 
 
 @dataclass(frozen=True)
@@ -146,23 +190,23 @@ class Circuit:
         self.num_inputs = num_inputs
         self.basis = basis
         self.producer: dict[int, int] = {}
+        self.inputs: dict[int, int] = {}  # input index -> its edge, the first in edge order
         vertices: set[int] = set()
         for eid, e in self.edges.items():
             self.producer[e.result] = eid
             vertices.update(e.att)
+            if isinstance(e.label, InputLabel):
+                self.inputs.setdefault(e.label.index, eid)
         self.vertices: frozenset[int] = frozenset(vertices)
 
     def producer_edge(self, vertex: int) -> Edge:
         return self.edges[self.producer[vertex]]
 
     def input_edge(self, index: int) -> Optional[int]:
-        for eid, e in self.edges.items():
-            if e.label == InputLabel(index):
-                return eid
-        return None
+        return self.inputs.get(index)
 
     def read_inputs(self) -> set[int]:
-        return {e.label.index for e in self.edges.values() if isinstance(e.label, InputLabel)}
+        return set(self.inputs)
 
 
 def reachable_edges(edges: dict[int, Edge], root: int) -> set[int]:
@@ -192,23 +236,19 @@ def validate(c: Circuit) -> list[str]:
     results: dict[int, list[int]] = {}
     seen_inputs: dict[int, int] = {}
     for eid, e in sorted(c.edges.items()):
-        if len(e.att) != 1 + arity(e.label):
+        kind = e.label.kind
+        if len(e.att) != 1 + kind.arity:
             out.append(f"edge {eid}: attachment arity {len(e.att)} for {label_name(e.label)}")
         if not e.att:
             continue
         results.setdefault(e.result, []).append(eid)
-        if isinstance(e.label, InputLabel):
+        if kind is INPUT:
             if not 1 <= e.label.index <= c.num_inputs:
                 out.append(f"edge {eid}: input index {e.label.index} out of range 1..{c.num_inputs}")
             if e.label.index in seen_inputs:
                 out.append(f"edge {eid}: duplicate edge for input x{e.label.index}")
             seen_inputs[e.label.index] = eid
-        if isinstance(e.label, U2Label):
-            if c.basis != "u2":
-                out.append(f"edge {eid}: U2 gate in a {c.basis} circuit")
-            if not 1 <= e.label.op <= 14:
-                out.append(f"edge {eid}: U2 op {e.label.op} out of range 1..14")
-        elif isinstance(e.label, (NotLabel, AndLabel, OrLabel, ConstLabel)) and c.basis != "demorgan":
+        elif kind.basis != c.basis:
             out.append(f"edge {eid}: {label_name(e.label)} gate in a {c.basis} circuit")
     for v in sorted(c.vertices):
         eids = results.get(v, [])
@@ -277,20 +317,14 @@ def evaluate(c: Circuit, bits: Sequence[int]) -> int:
     value: dict[int, int] = {}
     for eid in topo_order(c):
         e = c.edges[eid]
-        label = e.label
-        if isinstance(label, InputLabel):
-            v = int(bits[label.index - 1])
-        elif isinstance(label, ConstLabel):
-            v = label.value
-        elif isinstance(label, NotLabel):
-            v = 1 - value[e.args[0]]
-        elif isinstance(label, AndLabel):
-            v = value[e.args[0]] & value[e.args[1]]
-        elif isinstance(label, OrLabel):
-            v = value[e.args[0]] | value[e.args[1]]
-        else:
-            p, q = value[e.args[0]], value[e.args[1]]
-            v = U2_TRUTH[label.op][(1 - p) * 2 + (1 - q)]
+        kind = e.label.kind
+        if kind is INPUT:
+            v = int(bits[e.label.index - 1])
+        else:  # kind.output, inlined
+            row = 0
+            for a in e.att[1:]:
+                row = 2 * row + 1 - value[a]
+            v = kind.truth[row]
         value[e.result] = v
     return value[c.root]
 
@@ -310,7 +344,7 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
         item = todo.pop()
         if isinstance(item, Edge):
             k = len(built) - len(item.args)
-            node = _LABEL_TERMS[item.label](*built[k:])
+            node = item.label.kind.term(*built[k:])
             del built[k:]
             built.append(node)
             continue
@@ -319,7 +353,7 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
             raise terms.BudgetError(f"unrolling exceeds {budget} nodes")
         e = c.producer_edge(item)
         if isinstance(e.label, InputLabel):
-            built.append(terms.Var(f"x{e.label.index}"))
+            built.append(terms.Var(label_name(e.label)))
         else:
             todo.append(e)
             todo.extend(reversed(e.args))
@@ -394,7 +428,8 @@ class CircuitBuilder:
         self._next_vertex = 0
         self._next_edge = 0
 
-    def _add(self, label: GateLabel, args: tuple[int, ...]) -> int:
+    def gate(self, label: GateLabel, *args: int) -> int:
+        """A new gate with this label reading the argument wires; inputs go through ``input``."""
         v = self._next_vertex
         self._next_vertex += 1
         self._edges[self._next_edge] = Edge(label, (v, *args))
@@ -406,23 +441,23 @@ class CircuitBuilder:
         if not 1 <= index <= self.num_inputs:
             raise CircuitError(f"input index {index} out of range 1..{self.num_inputs}")
         if index not in self._inputs:
-            self._inputs[index] = self._add(InputLabel(index), ())
+            self._inputs[index] = self.gate(InputLabel(index))
         return self._inputs[index]
 
     def const(self, value: int) -> int:
-        return self._add(ConstLabel(value), ())
+        return self.gate(ConstLabel(value))
 
     def not_(self, v: int) -> int:
-        return self._add(NOT, (v,))
+        return self.gate(NOT, v)
 
     def and_(self, a: int, b: int) -> int:
-        return self._add(AND, (a, b))
+        return self.gate(AND, a, b)
 
     def or_(self, a: int, b: int) -> int:
-        return self._add(OR, (a, b))
+        return self.gate(OR, a, b)
 
     def u2(self, op: int, a: int, b: int) -> int:
-        return self._add(U2Label(op), (a, b))
+        return self.gate(U2_LABELS.get(op) or U2Label(op), a, b)
 
     def build(self, root: int, prune: bool = False) -> Circuit:
         edges = self._edges

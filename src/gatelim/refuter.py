@@ -20,6 +20,7 @@ completions can be brute-forced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -70,7 +71,7 @@ class Restriction:
     n: int
     assigned: tuple[tuple[int, int], ...] = ()
 
-    @property
+    @cached_property
     def active(self) -> frozenset[int]:
         fixed = {v for v, _ in self.assigned}
         return frozenset(i for i in range(1, self.n + 1) if i not in fixed)
@@ -213,7 +214,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     restriction = Restriction(n)
     iterations: list[IterationRecord] = []
     while len(restriction.active) > 2:
-        unread = sorted(v for v in restriction.active if work.input_edge(v) is None)
+        unread = sorted(restriction.active - work.inputs.keys())
         if unread:
             return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
         walk = work.walk()

@@ -39,22 +39,25 @@ edges and the producer of each vertex it keeps:
   them on entry; a duplicate is merged into the lowest-numbered edge of its
   class, whose readers are rewired in turn until nothing collides.  So
   maximal sharing holds after every step, and merges are reported pass by
-  pass in the order ``merge_parallel_edges`` reports them;
+  pass, each pass in the order of its classes' kept edges;
+- the input index, each input's edge by input index, as on a ``Circuit``;
 - the live binary-gate count, for the trace's ``size_after``, and the live
   graph measure, for the step budget;
 - the live redexes, keyed by site in rule order.  On entry every site is
   matched; after a change only the sites whose match can read a vertex whose
   producing edge changed are matched again.  That region lies at most the
   left-hand patterns' depth of reader hops above the vertex, and it climbs
-  past the first hop only from edges whose label some inner left-hand edge
-  with a non-open child carries (``_CLIMB_LABELS``, derived from ``RULES``).
+  past the first hop only from edges of a label kind that some inner
+  left-hand edge with a non-open child has (``_CLIMB_KINDS``, derived from
+  ``RULES``).
 
 At a site only the rules whose left-hand root edge fits the site's first
 level are tried: its label kind, the label kinds of its arguments' producers
-and which arguments are the same wire, where a constant's kind is its value
-and any other label's kind its type.  This is term indexing at the first
-level, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
-holds only kinds, so it stays small, and ``match_at`` still decides.
+and which arguments are the same wire, a kind being a row of the label table
+(``circuits.KINDS``), so the two constants are two kinds.  This is term
+indexing at the first level, as a discrimination tree does it (McCune, JAR
+9(2), 1992); the memo holds only kinds, so it stays small, and ``match_at``
+still decides.
 
 One generator, ``WorkingGraph.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
@@ -74,11 +77,15 @@ ground right-hand side, numbered so from its root down, makes any.
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
 normalizes again, so only the sites around that input are matched again.
-After the relabelling the graph holds exactly the circuit that
-``substitute_input`` would build, so the round fires the same steps, edge
-ids included, as normalizing that circuit from scratch.  A round orders its
-gates with one walk of the graph, advanced only until the gates it compares
-have come out, so no round orders the whole graph with ``topo_order``.
+The round fires the same steps, edge ids included, as normalizing the
+relabelled circuit from scratch.  A round orders its gates with one walk of
+the graph, advanced only until the gates it compares have come out, so no
+round orders the whole graph with ``topo_order``.
+
+The functions on immutable circuits run the same working graph: each copies
+the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` is ``fire``,
+``merge_parallel_edges`` is ``share`` and ``substitute_input`` is
+``substitute``.
 """
 
 from __future__ import annotations
@@ -90,9 +97,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
 from .circuits import (
-    AND,
-    NOT,
-    OR,
     TERM_LABELS,
     Circuit,
     CircuitError,
@@ -100,7 +104,7 @@ from .circuits import (
     Edge,
     GateLabel,
     InputLabel,
-    is_binary,
+    LabelKind,
     topo_order,
 )
 from .terms import BudgetError, Term, TermRule, Var, children, demorgan_system, variables
@@ -171,10 +175,10 @@ def compile_rule(rule: TermRule) -> GraphRule:
 RULES: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in demorgan_system().rules)
 
 # Rules grouped by the label kind of their root edge, for redex scanning.
-_RULES_BY_ROOT: dict[type, tuple[GraphRule, ...]] = {}
+_RULES_BY_ROOT: dict[LabelKind, tuple[GraphRule, ...]] = {}
 for _rule in RULES:
-    _root_type = type(_rule.lhs.edges[0].label)
-    _RULES_BY_ROOT[_root_type] = _RULES_BY_ROOT.get(_root_type, ()) + (_rule,)
+    _root_kind = _rule.lhs.edges[0].label.kind
+    _RULES_BY_ROOT[_root_kind] = _RULES_BY_ROOT.get(_root_kind, ()) + (_rule,)
 
 
 def _pattern_depth(p: Pattern) -> int:
@@ -189,20 +193,15 @@ def _pattern_depth(p: Pattern) -> int:
 # A match at a site reads producing edges at most this many hops below it.
 _DEPTH = max(_pattern_depth(rule.lhs) for rule in RULES)
 
-# Labels of the non-root left-hand edges with a non-open child.  A change two
-# or more hops below a site can reach its match only through a chain of such
-# edges, so the rematch region climbs past the first hop only through them.
-_CLIMB_LABELS = frozenset(
-    pe.label
+# Label kinds of the non-root left-hand edges with a non-open child.  A change
+# two or more hops below a site can reach its match only through a chain of
+# such edges, so the rematch region climbs past the first hop only through them.
+_CLIMB_KINDS = frozenset(
+    pe.label.kind
     for rule in RULES
     for pe in rule.lhs.edges[1:]
     if any(name not in rule.lhs.open_vertices for name in pe.att[1:])
 )
-
-
-def _kind(label: GateLabel) -> object:
-    """What the candidate index knows of a label: a constant's value, else only its type."""
-    return label if isinstance(label, ConstLabel) else type(label)
 
 
 def _fits(rule: GraphRule, key: tuple) -> bool:
@@ -210,9 +209,9 @@ def _fits(rule: GraphRule, key: tuple) -> bool:
     kind, arg_kinds, shape = key
     root = rule.lhs.edges[0]
     names = root.att[1:]
-    produced = {pe.att[0]: _kind(pe.label) for pe in rule.lhs.edges}
+    produced = {pe.att[0]: pe.label.kind for pe in rule.lhs.edges}
     return (
-        _kind(root.label) == kind
+        root.label.kind is kind
         and len(names) == len(arg_kinds)
         and all(
             produced.get(name, k) == k and shape[i] == shape[names.index(name)]
@@ -223,7 +222,7 @@ def _fits(rule: GraphRule, key: tuple) -> bool:
 
 @functools.cache
 def _candidates(key: tuple) -> tuple[GraphRule, ...]:
-    """The rules, in rule order, that ``_fits`` admits for the key; keys hold types and constants."""
+    """The rules, in rule order, that ``_fits`` admits for the key; keys hold label kinds."""
     return tuple(rule for rule in RULES if _fits(rule, key))
 
 
@@ -263,7 +262,7 @@ def find_redexes(c: Circuit) -> list[Redex]:
     out: list[Redex] = []
     for eid in topo_order(c):
         e = c.edges[eid]
-        for rule in _RULES_BY_ROOT.get(type(e.label), ()):
+        for rule in _RULES_BY_ROOT.get(e.label.kind, ()):
             r = match_at(c, rule, e.result)
             if r is not None:
                 out.append(r)
@@ -295,18 +294,6 @@ class RewriteTrace:
     steps: tuple[TraceStep, ...]
 
 
-def _remap(edges: dict[int, Edge], vmap: dict[int, int]) -> dict[int, Edge]:
-    return {eid: Edge(e.label, tuple(vmap.get(v, v) for v in e.att)) for eid, e in edges.items()}
-
-
-_MEASURE = {ConstLabel(0): 5, AND: 4, OR: 4, ConstLabel(1): 2, NOT: 1}
-
-
-def _weight(label: GateLabel) -> int:
-    """A gate's part of the termination measure: inputs weigh 1, u2 gates nothing."""
-    return 1 if isinstance(label, InputLabel) else _MEASURE.get(label, 0)
-
-
 class WorkingGraph:
     """A circuit rewritten in place: the working graph of the module docstring.
 
@@ -323,6 +310,7 @@ class WorkingGraph:
         self.basis = c.basis
         self.readers: dict[int, set[int]] = {}  # only vertices that are read
         self.table: dict[tuple, int] = {}
+        self.inputs: dict[int, int] = {}  # input index -> its edge, as on a Circuit
         self.leaves: set[int] = set()  # edges without arguments: inputs and constants
         self.size = 0
         self.measure = 0
@@ -339,8 +327,7 @@ class WorkingGraph:
         return self.edges[self.producer[vertex]]
 
     def input_edge(self, index: int) -> Optional[int]:
-        """The edge of x_index, or None; reads the table, so only on a shared graph."""
-        return self.table.get((InputLabel(index), ()))
+        return self.inputs.get(index)
 
     def _inversions(self, eid: int, args: tuple[int, ...]) -> int:
         """How many of the distinct argument wires of edge ``eid`` have a producer not below it."""
@@ -363,8 +350,11 @@ class WorkingGraph:
                 self.inverted += self.producer.get(v, -1) >= eid
         if not e.args:
             self.leaves.add(eid)
-        self.size += is_binary(e.label)
-        self.measure += _weight(e.label)
+            if isinstance(e.label, InputLabel):
+                self.inputs.setdefault(e.label.index, eid)
+        kind = e.label.kind
+        self.size += kind.arity == 2
+        self.measure += kind.weight
         self.touched.add(e.result)
         self.unshared.add(eid)
 
@@ -379,11 +369,14 @@ class WorkingGraph:
         del self.producer[e.result]
         self.inverted -= self._inverted_readers(eid, e.result)
         self.leaves.discard(eid)
+        if isinstance(e.label, InputLabel) and self.inputs.get(e.label.index) == eid:
+            del self.inputs[e.label.index]
         key = (e.label, e.args)
         if self.table.get(key) == eid:
             del self.table[key]
-        self.size -= is_binary(e.label)
-        self.measure -= _weight(e.label)
+        kind = e.label.kind
+        self.size -= kind.arity == 2
+        self.measure -= kind.weight
         self.touched.add(e.result)
         return e
 
@@ -447,8 +440,9 @@ class WorkingGraph:
     def share(self) -> list[int]:
         """Merge the duplicates among the unshared edges, cascading; the merged edge ids.
 
-        Each round is one pass of ``merge_parallel_edges``: the same classes,
-        the same kept edge and the same order of removal.
+        Each round merges as one pass over every edge would: the lowest id
+        of each class is kept, and the others go in the order of their
+        classes' kept ids, ascending within a class.
         """
         merged: list[int] = []
         while self.unshared:
@@ -479,15 +473,15 @@ class WorkingGraph:
     def candidates(self, site: int) -> tuple[GraphRule, ...]:
         """The rules whose left-hand root edge fits the site's first level.
 
-        The key is the kind (``_kind``) of the site's label, the kinds of its
-        arguments' producers' labels and which arguments are the same wire;
-        ``match_at`` decides, and it matches none of the rules of the site's
-        label type left out.
+        The key is the kind of the site's label, the kinds of its arguments'
+        producers' labels and which arguments are the same wire; ``match_at``
+        decides, and it matches none of the rules of the site's label kind
+        left out.
         """
         e = self.edges[self.producer[site]]
         producers = [self.producer.get(v) for v in e.args]
-        arg_kinds = tuple(None if p is None else _kind(self.edges[p].label) for p in producers)
-        return _candidates((_kind(e.label), arg_kinds, tuple(map(e.args.index, e.args))))
+        arg_kinds = tuple(None if p is None else self.edges[p].label.kind for p in producers)
+        return _candidates((e.label.kind, arg_kinds, tuple(map(e.args.index, e.args))))
 
     def _match(self, site: int) -> None:
         found = []
@@ -504,7 +498,7 @@ class WorkingGraph:
         """Match again every site whose match can read the producing edge of a touched vertex.
 
         Such a site lies at most ``_DEPTH`` reader hops above the vertex, and
-        every hop past the first climbs from an edge labelled in ``_CLIMB_LABELS``.
+        every hop past the first climbs from an edge of a kind in ``_CLIMB_KINDS``.
         """
         for v in self.touched:
             self.redexes.pop(v, None)
@@ -513,7 +507,7 @@ class WorkingGraph:
         for _ in range(_DEPTH):
             above = {self.edges[r].result for v in climb for r in self.readers.get(v, ())} - region
             region |= above
-            climb = {v for v in above if self.edges[self.producer[v]].label in _CLIMB_LABELS}
+            climb = {v for v in above if self.edges[self.producer[v]].label.kind in _CLIMB_KINDS}
         self.touched = set()
         for site in region:
             self._match(site)
@@ -568,8 +562,7 @@ class WorkingGraph:
         """Relabel the x_index edge as the constant bit, keeping its edge id.
 
         The next ``normalize`` merges a duplicate constant into the
-        lowest-numbered edge, as ``merge_parallel_edges`` would, and matches
-        again only around the relabelled edge.
+        lowest-numbered edge and matches again only around the relabelled edge.
         """
         eid = self.input_edge(index)
         if eid is None:
@@ -633,53 +626,32 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
 
 
 def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
-    """Merge duplicate edges carrying the same label and argument wires.
+    """Merge duplicate edges carrying the same label and argument wires, cascading.
 
     Keeps the lowest-numbered edge of each duplicate class and identifies the
-    result vertices.  The unrolling is unchanged, so the merged circuit is
-    bisimilar to the input.
+    result vertices (``WorkingGraph.share``).  The unrolling is unchanged, so
+    the merged circuit is bisimilar to the input.  Returns ``c`` itself when
+    nothing merges.
     """
-    edges = dict(c.edges)
-    root = c.root
-    removed: list[int] = []
-    while True:
-        groups: dict[tuple, list[int]] = {}
-        for eid in sorted(edges):
-            e = edges[eid]
-            groups.setdefault((e.label, e.args), []).append(eid)
-        vmap: dict[int, int] = {}
-        for ids in groups.values():
-            keep = ids[0]
-            for other in ids[1:]:
-                vmap[edges[other].result] = edges[keep].result
-                removed.append(other)
-                del edges[other]
-        if not vmap:
-            break
-        edges = _remap(edges, vmap)
-        root = vmap.get(root, root)
-    if not removed:
-        return c, ()
-    return Circuit(edges, root, c.num_inputs, c.basis), tuple(removed)
+    graph = WorkingGraph(c)
+    merged = graph.share()
+    return (graph.snapshot() if merged else c), tuple(merged)
 
 
 def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
     """Relabel the x_index edge as the constant bit; no other change."""
     if c.basis != "demorgan":
         raise CircuitError("constants exist only in the demorgan basis")
-    eid = c.input_edge(index)
-    if eid is None:
-        raise CircuitError(f"input x{index} is not present")
-    edges = dict(c.edges)
-    edges[eid] = Edge(ConstLabel(int(bit)), edges[eid].att)
-    return Circuit(edges, c.root, c.num_inputs, c.basis)
+    graph = WorkingGraph(c)
+    graph.substitute(index, bit)
+    return graph.snapshot()
 
 
 def graph_measure(c: Circuit) -> int:
     """Termination measure; strictly decreases on every rewrite step."""
     if c.basis != "demorgan":
         raise CircuitError("the measure is defined for demorgan circuits")
-    return sum(_weight(e.label) for e in c.edges.values())
+    return sum(e.label.kind.weight for e in c.edges.values())
 
 
 def normalize_circuit(

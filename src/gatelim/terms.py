@@ -408,14 +408,18 @@ class ConvergenceReport:
 
 def random_term(rng: random.Random, max_depth: int, var_names: tuple[str, ...] = ("x1", "x2", "x3")) -> Term:
     leaves: tuple[Term, ...] = (ZERO, ONE) + tuple(Var(v) for v in var_names)
-    if max_depth == 0 or rng.random() < 0.3:
-        return rng.choice(leaves)
-    kind = rng.choice(("not", "and", "or"))
-    if kind == "not":
-        return Not(random_term(rng, max_depth - 1, var_names))
-    left = random_term(rng, max_depth - 1, var_names)
-    right = random_term(rng, max_depth - 1, var_names)
-    return And(left, right) if kind == "and" else Or(left, right)
+
+    def draw(depth: int) -> Term:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        kind = rng.choice(("not", "and", "or"))
+        if kind == "not":
+            return Not(draw(depth - 1))
+        left = draw(depth - 1)
+        right = draw(depth - 1)
+        return And(left, right) if kind == "and" else Or(left, right)
+
+    return draw(max_depth)
 
 
 def certify_convergence(trs: TRS, samples: int = 1000, seed: int = 0) -> ConvergenceReport:

@@ -10,9 +10,10 @@ One directive per line, ``#`` starts a comment, ASCII only::
     n3 = OR n2 x3
     output n3
 
-Gate ops are AND, OR, NOT, CONST0, CONST1 (demorgan) and U2_1 .. U2_14 (u2).
-Names match [a-z][a-z0-9_]* and must be defined before use; ``x<k>`` refers
-to input k and cannot be redefined; there is exactly one ``output`` line.
+Gate ops are the names in the label table ``circuits.KINDS``: AND, OR, NOT,
+CONST0, CONST1 (demorgan) and U2_1 .. U2_14 (u2).  Names match
+[a-z][a-z0-9_]* and must be defined before use; ``x<k>`` refers to input k
+and cannot be redefined; there is exactly one ``output`` line.
 
 Serialization is canonical: gates are written in a depth-first post-order
 walk from the output (a topological order that depends only on circuit
@@ -24,13 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .circuits import (
-    Circuit,
-    CircuitBuilder,
-    CircuitError,
-    InputLabel,
-    label_name,
-)
+from .circuits import LABELS, U2_LABELS, Circuit, CircuitBuilder, CircuitError, InputLabel, label_name
 
 
 class ParseError(Exception):
@@ -42,14 +37,6 @@ class ParseError(Exception):
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INPUT_RE = re.compile(r"^x([0-9]+)$")
 _U2_RE = re.compile(r"^U2_([0-9]+)$")
-
-_OPS = {
-    "AND": ("demorgan", 2),
-    "OR": ("demorgan", 2),
-    "NOT": ("demorgan", 1),
-    "CONST0": ("demorgan", 0),
-    "CONST1": ("demorgan", 0),
-}
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -120,32 +107,23 @@ def parse_circuit(text: str) -> Circuit:
         if name in names:
             raise ParseError(no, f"duplicate gate name {name!r}")
         u2_match = _U2_RE.match(op)
-        if u2_match:
+        if u2_match:  # any U2_<digits>: leading zeros parse, and an op out of range is named
             if basis != "u2":
                 raise ParseError(no, f"{op} gate in a {basis} circuit")
             k = int(u2_match.group(1))
-            if not 1 <= k <= 14:
+            label = U2_LABELS.get(k)
+            if label is None:
                 raise ParseError(no, f"u2 op {k} out of range 1..14")
-            if len(operands) != 2:
-                raise ParseError(no, f"{op} takes 2 operands")
-            names[name] = builder.u2(k, *(operand(no, t) for t in operands))
-            continue
-        if op not in _OPS:
-            raise ParseError(no, f"unknown op {op!r}")
-        op_basis, op_arity = _OPS[op]
-        if basis != op_basis:
-            raise ParseError(no, f"{op} gate in a {basis} circuit")
-        if len(operands) != op_arity:
-            raise ParseError(no, f"{op} takes {op_arity} operand(s)")
-        args = tuple(operand(no, t) for t in operands)
-        if op == "AND":
-            names[name] = builder.and_(*args)
-        elif op == "OR":
-            names[name] = builder.or_(*args)
-        elif op == "NOT":
-            names[name] = builder.not_(*args)
         else:
-            names[name] = builder.const(int(op[-1]))
+            label = LABELS.get(op)
+            if label is None:
+                raise ParseError(no, f"unknown op {op!r}")
+            if basis != label.kind.basis:
+                raise ParseError(no, f"{op} gate in a {basis} circuit")
+        op_arity = label.kind.arity
+        if len(operands) != op_arity:
+            raise ParseError(no, f"{op} takes 2 operands" if u2_match else f"{op} takes {op_arity} operand(s)")
+        names[name] = builder.gate(label, *(operand(no, t) for t in operands))
 
     if root is None:
         raise ParseError(lines[-1][0], "missing output line")
@@ -168,7 +146,7 @@ def serialize_circuit(c: Circuit) -> str:
             if a not in names:
                 ea = c.producer_edge(a)
                 if isinstance(ea.label, InputLabel):
-                    names[a] = f"x{ea.label.index}"
+                    names[a] = label_name(ea.label)
                 else:
                     names[a] = ""
                     stack.append((a, ea, iter(ea.args)))

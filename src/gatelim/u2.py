@@ -19,6 +19,9 @@ from __future__ import annotations
 from importlib import resources
 
 from .circuits import (
+    AND,
+    NOT,
+    OR,
     AndLabel,
     Circuit,
     CircuitBuilder,
@@ -29,6 +32,7 @@ from .circuits import (
     NotLabel,
     OrLabel,
     U2Label,
+    U2_LABELS,
     U2_TRUTH,
     circuit_size,
     is_binary,
@@ -37,33 +41,47 @@ from .circuits import (
 )
 from .textio import parse_circuit
 
-# Successor relabeling when a superfluous negation is removed below it:
-# PUSH_UP_FIRST[k](p, q) == k(not p, q) and PUSH_UP_SECOND[k](p, q) == k(p, not q).
-PUSH_UP_FIRST = {7: 12, 8: 11, 9: 13, 10: 14, 11: 8, 12: 7, 13: 9, 14: 10}
-PUSH_UP_SECOND = {7: 13, 8: 14, 9: 12, 10: 11, 11: 10, 12: 9, 13: 7, 14: 8}
+# The tables below are computed from U2_TRUTH and the and/or truth rows.  A
+# row index is 2(1-p) + (1-q), so negating p flips its bit 2 and q its bit 1.
+_OP_OF_TRUTH = {truth: op for op, truth in U2_TRUTH.items()}
 
-# COMPLEMENT[k](p, q) == not k(p, q); an involution on 7..14.
-COMPLEMENT = {7: 8, 8: 7, 9: 10, 10: 9, 11: 12, 12: 11, 13: 14, 14: 13}
+
+def _op(row_bit) -> int:
+    """The op whose output on row r is row_bit(r)."""
+    return _OP_OF_TRUTH[tuple(row_bit(r) for r in range(4))]
+
 
 # Op 7..14 as one demorgan gate: (gate, negate first arg, negate second arg).
-TO_DEMORGAN: dict[int, tuple[str, bool, bool]] = {
-    7: ("or", False, True),
-    8: ("and", True, False),
-    9: ("or", True, False),
-    10: ("and", False, True),
-    11: ("and", False, False),
-    12: ("or", True, True),
-    13: ("or", False, False),
-    14: ("and", True, True),
-}
+TO_DEMORGAN: dict[int, tuple[str, bool, bool]] = dict(
+    sorted(
+        (_op(lambda r: gate.kind.truth[r ^ (2 * n1 + n2)]), (gate.kind.name.lower(), n1, n2))
+        for gate in (AND, OR)
+        for n1 in (False, True)
+        for n2 in (False, True)
+    )
+)
 
 FROM_DEMORGAN = {(gate, n1, n2): op for op, (gate, n1, n2) in TO_DEMORGAN.items()}
 
+# Successor relabeling when a superfluous negation is removed below it:
+# PUSH_UP_FIRST[k](p, q) == k(not p, q) and PUSH_UP_SECOND[k](p, q) == k(p, not q).
+PUSH_UP_FIRST = {k: _op(lambda r: U2_TRUTH[k][r ^ 2]) for k in TO_DEMORGAN}
+PUSH_UP_SECOND = {k: _op(lambda r: U2_TRUTH[k][r ^ 1]) for k in TO_DEMORGAN}
+
+# COMPLEMENT[k](p, q) == not k(p, q); an involution on 7..14.
+COMPLEMENT = {k: _op(lambda r: 1 - U2_TRUTH[k][r]) for k in TO_DEMORGAN}
+
+# The superfluous negation ops, each with the position of the argument it
+# negates: op 4 is not p, op 6 is not q.  Bit 2 of a row is p's row, bit 1 q's.
+NEGATIONS = {_op(lambda r: NOT.kind.truth[r >> 1]): 0, _op(lambda r: NOT.kind.truth[r & 1]): 1}
+
 
 def u2_semantics(op: int, p: int, q: int) -> int:
-    if not 1 <= op <= 14:
-        raise CircuitError(f"u2 op {op} out of range 1..14")
-    return U2_TRUTH[op][(1 - p) * 2 + (1 - q)]
+    return U2Label(op).kind.output(p, q)
+
+
+def _is_negation(e: Edge) -> bool:
+    return isinstance(e.label, U2Label) and e.label.op in NEGATIONS
 
 
 def _resolve_literal(c: Circuit, vertex: int) -> tuple[int, int]:
@@ -101,9 +119,8 @@ def demorgan_to_u2(c: Circuit) -> Circuit:
         if isinstance(e.label, InputLabel):
             wires[e.result] = builder.input(e.label.index)
         elif isinstance(e.label, (AndLabel, OrLabel)):
-            gate = "and" if isinstance(e.label, AndLabel) else "or"
             (v1, n1), (v2, n2) = (_resolve_literal(c, v) for v in e.args)
-            op = FROM_DEMORGAN[(gate, bool(n1), bool(n2))]
+            op = FROM_DEMORGAN[(e.label.kind.name.lower(), bool(n1), bool(n2))]
             if eid == top_edge and top_parity:
                 op = COMPLEMENT[op]
             wires[e.result] = builder.u2(op, wires[v1], wires[v2])
@@ -114,27 +131,22 @@ def u2_to_demorgan(c: Circuit) -> Circuit:
     """Equivalent demorgan circuit of exactly the same binary-gate count.
 
     Requires a circuit free of the degenerate ops 1, 2, 3, 5; superfluous
-    negation ops 4/6 are first eliminated by pushing (up where a successor
-    exists, down at the output).
+    negation ops 4/6 are first eliminated by pushing: the inner ones up, the
+    last in topological order first, then the one at the output down.
     """
     if c.basis != "u2":
         raise CircuitError("expected a u2 circuit")
     for eid, e in sorted(c.edges.items()):
-        if isinstance(e.label, U2Label) and e.label.op in (1, 2, 3, 5):
+        if isinstance(e.label, U2Label) and e.label.op not in TO_DEMORGAN and e.label.op not in NEGATIONS:
             raise CircuitError(f"edge {eid}: degenerate op {e.label.op}; not translatable")
     while True:
-        negs = [
-            eid
-            for eid in topo_order(c)
-            if isinstance(c.edges[eid].label, U2Label) and c.edges[eid].label.op in (4, 6)
-        ]
+        negs = [eid for eid in topo_order(c) if _is_negation(c.edges[eid])]
         if not negs:
             break
-        eid = negs[0]
-        if c.edges[eid].result != c.root:
-            c = push_up(c, eid)
-        else:
-            c = push_down(c, eid)
+        # The last inner negation's readers come later in topological order,
+        # so none of them is another inner negation that push_up would refuse.
+        inner = [eid for eid in negs if c.edges[eid].result != c.root]
+        c = push_up(c, inner[-1]) if inner else push_down(c, negs[0])
     builder = CircuitBuilder(c.num_inputs, basis="demorgan")
     wires: dict[int, int] = {}
     negated: dict[int, int] = {}
@@ -164,9 +176,9 @@ def push_up(c: Circuit, eid: int) -> Circuit:
     replaced so it computes the same value from the un-negated wire.
     """
     e = c.edges[eid]
-    if not (isinstance(e.label, U2Label) and e.label.op in (4, 6)):
+    if not _is_negation(e):
         raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    kept = e.args[0] if e.label.op == 4 else e.args[1]
+    kept = e.args[NEGATIONS[e.label.op]]
     out = e.result
     if out == c.root:
         raise CircuitError("the negation gate is the output; nothing to relabel above it")
@@ -185,7 +197,7 @@ def push_up(c: Circuit, eid: int) -> Circuit:
                 new_args.append(kept)
             else:
                 new_args.append(v)
-        edges[cid] = Edge(U2Label(op), (ce.result, *new_args))
+        edges[cid] = Edge(U2_LABELS[op], (ce.result, *new_args))
     keep = reachable_edges(edges, c.root)
     return Circuit({k: edges[k] for k in keep}, c.root, c.num_inputs, c.basis)
 
@@ -198,9 +210,9 @@ def push_down(c: Circuit, eid: int) -> Circuit:
     asymmetry that makes both push directions necessary.
     """
     e = c.edges[eid]
-    if not (isinstance(e.label, U2Label) and e.label.op in (4, 6)):
+    if not _is_negation(e):
         raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    negarg = e.args[0] if e.label.op == 4 else e.args[1]
+    negarg = e.args[NEGATIONS[e.label.op]]
     pid = c.producer[negarg]
     pe = c.edges[pid]
     if not (isinstance(pe.label, U2Label) and pe.label.op in COMPLEMENT):
@@ -210,7 +222,7 @@ def push_down(c: Circuit, eid: int) -> Circuit:
         raise CircuitError("cannot push down: the producing gate has other readers")
     edges = dict(c.edges)
     del edges[eid]
-    edges[pid] = Edge(U2Label(COMPLEMENT[pe.label.op]), pe.att)
+    edges[pid] = Edge(U2_LABELS[COMPLEMENT[pe.label.op]], pe.att)
     out = e.result
     edges = {
         k: Edge(x.label, tuple(negarg if v == out else v for v in x.att)) for k, x in edges.items()
@@ -229,11 +241,7 @@ def load_witness() -> Circuit:
 def nonconfluence_witness() -> tuple[Circuit, Circuit, Circuit]:
     """(witness, pushed up, pushed down): equal truth tables, not isomorphic."""
     w = load_witness()
-    neg_edges = [
-        eid
-        for eid, e in sorted(w.edges.items())
-        if isinstance(e.label, U2Label) and e.label.op in (4, 6)
-    ]
+    neg_edges = [eid for eid, e in sorted(w.edges.items()) if _is_negation(e)]
     if len(neg_edges) != 1:
         raise CircuitError("witness must contain exactly one op-4/6 gate")
     return w, push_up(w, neg_edges[0]), push_down(w, neg_edges[0])

@@ -4,8 +4,10 @@ This is the normalizer that ``gatelim.rewrite.normalize_circuit`` replaced
 with its incremental working graph.  Every step it rescans the whole circuit
 with ``find_redexes``, rebuilds it with a copying rewrite step that
 garbage-collects by reachability, and restores maximal sharing with
-``merge_parallel_edges``.  It is slow and plainly correct, so the tests
-require the incremental normalizer to agree with it byte for byte.
+``merge_parallel_edges``, a pass-by-pass merge over every edge (the library's
+``merge_parallel_edges`` now runs the working graph's ``share``).  It is slow
+and plainly correct, so the tests require the incremental normalizer to agree
+with it byte for byte.
 
 ``search_bad_restriction`` is the refuter's restriction search as it ran
 before the refuter kept one working graph across rounds: every round
@@ -26,7 +28,9 @@ from typing import Optional
 from gatelim.circuits import (
     Circuit,
     CircuitError,
+    ConstLabel,
     Edge,
+    InputLabel,
     NotLabel,
     circuit_size,
     is_binary,
@@ -42,8 +46,6 @@ from gatelim.rewrite import (
     find_redexes,
     graph_measure,
     match_at,
-    merge_parallel_edges,
-    substitute_input,
 )
 from gatelim.rewrite import normalize_circuit as incremental_normalize
 from gatelim.terms import BudgetError
@@ -70,6 +72,32 @@ def kahn_order(c: Circuit) -> list[int]:
 
 def _remap(edges: dict[int, Edge], vmap: dict[int, int]) -> dict[int, Edge]:
     return {eid: Edge(e.label, tuple(vmap.get(v, v) for v in e.att)) for eid, e in edges.items()}
+
+
+def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
+    """Merge duplicate edges pass by pass over every edge, keeping the lowest id of each class."""
+    edges = dict(c.edges)
+    root = c.root
+    removed: list[int] = []
+    while True:
+        groups: dict[tuple, list[int]] = {}
+        for eid in sorted(edges):
+            e = edges[eid]
+            groups.setdefault((e.label, e.args), []).append(eid)
+        vmap: dict[int, int] = {}
+        for ids in groups.values():
+            keep = ids[0]
+            for other in ids[1:]:
+                vmap[edges[other].result] = edges[keep].result
+                removed.append(other)
+                del edges[other]
+        if not vmap:
+            break
+        edges = _remap(edges, vmap)
+        root = vmap.get(root, root)
+    if not removed:
+        return c, ()
+    return Circuit(edges, root, c.num_inputs, c.basis), tuple(removed)
 
 
 def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
@@ -139,6 +167,12 @@ def normalize_circuit(
         if fired > budget:
             raise BudgetError(f"no normal form within {budget} steps")
     return c, RewriteTrace(tuple(steps))
+
+
+def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
+    """The circuit with the x_index edge, found by a scan of every edge, relabelled as the constant bit."""
+    eid = next(eid for eid, e in c.edges.items() if e.label == InputLabel(index))
+    return Circuit({**c.edges, eid: Edge(ConstLabel(int(bit)), c.edges[eid].att)}, c.root, c.num_inputs, c.basis)
 
 
 def costly_readers(c: Circuit, wire: int, order) -> list[int]:

@@ -9,6 +9,7 @@ import reference_rewrite
 from gen import neartight_parity, random_circuit, renumbered, truth_table
 
 from gatelim.circuits import (
+    AND,
     AndLabel,
     Circuit,
     CircuitBuilder,
@@ -191,6 +192,32 @@ def test_substitute_input():
         substitute_input(c, 5, 0)
 
 
+def test_substitute_input_matches_the_reference_relabel():
+    for c in merge_corpus():
+        if c.basis != "demorgan":
+            continue
+        for i in sorted(c.read_inputs()):
+            out = substitute_input(c, i, i % 2)
+            ref = reference_rewrite.substitute_input(c, i, i % 2)
+            assert (out.edges, out.root, out.inputs) == (ref.edges, ref.root, ref.inputs)
+
+
+def test_input_index_on_circuits_and_working_graphs():
+    b = CircuitBuilder(3)
+    c = b.build(b.and_(b.input(3), b.not_(b.input(1))))
+    assert c.inputs == {3: 0, 1: 1} and c.read_inputs() == {1, 3}
+    assert c.input_edge(1) == 1 and c.input_edge(2) is None
+    # two edges for x1 (an invalid circuit): the first in edge order is the one indexed
+    twice = Circuit({5: Edge(InputLabel(1), (0,)), 1: Edge(InputLabel(1), (1,)), 2: Edge(AND, (2, 0, 1))}, 2, 1)
+    assert twice.input_edge(1) == 5
+    graph = WorkingGraph(c)  # neither shared nor normalized
+    assert graph.input_edge(3) == 0 and graph.input_edge(1) == 1
+    graph.substitute(3, 1)
+    assert graph.input_edge(3) is None and graph.inputs == {1: 1}
+    graph.normalize()
+    assert graph.inputs == {1: 1} and graph.snapshot().inputs == graph.inputs
+
+
 def test_normalize_examples():
     b = CircuitBuilder(1)
     c = b.build(b.or_(b.and_(b.input(1), b.const(1)), b.const(0)))
@@ -280,6 +307,46 @@ def test_merge_collapses_cascading_duplicates():
     nf, _ = normalize_circuit(c)
     assert unroll_term(nf) == And(Not(Var("x1")), Var("x2"))
 
+
+
+def merge_corpus():
+    """Random, constant-fed, unreachable-edge and u2 circuits, most with parallel duplicates."""
+    rng = random.Random(61)
+    out = []
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        c = random_circuit(rng, n, rng.randint(1, 14))
+        out.append(c)
+        for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            if c.input_edge(i) is not None:
+                c = substitute_input(c, i, rng.randint(0, 1))
+        out.append(c)
+        # copies of random edges under fresh ids and results that nothing reads
+        edges = dict(c.edges)
+        fresh = max(c.vertices) + 1
+        for eid in rng.sample(sorted(c.edges), min(3, len(c.edges))):
+            e = c.edges[eid]
+            edges[rng.choice((-1, 1)) * (fresh + 100)] = Edge(e.label, (fresh, *e.args))
+            fresh += 1
+        out.append(Circuit(edges, c.root, c.num_inputs, c.basis))
+        b = CircuitBuilder(n, basis="u2")
+        nodes = [b.input(i) for i in range(1, n + 1)]
+        for _ in range(rng.randint(1, 8)):
+            nodes.append(b.u2(rng.randint(1, 14), rng.choice(nodes), rng.choice(nodes)))
+        out.append(b.build(nodes[-1], prune=True))
+    return out
+
+
+def test_merge_parallel_edges_matches_the_reference_loop():
+    merging = 0
+    for c in merge_corpus():
+        merged, removed = merge_parallel_edges(c)
+        ref, ref_removed = reference_rewrite.merge_parallel_edges(c)
+        assert (merged.edges, merged.root, removed) == (ref.edges, ref.root, ref_removed)
+        assert list(merged.edges) == list(ref.edges)
+        assert (merged is c) == (not removed) == (ref is c)
+        merging += bool(removed)
+    assert merging > 60
 
 def test_sharing_lets_nonlinear_rules_fire():
     # two parallel negations of the same wire; without sharing maintenance the

@@ -355,3 +355,27 @@ def terms_rules_loop():
     return (
         TermRule("swap", And(Var("a"), Var("b")), And(Var("b"), Var("a"))),
     )
+
+
+def test_random_term_draws_are_pinned():
+    # The same RNG calls in the same order give the same terms.
+    rng = random.Random(0)
+    assert [repr(random_term(rng, max_depth=4)) for _ in range(4)] == [
+        "(and x3 (and (and (not x3) one) (or (or x3 one) (or zero x1))))",
+        "(not (and (not (and x2 x3)) x3))",
+        "(not (and (or (or x2 x1) x1) (not x3)))",
+        "one",
+    ]
+    rng = random.Random(11)
+    assert [repr(random_term(rng, max_depth=4)) for _ in range(4)] == [
+        "(or (and (or x3 (or one zero)) (not zero)) (and (or (or one x3) x3) zero))",
+        "one",
+        "(and (or (or x1 (or zero x2)) (and (not x1) (not x3))) zero)",
+        "(not (and (not (not one)) zero))",
+    ]
+    rng = random.Random(3)
+    assert [repr(random_term(rng, 3, ("a", "b"))) for _ in range(3)] == [
+        "one",
+        "(or (or zero (and a one)) b)",
+        "(or (or (not one) (or b zero)) (not zero))",
+    ]

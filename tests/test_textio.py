@@ -52,6 +52,42 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("ckt 1\nbasis demorgan\ninputs 1\nn1 = NOT x1\noutput x1\n")
 
 
+
+def _gate_line(basis, line, inputs=2):
+    return f"ckt 1\nbasis {basis}\ninputs {inputs}\n{line}\noutput n1\n"
+
+
+@pytest.mark.parametrize(
+    "basis, line, message",
+    [
+        ("demorgan", "n1 = XOR x1 x2", "line 4: unknown op 'XOR'"),
+        ("demorgan", "n1 = and x1 x2", "line 4: unknown op 'and'"),
+        ("u2", "n1 = U2_7 x1", "line 4: U2_7 takes 2 operands"),
+        ("u2", "n1 = U2_07 x1 x2 x1", "line 4: U2_07 takes 2 operands"),
+        ("demorgan", "n1 = AND x1", "line 4: AND takes 2 operand(s)"),
+        ("demorgan", "n1 = NOT x1 x2", "line 4: NOT takes 1 operand(s)"),
+        ("demorgan", "n1 = CONST0 x1", "line 4: CONST0 takes 0 operand(s)"),
+        ("u2", "n1 = U2_15 x1 x2", "line 4: u2 op 15 out of range 1..14"),
+        ("u2", "n1 = U2_0 x1 x2", "line 4: u2 op 0 out of range 1..14"),
+        ("demorgan", "n1 = U2_15 x1 x2", "line 4: U2_15 gate in a demorgan circuit"),
+        ("u2", "n1 = CONST1", "line 4: CONST1 gate in a u2 circuit"),
+        ("demorgan", "n1 = AND x1 X2", "line 4: bad operand 'X2'"),
+        ("u2", "n1 = U2_7 x1 2", "line 4: bad operand '2'"),
+    ],
+)
+def test_parse_error_texts_are_pinned(basis, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_circuit(_gate_line(basis, line))
+    assert str(info.value) == message
+
+
+def test_parse_accepts_leading_zeros_in_op_and_input_numbers():
+    u2 = parse_circuit(_gate_line("u2", "n1 = U2_07 x01 x2"))
+    assert serialize_circuit(u2) == _gate_line("u2", "n1 = U2_7 x1 x2")
+    dm = parse_circuit(_gate_line("demorgan", "n1 = AND x02 x1"))
+    assert serialize_circuit(dm) == _gate_line("demorgan", "n1 = AND x2 x1")
+
+
 def test_serialize_bare_input():
     text = serialize_circuit(parse_circuit("ckt 1\nbasis demorgan\ninputs 1\noutput x1\n"))
     assert text == "ckt 1\nbasis demorgan\ninputs 1\noutput x1\n"

@@ -14,10 +14,13 @@ from gatelim.circuits import (
     circuit_size,
     evaluate,
     isomorphic,
+    topo_order,
 )
 from gatelim.rewrite import normalize_circuit
+from gatelim.textio import parse_circuit, serialize_circuit
 from gatelim.u2 import (
     COMPLEMENT,
+    NEGATIONS,
     PUSH_UP_FIRST,
     PUSH_UP_SECOND,
     TO_DEMORGAN,
@@ -235,3 +238,73 @@ def test_round_trip_preserves_function_and_size():
         assert circuit_size(back) == circuit_size(nf)
         assert truth_table(u) == truth_table(nf) == truth_table(back)
         done += 1
+
+
+def test_negation_ops_negate_the_argument_they_name():
+    assert NEGATIONS == {4: 0, 6: 1}
+    for op, pos in NEGATIONS.items():
+        for bits in BITS:
+            assert u2_semantics(op, *bits) == 1 - bits[pos]
+
+
+CHAIN = """\
+ckt 1
+basis u2
+inputs 2
+n1 = U2_11 x1 x2
+n2 = U2_4 n1 x1
+n3 = U2_4 n2 x2
+n4 = U2_13 n3 x1
+output n4
+"""
+
+
+def test_translation_pushes_a_chain_of_negations_from_the_top():
+    # Pushing n2 first would meet the negation n3 among its readers.
+    c = parse_circuit(CHAIN)
+    out = u2_to_demorgan(c)
+    assert circuit_size(out) == circuit_size(c) - 2
+    assert truth_table(out) == truth_table(c)
+    with pytest.raises(CircuitError, match="op outside 7..14"):
+        first_negation_first(c)
+
+
+def first_negation_first(c):
+    """The translation as it pushed the first negation in topological order first."""
+    while True:
+        negs = [eid for eid in topo_order(c) if c.edges[eid].label in (U2Label(4), U2Label(6))]
+        if not negs:
+            return u2_to_demorgan(c)
+        eid = negs[0]
+        c = push_up(c, eid) if c.edges[eid].result != c.root else push_down(c, eid)
+
+
+def random_u2_circuit(rng, n, gates):
+    b = CircuitBuilder(n, basis="u2")
+    nodes = [b.input(i) for i in range(1, n + 1)]
+    for _ in range(gates):
+        op = rng.choice((4, 6, 7, 8, 9, 10, 11, 12, 13, 14))
+        nodes.append(b.u2(op, rng.choice(nodes), rng.choice(nodes)))
+    return b.build(nodes[-1], prune=True)
+
+
+def test_translation_agrees_with_first_negation_first_wherever_that_succeeds():
+    rng = random.Random(5)
+    gained = 0
+    for _ in range(1500):
+        c = random_u2_circuit(rng, rng.randint(2, 4), rng.randint(1, 6))
+        try:
+            old = serialize_circuit(first_negation_first(c))
+        except CircuitError:
+            old = None
+        try:
+            new = u2_to_demorgan(c)
+        except CircuitError:
+            assert old is None
+            continue
+        assert truth_table(new) == truth_table(c)
+        if old is None:
+            gained += 1
+        else:
+            assert serialize_circuit(new) == old
+    assert gained > 0
