@@ -1,8 +1,8 @@
 """Translate a circuit into the 14-op binary basis and back, size preserved.
 
 With negations free, each and/or gate plus the negation state of its inputs
-is one of the ops 7..14, so the translation never adds or removes a binary
-gate in either direction.
+is one of the ops 7..14, so a demorgan circuit goes to u2 and back without
+adding or removing a binary gate.
 """
 
 import itertools

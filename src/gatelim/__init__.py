@@ -2,8 +2,8 @@
 
 Formula-level rewriting with a mechanized convergence certificate, the
 compiled circuit simplification system, a constructive refuter for
-undersized parity circuits, and size-preserving translation to and from
-the full two-input basis.
+undersized parity circuits, and translation to and from the full
+two-input basis that never adds a binary gate.
 """
 
 from .circuits import (

@@ -39,9 +39,9 @@ def _non_negative(text: str) -> int:
 
 def _load(path: str) -> Circuit:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return textio.parse_circuit(text)
 

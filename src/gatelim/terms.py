@@ -313,15 +313,6 @@ class CriticalPair:
     position: Position
 
 
-def rename_vars(t: Term, suffix: str) -> Term:
-    if isinstance(t, Var):
-        return Var(t.name + suffix)
-    kids = children(t)
-    if not kids:
-        return t
-    return rebuild(t, tuple(rename_vars(c, suffix) for c in kids))
-
-
 def unify(s: Term, t: Term) -> Optional[Binding]:
     """Syntactic unification with occurs check; returns a fully resolved mgu."""
     subst: Binding = {}
@@ -374,7 +365,8 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
     with itself is trivial and skipped.
     """
     pairs = []
-    renamed = [(rename_vars(r.lhs, "2"), rename_vars(r.rhs, "2")) for r in trs.rules]
+    apart = [{v: Var(v + "2") for v in variables(r.lhs)} for r in trs.rules]  # an rhs reads only lhs variables
+    renamed = [(apply_substitution(r.lhs, a), apply_substitution(r.rhs, a)) for r, a in zip(trs.rules, apart)]
     for i, outer in enumerate(trs.rules):
         for j, (inner, (inner_lhs, inner_rhs)) in enumerate(zip(trs.rules, renamed)):
             for pos in positions(outer.lhs):

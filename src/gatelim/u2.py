@@ -1,17 +1,19 @@
-"""Size-preserving translation between the demorgan and u2 bases.
+"""Translation between the demorgan and u2 bases, and why u2 has no normal forms.
 
-With negations free, the two bases compute every non-degenerate function
-(other than a bare negated input) at identical circuit size: each and/or gate
-together with the negation state of its arguments corresponds to one of the
-eight non-degenerate binary operations 7..14, and a negated output folds into
-the top gate's complement.
+With negations free, each and/or gate together with the negation state of its
+arguments is one of the eight non-degenerate binary operations 7..14, and a
+negated output folds into the top gate's complement.  Both directions are one
+topological pass in which every wire carries a parity: a negation - NOT, or
+op 4 or 6, which negate their first and second input - flips the parity of
+the wire it negates, and every other gate folds its arguments' parities into
+its op.  So a demorgan circuit keeps its size in u2, and a u2 circuit loses
+its ops 4/6 in demorgan.
 
 The u2 side has no convergent simplification story, and this module makes the
-obstruction executable.  Ops 4 and 6 negate their first and second input; an
-internal occurrence is superfluous and can be removed two ways - relabeling
-every successor (push up) or relabeling the producing gate (push down) - and
-the two results are functionally equal but not isomorphic.  A pinned witness
-circuit exhibits the divergence.
+obstruction executable.  An internal op 4/6 is superfluous and can be removed
+two ways - relabeling every successor (push up) or relabeling the producing
+gate (push down) - and the two results are functionally equal but not
+isomorphic.  A pinned witness circuit exhibits the divergence.
 """
 
 from __future__ import annotations
@@ -20,153 +22,138 @@ from importlib import resources
 
 from .circuits import (
     AND,
+    INPUT,
+    KINDS,
+    LABELS,
     NOT,
     OR,
-    AndLabel,
     Circuit,
     CircuitBuilder,
     CircuitError,
     ConstLabel,
     Edge,
-    InputLabel,
-    NotLabel,
-    OrLabel,
+    LabelKind,
     U2Label,
     U2_LABELS,
     U2_TRUTH,
     circuit_size,
-    is_binary,
     reachable_edges,
     topo_order,
 )
 from .textio import parse_circuit
 
-# The tables below are computed from U2_TRUTH and the and/or truth rows.  A
+# The tables below are computed from the truth rows of the label table.  A
 # row index is 2(1-p) + (1-q), so negating p flips its bit 2 and q its bit 1.
 _OP_OF_TRUTH = {truth: op for op, truth in U2_TRUTH.items()}
 
-
-def _op(row_bit) -> int:
-    """The op whose output on row r is row_bit(r)."""
-    return _OP_OF_TRUTH[tuple(row_bit(r) for r in range(4))]
-
+# COMPOSE[kind][4o + 2p + q] is the u2 op computing kind with its first
+# argument negated if p, its second if q and its output if o.  It covers the
+# binary kinds with an odd number of true rows: and, or and the ops 7..14.
+COMPOSE: dict[LabelKind, tuple[int, ...]] = {
+    kind: tuple(_OP_OF_TRUTH[tuple(kind.truth[r ^ (f & 3)] ^ (f >> 2) for r in range(4))] for f in range(8))
+    for kind in KINDS.values()
+    if kind.arity == 2 and sum(kind.truth) % 2
+}
 
 # Op 7..14 as one demorgan gate: (gate, negate first arg, negate second arg).
 TO_DEMORGAN: dict[int, tuple[str, bool, bool]] = dict(
-    sorted(
-        (_op(lambda r: gate.kind.truth[r ^ (2 * n1 + n2)]), (gate.kind.name.lower(), n1, n2))
-        for gate in (AND, OR)
-        for n1 in (False, True)
-        for n2 in (False, True)
-    )
+    sorted((COMPOSE[g.kind][f], (g.kind.name.lower(), f > 1, f % 2 == 1)) for g in (AND, OR) for f in range(4))
 )
-
-FROM_DEMORGAN = {(gate, n1, n2): op for op, (gate, n1, n2) in TO_DEMORGAN.items()}
 
 # Successor relabeling when a superfluous negation is removed below it:
 # PUSH_UP_FIRST[k](p, q) == k(not p, q) and PUSH_UP_SECOND[k](p, q) == k(p, not q).
-PUSH_UP_FIRST = {k: _op(lambda r: U2_TRUTH[k][r ^ 2]) for k in TO_DEMORGAN}
-PUSH_UP_SECOND = {k: _op(lambda r: U2_TRUTH[k][r ^ 1]) for k in TO_DEMORGAN}
+PUSH_UP_FIRST = {k: COMPOSE[U2_LABELS[k].kind][2] for k in TO_DEMORGAN}
+PUSH_UP_SECOND = {k: COMPOSE[U2_LABELS[k].kind][1] for k in TO_DEMORGAN}
 
 # COMPLEMENT[k](p, q) == not k(p, q); an involution on 7..14.
-COMPLEMENT = {k: _op(lambda r: 1 - U2_TRUTH[k][r]) for k in TO_DEMORGAN}
+COMPLEMENT = {k: COMPOSE[U2_LABELS[k].kind][4] for k in TO_DEMORGAN}
 
 # The superfluous negation ops, each with the position of the argument it
-# negates: op 4 is not p, op 6 is not q.  Bit 2 of a row is p's row, bit 1 q's.
-NEGATIONS = {_op(lambda r: NOT.kind.truth[r >> 1]): 0, _op(lambda r: NOT.kind.truth[r & 1]): 1}
+# negates: op 4 is not p, op 6 is not q.
+NEGATIONS = {_OP_OF_TRUTH[tuple(NOT.kind.truth[(r >> (1 - pos)) & 1] for r in range(4))]: pos for pos in (0, 1)}
+
+# Every negation kind of either basis, with the position of the argument it negates.
+NEGATES = {NOT.kind: 0, **{U2_LABELS[op].kind: pos for op, pos in NEGATIONS.items()}}
 
 
 def u2_semantics(op: int, p: int, q: int) -> int:
     return U2Label(op).kind.output(p, q)
 
 
-def _is_negation(e: Edge) -> bool:
-    return isinstance(e.label, U2Label) and e.label.op in NEGATIONS
+def _translate(c: Circuit) -> Circuit:
+    """The circuit in the other basis, in one topological pass.
 
+    Each wire maps to (translated wire, parity): the wire's value is the
+    translated wire's xor the parity.  The gate under the output's chain of
+    negations is complemented if that chain is odd, so the output needs a NOT
+    only where the chain ends at an input.  One NOT per wire is shared.
+    """
+    top, flip = c.root, 0
+    while (e := c.producer_edge(top)).label.kind in NEGATES:
+        top, flip = e.args[NEGATES[e.label.kind]], flip ^ 1
+    top_edge = c.producer[top]
+    basis = "u2" if c.basis == "demorgan" else "demorgan"
+    builder = CircuitBuilder(c.num_inputs, basis)
+    wires: dict[int, tuple[int, int]] = {}
+    negated: dict[int, int] = {}
 
-def _resolve_literal(c: Circuit, vertex: int) -> tuple[int, int]:
-    """Follow negation edges down to a non-negation wire; returns (wire, parity)."""
-    parity = 0
-    e = c.producer_edge(vertex)
-    while isinstance(e.label, NotLabel):
-        parity ^= 1
-        vertex = e.args[0]
-        e = c.producer_edge(vertex)
-    return vertex, parity
+    def neg(w: int) -> int:
+        if w not in negated:
+            negated[w] = builder.not_(w)
+        return negated[w]
+
+    for eid in topo_order(c):
+        e = c.edges[eid]
+        kind = e.label.kind
+        if kind is INPUT:
+            wires[e.result] = (builder.input(e.label.index), 0)
+        elif kind in NEGATES:
+            w, p = wires[e.args[NEGATES[kind]]]
+            wires[e.result] = (w, p ^ 1)
+        else:
+            (w1, p1), (w2, p2) = wires[e.args[0]], wires[e.args[1]]
+            o = flip if eid == top_edge else 0
+            op = COMPOSE[kind][4 * o + 2 * p1 + p2]
+            if basis == "u2":
+                w = builder.u2(op, w1, w2)
+            else:
+                gate, n1, n2 = TO_DEMORGAN[op]
+                w = builder.gate(LABELS[gate.upper()], neg(w1) if n1 else w1, neg(w2) if n2 else w2)
+            wires[e.result] = (w, o)
+    w, p = wires[c.root]
+    return builder.build(neg(w) if p else w, prune=True)
 
 
 def demorgan_to_u2(c: Circuit) -> Circuit:
     """Equivalent u2 circuit of exactly the same size.
 
-    Negation chains are absorbed into the gate ops (splitting shared
-    negations implicitly), and a negated output complements the top gate.
-    Constants are out of scope: normalize first.
+    Negations fold into the ops of the gates that read them (a shared
+    negation splits implicitly), and a negated output complements the top
+    gate.  Constants are out of scope: normalize first.
     """
     if c.basis != "demorgan":
         raise CircuitError("expected a demorgan circuit")
     if any(isinstance(e.label, ConstLabel) for e in c.edges.values()):
         raise CircuitError("translation applies to constant-free (normalized) circuits")
-    if circuit_size(c) == 0:
+    if circuit_size(c) == 0:  # without constants, the output is a chain of NOTs over an input
         raise CircuitError("circuit computes a bare literal; no u2 counterpart of equal size")
-    top_base, top_parity = _resolve_literal(c, c.root)
-    top_edge = c.producer[top_base]
-    if not is_binary(c.edges[top_edge].label):
-        raise CircuitError("circuit computes a bare literal; no u2 counterpart of equal size")
-    builder = CircuitBuilder(c.num_inputs, basis="u2")
-    wires: dict[int, int] = {}
-    for eid in topo_order(c):
-        e = c.edges[eid]
-        if isinstance(e.label, InputLabel):
-            wires[e.result] = builder.input(e.label.index)
-        elif isinstance(e.label, (AndLabel, OrLabel)):
-            (v1, n1), (v2, n2) = (_resolve_literal(c, v) for v in e.args)
-            op = FROM_DEMORGAN[(e.label.kind.name.lower(), bool(n1), bool(n2))]
-            if eid == top_edge and top_parity:
-                op = COMPLEMENT[op]
-            wires[e.result] = builder.u2(op, wires[v1], wires[v2])
-    return builder.build(wires[top_base], prune=True)
+    return _translate(c)
 
 
 def u2_to_demorgan(c: Circuit) -> Circuit:
-    """Equivalent demorgan circuit of exactly the same binary-gate count.
+    """Equivalent demorgan circuit with no more binary gates.
 
-    Requires a circuit free of the degenerate ops 1, 2, 3, 5; superfluous
-    negation ops 4/6 are first eliminated by pushing: the inner ones up, the
-    last in topological order first, then the one at the output down.
+    Requires a circuit free of the degenerate ops 1, 2, 3, 5.  Ops 4/6 are
+    free negations here: their parity folds into the ops of their readers,
+    and each gate of op 7..14 that the output still reads becomes one and/or
+    gate.  An output that resolves to an input literal becomes that literal.
     """
     if c.basis != "u2":
         raise CircuitError("expected a u2 circuit")
     for eid, e in sorted(c.edges.items()):
         if isinstance(e.label, U2Label) and e.label.op not in TO_DEMORGAN and e.label.op not in NEGATIONS:
             raise CircuitError(f"edge {eid}: degenerate op {e.label.op}; not translatable")
-    while True:
-        negs = [eid for eid in topo_order(c) if _is_negation(c.edges[eid])]
-        if not negs:
-            break
-        # The last inner negation's readers come later in topological order,
-        # so none of them is another inner negation that push_up would refuse.
-        inner = [eid for eid in negs if c.edges[eid].result != c.root]
-        c = push_up(c, inner[-1]) if inner else push_down(c, negs[0])
-    builder = CircuitBuilder(c.num_inputs, basis="demorgan")
-    wires: dict[int, int] = {}
-    negated: dict[int, int] = {}
-
-    def neg(v: int) -> int:
-        if v not in negated:
-            negated[v] = builder.not_(v)
-        return negated[v]
-
-    for eid in topo_order(c):
-        e = c.edges[eid]
-        if isinstance(e.label, InputLabel):
-            wires[e.result] = builder.input(e.label.index)
-        else:
-            gate, n1, n2 = TO_DEMORGAN[e.label.op]
-            a, b = wires[e.args[0]], wires[e.args[1]]
-            a = neg(a) if n1 else a
-            b = neg(b) if n2 else b
-            wires[e.result] = builder.and_(a, b) if gate == "and" else builder.or_(a, b)
-    return builder.build(wires[c.root], prune=True)
+    return _translate(c)
 
 
 def push_up(c: Circuit, eid: int) -> Circuit:
@@ -176,9 +163,9 @@ def push_up(c: Circuit, eid: int) -> Circuit:
     replaced so it computes the same value from the un-negated wire.
     """
     e = c.edges[eid]
-    if not _is_negation(e):
+    if c.basis != "u2" or e.label.kind not in NEGATES:
         raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    kept = e.args[NEGATIONS[e.label.op]]
+    kept = e.args[NEGATES[e.label.kind]]
     out = e.result
     if out == c.root:
         raise CircuitError("the negation gate is the output; nothing to relabel above it")
@@ -210,9 +197,9 @@ def push_down(c: Circuit, eid: int) -> Circuit:
     asymmetry that makes both push directions necessary.
     """
     e = c.edges[eid]
-    if not _is_negation(e):
+    if c.basis != "u2" or e.label.kind not in NEGATES:
         raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    negarg = e.args[NEGATIONS[e.label.op]]
+    negarg = e.args[NEGATES[e.label.kind]]
     pid = c.producer[negarg]
     pe = c.edges[pid]
     if not (isinstance(pe.label, U2Label) and pe.label.op in COMPLEMENT):
@@ -241,7 +228,7 @@ def load_witness() -> Circuit:
 def nonconfluence_witness() -> tuple[Circuit, Circuit, Circuit]:
     """(witness, pushed up, pushed down): equal truth tables, not isomorphic."""
     w = load_witness()
-    neg_edges = [eid for eid, e in sorted(w.edges.items()) if _is_negation(e)]
+    neg_edges = [eid for eid, e in sorted(w.edges.items()) if e.label.kind in NEGATES]
     if len(neg_edges) != 1:
         raise CircuitError("witness must contain exactly one op-4/6 gate")
     return w, push_up(w, neg_edges[0]), push_down(w, neg_edges[0])

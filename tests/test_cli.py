@@ -55,6 +55,16 @@ def test_missing_file(capsys):
     assert main(["eval", "/nonexistent.ckt", "--input", "1"]) == 1
 
 
+@pytest.mark.parametrize("command", (["validate"], ["eval", "--input", "1"], ["translate", "--to", "u2"]))
+def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.ckt"
+    path.write_bytes(b"ckt 1\nbasis demorgan\ninputs 1\n\xff\xfe = NOT x1\noutput n1\n")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot read {path}: ") and captured.err.count("\n") == 1
+
+
 def test_normalize_with_trace(tmp_path, capsys):
     src = tmp_path / "c.ckt"
     src.write_text(

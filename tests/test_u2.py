@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import random_circuit, truth_table
 
@@ -197,7 +198,7 @@ def test_push_down_examples():
 
 
 def test_translation_eliminates_internal_negation_ops():
-    # an op-6 buried inside the circuit must be pushed away before translation
+    # an op-6 buried inside the circuit folds into its reader
     b = CircuitBuilder(3, basis="u2")
     neg = b.u2(6, b.input(1), b.u2(11, b.input(1), b.input(2)))
     c = b.build(b.u2(13, neg, b.input(3)))
@@ -205,7 +206,7 @@ def test_translation_eliminates_internal_negation_ops():
     assert circuit_size(out) == 2
     assert truth_table(out) == truth_table(c)
 
-    # the same with the negation op at the output, handled by a push down
+    # the same with the negation op at the output, which complements the gate below it
     b = CircuitBuilder(2, basis="u2")
     c = b.build(b.u2(4, b.u2(11, b.input(1), b.input(2)), b.input(1)))
     out = u2_to_demorgan(c)
@@ -259,24 +260,93 @@ output n4
 """
 
 
-def test_translation_pushes_a_chain_of_negations_from_the_top():
+def u2_circuit(body, inputs=3):
+    return parse_circuit(f"ckt 1\nbasis u2\ninputs {inputs}\n{body}")
+
+
+def demorgan_text(body, inputs=3):
+    return f"ckt 1\nbasis demorgan\ninputs {inputs}\n{body}"
+
+
+def push_loop(c, pick):
+    """The translation as a push loop: remove the op-4/6 gate ``pick`` names
+    until none is left, pushing down only at the output, then write each op
+    7..14 as one and/or gate with one NOT per negated wire."""
+    negations = [U2Label(op) for op in NEGATIONS]
+    while True:
+        negs = [eid for eid in topo_order(c) if c.edges[eid].label in negations]
+        if not negs:
+            break
+        eid = pick(c, negs)
+        c = push_up(c, eid) if c.edges[eid].result != c.root else push_down(c, eid)
+    b = CircuitBuilder(c.num_inputs)
+    wires, negated = {}, {}
+    for eid in topo_order(c):
+        e = c.edges[eid]
+        if not isinstance(e.label, U2Label):
+            wires[e.result] = b.input(e.label.index)
+            continue
+        gate, *negate = TO_DEMORGAN[e.label.op]
+        args = [wires[v] for v in e.args]
+        for i, n in enumerate(negate):
+            if n:
+                if args[i] not in negated:
+                    negated[args[i]] = b.not_(args[i])
+                args[i] = negated[args[i]]
+        wires[e.result] = b.and_(*args) if gate == "and" else b.or_(*args)
+    return b.build(wires[c.root], prune=True)
+
+
+def first_negation_first(c):
+    return push_loop(c, lambda c, negs: negs[0])
+
+
+def last_inner_negation_first(c):
+    """The last inner negation's readers come later in topological order, so
+    none of them is another inner negation that push_up would refuse."""
+
+    def pick(c, negs):
+        inner = [eid for eid in negs if c.edges[eid].result != c.root]
+        return inner[-1] if inner else negs[0]
+
+    return push_loop(c, pick)
+
+
+def test_translation_folds_a_chain_of_negations():
     # Pushing n2 first would meet the negation n3 among its readers.
     c = parse_circuit(CHAIN)
     out = u2_to_demorgan(c)
     assert circuit_size(out) == circuit_size(c) - 2
     assert truth_table(out) == truth_table(c)
+    assert serialize_circuit(out) == serialize_circuit(last_inner_negation_first(c))
     with pytest.raises(CircuitError, match="op outside 7..14"):
         first_negation_first(c)
 
 
-def first_negation_first(c):
-    """The translation as it pushed the first negation in topological order first."""
-    while True:
-        negs = [eid for eid in topo_order(c) if c.edges[eid].label in (U2Label(4), U2Label(6))]
-        if not negs:
-            return u2_to_demorgan(c)
-        eid = negs[0]
-        c = push_up(c, eid) if c.edges[eid].result != c.root else push_down(c, eid)
+def test_translation_of_a_negation_read_only_where_it_is_ignored():
+    # The output op 4 reads the inner negation n2 only in its ignored second argument.
+    c = u2_circuit("n1 = U2_6 x1 x3\nn2 = U2_6 n1 x3\nn3 = U2_9 n2 n1\nn4 = U2_4 n3 n2\noutput n4\n")
+    with pytest.raises(CircuitError, match="op outside 7..14"):
+        last_inner_negation_first(c)
+    out = u2_to_demorgan(c)
+    assert serialize_circuit(out) == demorgan_text("n1 = NOT x3\nn2 = AND n1 x3\noutput n2\n")
+    assert truth_table(out) == truth_table(c)
+
+
+def test_translation_of_an_output_literal():
+    c = u2_circuit("n1 = U2_4 x1 x2\noutput n1\n", inputs=2)
+    with pytest.raises(CircuitError, match="push down"):
+        last_inner_negation_first(c)
+    assert serialize_circuit(u2_to_demorgan(c)) == demorgan_text("n1 = NOT x1\noutput n1\n", inputs=2)
+    c = u2_circuit("n1 = U2_4 x2 x1\nn2 = U2_6 x1 n1\noutput n2\n", inputs=2)
+    assert serialize_circuit(u2_to_demorgan(c)) == demorgan_text("output x2\n", inputs=2)
+
+
+def test_translation_of_a_double_negation_at_the_output():
+    c = u2_circuit("n1 = U2_11 x1 x2\nn2 = U2_4 n1 x1\nn3 = U2_6 x2 n2\noutput n3\n")
+    with pytest.raises(CircuitError, match="op outside 7..14"):
+        last_inner_negation_first(c)
+    assert serialize_circuit(u2_to_demorgan(c)) == demorgan_text("n1 = AND x1 x2\noutput n1\n")
 
 
 def random_u2_circuit(rng, n, gates):
@@ -288,23 +358,40 @@ def random_u2_circuit(rng, n, gates):
     return b.build(nodes[-1], prune=True)
 
 
-def test_translation_agrees_with_first_negation_first_wherever_that_succeeds():
+def test_translation_agrees_with_the_push_loops_wherever_they_succeed():
     rng = random.Random(5)
     gained = 0
-    for _ in range(1500):
+    for _ in range(2000):
         c = random_u2_circuit(rng, rng.randint(2, 4), rng.randint(1, 6))
-        try:
-            old = serialize_circuit(first_negation_first(c))
-        except CircuitError:
-            old = None
-        try:
-            new = u2_to_demorgan(c)
-        except CircuitError:
-            assert old is None
-            continue
+        new = u2_to_demorgan(c)
         assert truth_table(new) == truth_table(c)
-        if old is None:
-            gained += 1
-        else:
-            assert serialize_circuit(new) == old
-    assert gained > 0
+        assert circuit_size(new) <= circuit_size(c)
+        for old_loop in (last_inner_negation_first, first_negation_first):
+            try:
+                old = old_loop(c)
+            except CircuitError:
+                gained += old_loop is last_inner_negation_first
+                continue
+            assert serialize_circuit(new) == serialize_circuit(old)
+    assert gained == 260
+
+
+@st.composite
+def u2_circuits(draw):
+    n = draw(st.integers(1, 4))
+    b = CircuitBuilder(n, basis="u2")
+    nodes = [b.input(i) for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from((4, 6, *TO_DEMORGAN)))
+        nodes.append(b.u2(op, draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
+    return b.build(nodes[-1], prune=True)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(u2_circuits())
+def test_u2_round_trip_keeps_the_truth_table(c):
+    out = u2_to_demorgan(c)
+    assert truth_table(out) == truth_table(c)
+    nf, _ = normalize_circuit(out)
+    if circuit_size(nf) > 0:
+        assert truth_table(demorgan_to_u2(nf)) == truth_table(c)
