@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
 from . import terms
 
@@ -165,18 +165,31 @@ def label_name(label: GateLabel) -> str:
     return f"{kind.name}{label.index}" if kind is INPUT else kind.name
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     label: GateLabel
     att: tuple[int, ...]
+    result: int
+    args: tuple[int, ...]
 
-    @property
-    def result(self) -> int:
-        return self.att[0]
 
-    @property
-    def args(self) -> tuple[int, ...]:
-        return self.att[1:]
+class Edge(_EdgeFields):
+    """A gate: its label and its attachment, the result vertex first, then the arguments.
+
+    Built as ``Edge(label, att)``; ``result`` and ``args`` are stored then,
+    so reading them costs no slice.  Edges are immutable values: equal
+    ``(label, att)`` give equal edges with equal hashes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: GateLabel, att: tuple[int, ...]) -> Edge:
+        return tuple.__new__(cls, (label, att, att[0], att[1:]))
+
+    def __getnewargs__(self):
+        return self.label, self.att
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(label={self.label!r}, att={self.att!r})"
 
 
 class Circuit:
@@ -239,8 +252,6 @@ def validate(c: Circuit) -> list[str]:
         kind = e.label.kind
         if len(e.att) != 1 + kind.arity:
             out.append(f"edge {eid}: attachment arity {len(e.att)} for {label_name(e.label)}")
-        if not e.att:
-            continue
         results.setdefault(e.result, []).append(eid)
         if kind is INPUT:
             if not 1 <= e.label.index <= c.num_inputs:
@@ -322,7 +333,7 @@ def evaluate(c: Circuit, bits: Sequence[int]) -> int:
             v = int(bits[e.label.index - 1])
         else:  # kind.output, inlined
             row = 0
-            for a in e.att[1:]:
+            for a in e.args:
                 row = 2 * row + 1 - value[a]
             v = kind.truth[row]
         value[e.result] = v

@@ -51,13 +51,19 @@ edges and the producer of each vertex it keeps:
   left-hand edge with a non-open child has (``_CLIMB_KINDS``, derived from
   ``RULES``).
 
-At a site only the rules whose left-hand root edge fits the site's first
-level are tried: its label kind, the label kinds of its arguments' producers
-and which arguments are the same wire, a kind being a row of the label table
-(``circuits.KINDS``), so the two constants are two kinds.  This is term
-indexing at the first level, as a discrimination tree does it (McCune, JAR
-9(2), 1992); the memo holds only kinds, so it stays small, and ``match_at``
-still decides.
+The rules that match at a site are looked up by a two-level key: the label
+kinds of the site's edge and of its arguments' producers; below an argument
+produced by an edge of a kind in ``_INNER_KINDS`` (the kinds of the non-root
+left-hand edges with arguments, derived from ``RULES``), that edge's argument
+wires and the kinds of their producers; and which of all these wires are the
+same wire.  A kind is a row of the label table (``circuits.KINDS``), so the
+two constants are two kinds.  No left-hand side reads more, so the index
+decides: its memo runs the one left-hand matcher on the small neighbourhood
+the key describes, and ``match_at`` runs only where a rule matches, to build
+the redex.  This is term indexing to the patterns' full depth, as a
+discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
+kinds and wire shapes, so it stays small.  ``fire`` still re-verifies every
+redex.
 
 One generator, ``WorkingGraph.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
@@ -92,8 +98,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .circuits import (
@@ -114,10 +121,10 @@ class StaleRedexError(CircuitError):
     """The circuit changed since the redex was found."""
 
 
-@dataclass(frozen=True)
-class PatternEdge:
-    label: GateLabel
-    att: tuple[str, ...]
+class PatternEdge(Edge):
+    """An edge of a pattern: its attachment names vertices instead of numbering them."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -181,17 +188,17 @@ for _rule in RULES:
     _RULES_BY_ROOT[_root_kind] = _RULES_BY_ROOT.get(_root_kind, ()) + (_rule,)
 
 
-def _pattern_depth(p: Pattern) -> int:
-    """Producer hops from the root to the deepest edge of the pattern."""
+def _edge_depths(p: Pattern) -> list[int]:
+    """Producer hops from the root to each edge of the pattern, in edge order."""
     depth = {p.root: 0}
     for pe in p.edges:
-        for name in pe.att[1:]:
-            depth.setdefault(name, depth[pe.att[0]] + 1)
-    return max(depth[pe.att[0]] for pe in p.edges)
+        for name in pe.args:
+            depth.setdefault(name, depth[pe.result] + 1)
+    return [depth[pe.result] for pe in p.edges]
 
 
 # A match at a site reads producing edges at most this many hops below it.
-_DEPTH = max(_pattern_depth(rule.lhs) for rule in RULES)
+_DEPTH = max(max(_edge_depths(rule.lhs)) for rule in RULES)
 
 # Label kinds of the non-root left-hand edges with a non-open child.  A change
 # two or more hops below a site can reach its match only through a chain of
@@ -200,30 +207,74 @@ _CLIMB_KINDS = frozenset(
     pe.label.kind
     for rule in RULES
     for pe in rule.lhs.edges[1:]
-    if any(name not in rule.lhs.open_vertices for name in pe.att[1:])
+    if any(name not in rule.lhs.open_vertices for name in pe.args)
 )
 
+# Label kinds of the non-root left-hand edges with arguments.  The candidate
+# key reads the arguments of an argument's producer only below these kinds.
+_INNER_KINDS = frozenset(pe.label.kind for rule in RULES for pe in rule.lhs.edges[1:] if pe.args)
 
-def _fits(rule: GraphRule, key: tuple) -> bool:
-    """Whether the rule's left-hand root edge can match a site with this first-level key."""
-    kind, arg_kinds, shape = key
-    root = rule.lhs.edges[0]
-    names = root.att[1:]
-    produced = {pe.att[0]: pe.label.kind for pe in rule.lhs.edges}
-    return (
-        root.label.kind is kind
-        and len(names) == len(arg_kinds)
-        and all(
-            produced.get(name, k) == k and shape[i] == shape[names.index(name)]
-            for i, (name, k) in enumerate(zip(names, arg_kinds))
-        )
-    )
+# The key describes a site two levels deep, which decides a match only while
+# every left-hand edge with arguments is the root or one hop below it.
+if any(pe.args and d > 1 for rule in RULES for pe, d in zip(rule.lhs.edges, _edge_depths(rule.lhs))):
+    raise ValueError("a left-hand edge with arguments lies deeper than the candidate key reads")
+
+# The one label of each gate kind; input and u2 kinds occur in no pattern.
+_LABEL_OF: dict[LabelKind, GateLabel] = {label.kind: label for label in TERM_LABELS.values()}
+
+
+def _bind(edges: Mapping[int, Edge], producer: Mapping[int, int], lhs: Pattern, site: int) -> Optional[dict]:
+    """The vertex map of the left-hand pattern with its root sent to the site, or None."""
+    vm: dict[str, int] = {lhs.root: site}
+    for pe in lhs.edges:
+        eid = producer.get(vm[pe.result])
+        if eid is None:
+            return None
+        e = edges[eid]
+        if e.label != pe.label:
+            return None
+        for pname, v in zip(pe.args, e.args):
+            bound = vm.get(pname)
+            if bound is None:
+                vm[pname] = v
+            elif bound != v:
+                return None
+    return vm
 
 
 @functools.cache
 def _candidates(key: tuple) -> tuple[GraphRule, ...]:
-    """The rules, in rule order, that ``_fits`` admits for the key; keys hold label kinds."""
-    return tuple(rule for rule in RULES if _fits(rule, key))
+    """The rules, in rule order, that match the neighbourhood the key describes.
+
+    The key is ``WorkingGraph.candidates``': the site's kind, the kind of
+    the producer of each key wire (None if it has none) and the wires'
+    equality shape.  Wire ``i`` becomes vertex ``shape[i]``; an argument
+    whose producer the key does not expand gets fresh argument vertices,
+    which no pattern reads.
+    """
+    kind, kinds, shape = key
+    rules = _RULES_BY_ROOT.get(kind)
+    if rules is None:
+        return ()
+    arity = kind.arity
+    below: dict[int, tuple] = {}  # vertex -> (its producer's kind, its argument vertices or None)
+    i = arity
+    for k, v in zip(kinds, shape[:arity]):
+        if k in _INNER_KINDS:
+            below[v] = (k, shape[i : i + k.arity])
+            i += k.arity
+    for k, v in zip(kinds, shape):
+        below.setdefault(v, (k, None))
+    site = len(shape)
+    fresh = itertools.count(site + 1)
+    edges = {site: Edge(_LABEL_OF[kind], (site, *shape[:arity]))}  # keyed by result vertex
+    for v, (k, args) in below.items():
+        if k in _LABEL_OF:
+            if args is None:
+                args = tuple(itertools.islice(fresh, k.arity))
+            edges[v] = Edge(_LABEL_OF[k], (v, *args))
+    producer = {v: v for v in edges}
+    return tuple(rule for rule in rules if _bind(edges, producer, rule.lhs, site) is not None)
 
 
 @dataclass(frozen=True)
@@ -235,22 +286,8 @@ class Redex:
 
 def match_at(c: Circuit, rule: GraphRule, site: int) -> Optional[Redex]:
     """Match the rule's left pattern with its root sent to the given vertex."""
-    vm: dict[str, int] = {rule.lhs.root: site}
-    for pe in rule.lhs.edges:
-        rv = vm[pe.att[0]]
-        eid = c.producer.get(rv)
-        if eid is None:
-            return None
-        e = c.edges[eid]
-        if e.label != pe.label:
-            return None
-        for pname, v in zip(pe.att[1:], e.att[1:]):
-            bound = vm.get(pname)
-            if bound is None:
-                vm[pname] = v
-            elif bound != v:
-                return None
-    return Redex(site, rule, vm)
+    vm = _bind(c.edges, c.producer, rule.lhs, site)
+    return None if vm is None else Redex(site, rule, vm)
 
 
 def find_redexes(c: Circuit) -> list[Redex]:
@@ -409,6 +446,11 @@ class WorkingGraph:
 
     def fire(self, redex: Redex) -> TraceStep:
         """Re-verify the redex, splice its right-hand side in place and collect garbage."""
+        removed, added = self._fire(redex)
+        return TraceStep(0, redex.rule.name, redex.site, tuple(removed), tuple(added), self.size)
+
+    def _fire(self, redex: Redex) -> tuple[list[int], list[int]]:
+        """``fire`` without the trace step: the removed and the added edge ids."""
         fresh = match_at(self, redex.rule, redex.site)
         if fresh is None or fresh.vertex_map != redex.vertex_map:
             raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
@@ -435,7 +477,7 @@ class WorkingGraph:
         else:
             self._redirect(site, redex.vertex_map[rhs.root])
         removed.extend(sorted(self._collect(candidates)))
-        return TraceStep(0, redex.rule.name, site, tuple(removed), tuple(added), self.size)
+        return removed, added
 
     def share(self) -> list[int]:
         """Merge the duplicates among the unshared edges, cascading; the merged edge ids.
@@ -471,24 +513,32 @@ class WorkingGraph:
         return merged
 
     def candidates(self, site: int) -> tuple[GraphRule, ...]:
-        """The rules whose left-hand root edge fits the site's first level.
+        """The rules, in rule order, that match at the site.
 
-        The key is the kind of the site's label, the kinds of its arguments'
-        producers' labels and which arguments are the same wire; ``match_at``
-        decides, and it matches none of the rules of the site's label kind
-        left out.
+        The key is the kind of the site's label, its argument wires and,
+        below each argument produced by an edge of a kind in
+        ``_INNER_KINDS``, that edge's argument wires; then the kind of the
+        producer of each of these wires and which of them are the same wire.
+        That is all a left-hand side reads, so ``_candidates`` decides the
+        match on the key alone.
         """
-        e = self.edges[self.producer[site]]
-        producers = [self.producer.get(v) for v in e.args]
-        arg_kinds = tuple(None if p is None else self.edges[p].label.kind for p in producers)
-        return _candidates((e.label.kind, arg_kinds, tuple(map(e.args.index, e.args))))
+        edges, producer = self.edges, self.producer
+        e = edges[producer[site]]
+        wires = [*e.args]
+        kinds = []
+        for v in e.args:
+            p = producer.get(v)
+            k = None if p is None else edges[p].label.kind
+            kinds.append(k)
+            if k in _INNER_KINDS:
+                wires += edges[p].args
+        for v in wires[len(kinds) :]:
+            p = producer.get(v)
+            kinds.append(None if p is None else edges[p].label.kind)
+        return _candidates((e.label.kind, tuple(kinds), tuple(map(wires.index, wires))))
 
     def _match(self, site: int) -> None:
-        found = []
-        for rule in self.candidates(site):
-            r = match_at(self, rule, site)
-            if r is not None:
-                found.append(r)
+        found = [match_at(self, rule, site) for rule in self.candidates(site)]
         if found:
             self.redexes[site] = found
         else:
@@ -579,7 +629,7 @@ class WorkingGraph:
             raise CircuitError("the rule system is defined for demorgan circuits")
         if strategy not in ("det", "rand"):
             raise CircuitError(f"unknown strategy {strategy!r}")
-        rng = random.Random(seed)
+        rng = random.Random(seed) if strategy == "rand" else None
         steps: list[TraceStep] = []
         merged = self.share()
         if merged:
@@ -592,17 +642,10 @@ class WorkingGraph:
                 chosen = self.ordered(first=True)[0]
             else:
                 chosen = rng.choice(self.ordered(first=False))
-            step = self.fire(chosen)
-            merged = self.share()
+            removed, added = self._fire(chosen)
+            removed += self.share()
             self.rematch()
-            steps.append(
-                replace(
-                    step,
-                    step=len(steps),
-                    removed_edges=step.removed_edges + tuple(merged),
-                    size_after=self.size,
-                )
-            )
+            steps.append(TraceStep(len(steps), chosen.rule.name, chosen.site, tuple(removed), tuple(added), self.size))
             fired += 1
             if fired > budget:
                 raise BudgetError(f"no normal form within {budget} steps")

@@ -23,6 +23,7 @@ from gatelim.circuits import (
     CircuitError,
     Edge,
     InputLabel,
+    OR,
     U2_TRUTH,
     bisimilar,
     circuit_size,
@@ -43,6 +44,23 @@ def single_input():
 
 def test_minimal_circuit_is_valid():
     assert validate(single_input()) == []
+
+
+def test_edges_are_values_with_stored_fields():
+    e = Edge(AND, (2, 0, 1))
+    same = Edge(AND, (2, 0, 1))
+    assert e == same and hash(e) == hash(same)
+    assert e != Edge(AND, (2, 1, 0)) and e != Edge(OR, (2, 0, 1))
+    assert len({e, same, Edge(CONST1, (2,))}) == 2
+    for name in ("label", "att", "result", "args"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, None)
+    assert e.result == e.att[0] == 2
+    assert e.args == e.att[1:] == (0, 1)
+    assert e.args is e.args
+    assert Edge(CONST1, (3,)).args == ()
+    assert repr(e) == "Edge(label=AndLabel(), att=(2, 0, 1))"
+    assert repr(Edge(InputLabel(2), (0,))) == "Edge(label=InputLabel(index=2), att=(0,))"
 
 
 def test_validate_reports_arity_violation():
