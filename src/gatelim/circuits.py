@@ -19,74 +19,11 @@ from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
 from . import terms
+from .terms import INPUT, KINDS, U2_TRUTH, LabelKind
 
 
 class CircuitError(Exception):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class LabelKind:
-    """The facts every label of one kind shares: a row of ``KINDS``, or ``INPUT``.
-
-    Kinds compare and hash by identity, so a dict keyed by kind costs what
-    one keyed by type does.
-    """
-
-    name: str  # the op in the text format; an input's name is this and its index
-    arity: int
-    basis: Optional[str]  # None for inputs, which every basis has
-    truth: Optional[tuple[int, ...]]  # output bit per row of argument bits, in ``output``'s order
-    weight: int  # the gate's part of the termination measure
-    term: Optional[type]  # the formula node it unrolls to; u2 gates have none
-
-    def output(self, *bits: int) -> int:
-        """The output bit on these argument bits.
-
-        Row r is where the complemented bits, the first most significant,
-        spell r in binary, so the all-ones row is row 0.
-        """
-        row = 0
-        for bit in bits:
-            row = 2 * row + 1 - bit
-        return self.truth[row]
-
-
-# Truth table of each binary operation, rows ordered (p,q) = TT, TF, FT, FF.
-# This table is the single source of truth for op semantics; ops 4 and 6
-# negate their first and second input, 1/2 are constants, 3/5 projections.
-U2_TRUTH: dict[int, tuple[int, int, int, int]] = {
-    1: (1, 1, 1, 1),
-    2: (0, 0, 0, 0),
-    3: (1, 1, 0, 0),
-    4: (0, 0, 1, 1),
-    5: (1, 0, 1, 0),
-    6: (0, 1, 0, 1),
-    7: (1, 1, 0, 1),
-    8: (0, 0, 1, 0),
-    9: (1, 0, 1, 1),
-    10: (0, 1, 0, 0),
-    11: (1, 0, 0, 0),
-    12: (0, 1, 1, 1),
-    13: (1, 1, 1, 0),
-    14: (0, 0, 0, 1),
-}
-
-INPUT = LabelKind("x", 0, None, None, 1, terms.Var)
-
-# Every gate kind by its text name.  Truth rows are ordered as in U2_TRUTH;
-# the weights make ``graph_measure`` fall on every rewrite step.
-KINDS: dict[str, LabelKind] = {
-    kind.name: kind
-    for kind in (
-        LabelKind("CONST0", 0, "demorgan", (0,), 5, terms.Const0),
-        LabelKind("CONST1", 0, "demorgan", (1,), 2, terms.Const1),
-        LabelKind("NOT", 1, "demorgan", (0, 1), 1, terms.Not),
-        LabelKind("AND", 2, "demorgan", (1, 0, 0, 0), 4, terms.And),
-        LabelKind("OR", 2, "demorgan", (1, 1, 1, 0), 4, terms.Or),
-        *(LabelKind(f"U2_{op}", 2, "u2", truth, 0, None) for op, truth in U2_TRUTH.items()),
-    )
-}
 
 
 def _kind_of(label: object, name: str, error: str) -> None:
@@ -150,10 +87,6 @@ U2_LABELS: dict[int, U2Label] = {op: U2Label(op) for op in U2_TRUTH}
 LABELS: dict[str, GateLabel] = {
     label.kind.name: label for label in (CONST0, CONST1, NOT, AND, OR, *U2_LABELS.values())
 }
-
-# The gate label of each formula node kind.  Rule patterns compile through
-# this table and unrollings read the kinds' term nodes.
-TERM_LABELS: dict[type, GateLabel] = {label.kind.term: label for label in LABELS.values() if label.kind.term}
 
 
 def is_binary(label: GateLabel) -> bool:
@@ -355,7 +288,7 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
         item = todo.pop()
         if isinstance(item, Edge):
             k = len(built) - len(item.args)
-            node = item.label.kind.term(*built[k:])
+            node = terms.Op(item.label.kind, *built[k:])
             del built[k:]
             built.append(node)
             continue

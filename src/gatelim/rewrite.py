@@ -12,9 +12,8 @@ are literally the same wire and the tautology rules only when one argument
 is the other fed through a negation gate.
 
 A rewrite step removes the matched gate, splices in the right-hand pattern
-(identifying the site with its root, and the open vertex with its matched
-wire when the right-hand side reuses it), then garbage-collects everything
-unreachable from the root.
+(identifying the site with its root, and each open vertex with its matched
+wire), then garbage-collects everything unreachable from the root.
 
 The normalizer keeps circuits *maximally shared*: no two edges carry
 the same label and the same argument wires.  Merging such parallel duplicates
@@ -56,7 +55,7 @@ kinds of the site's edge and of its arguments' producers; below an argument
 produced by an edge of a kind in ``_INNER_KINDS`` (the kinds of the non-root
 left-hand edges with arguments, derived from ``RULES``), that edge's argument
 wires and the kinds of their producers; and which of all these wires are the
-same wire.  A kind is a row of the label table (``circuits.KINDS``), so the
+same wire.  A kind is a row of the label table (``terms.KINDS``), so the
 two constants are two kinds.  No left-hand side reads more, so the index
 decides: its memo runs the one left-hand matcher on the small neighbourhood
 the key describes, and ``match_at`` runs only where a rule matches, to build
@@ -78,7 +77,7 @@ choice consumes the walk up to the first live site (``det``) or until every
 live site has come out (``rand``).  New vertex and edge ids are one more than
 the largest live id, as in ``apply_rewrite``, which fires one step on the
 same working graph.  On a circuit that starts without inversions only a
-ground right-hand side, numbered so from its root down, makes any.
+right-hand side with edges, numbered so from its root down, makes any.
 
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
@@ -104,17 +103,16 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .circuits import (
-    TERM_LABELS,
+    LABELS,
     Circuit,
     CircuitError,
     ConstLabel,
     Edge,
-    GateLabel,
     InputLabel,
     LabelKind,
     topo_order,
 )
-from .terms import BudgetError, Term, TermRule, Var, children, demorgan_system, variables
+from .terms import BudgetError, Op, Term, TermRule, demorgan_system, fold, variables
 
 
 class StaleRedexError(CircuitError):
@@ -148,34 +146,24 @@ class GraphRule:
 
 
 def _compile_term(t: Term) -> Pattern:
-    """The pattern of a term: one edge per non-variable node, in pre-order.
+    """The pattern of a term: one edge per non-variable node, parents before children.
 
     Each variable becomes an open vertex named after it, shared by all of
-    its occurrences.
+    its occurrences.  The fold meets the nodes children first and names the
+    k-th one's vertex ``#k``; the edges are listed in reverse.
     """
-    edges: list = []
+    edges: list[PatternEdge] = []
 
-    def vertex(node: Term) -> str:
-        if isinstance(node, Var):
-            return node.name
-        k = len(edges)
-        edges.append(None)  # reserve the slot: parents precede children
-        v = f"#{k}"
-        edges[k] = PatternEdge(TERM_LABELS[type(node)], (v, *map(vertex, children(node))))
-        return v
+    def edge(u: Op, args: list[str]) -> str:
+        edges.append(PatternEdge(LABELS[u.kind.name], (f"#{len(edges)}", *args)))
+        return edges[-1].result
 
-    root = vertex(t)
-    return Pattern(tuple(edges), root, frozenset(variables(t)))
+    root = fold(t, lambda v: v.name, edge)
+    return Pattern(tuple(reversed(edges)), root, frozenset(variables(t)))
 
 
 def compile_rule(rule: TermRule) -> GraphRule:
-    """The circuit form of a formula rule.
-
-    ``apply_rewrite`` splices a right-hand side either as a bare variable or
-    as a ground term, so any other right-hand side is rejected.
-    """
-    if not isinstance(rule.rhs, Var) and variables(rule.rhs):
-        raise ValueError(f"rule {rule.name}: right-hand side must be a bare variable or ground")
+    """The circuit form of a formula rule."""
     return GraphRule(rule.name, _compile_term(rule.lhs), _compile_term(rule.rhs))
 
 
@@ -218,9 +206,6 @@ _INNER_KINDS = frozenset(pe.label.kind for rule in RULES for pe in rule.lhs.edge
 # every left-hand edge with arguments is the root or one hop below it.
 if any(pe.args and d > 1 for rule in RULES for pe, d in zip(rule.lhs.edges, _edge_depths(rule.lhs))):
     raise ValueError("a left-hand edge with arguments lies deeper than the candidate key reads")
-
-# The one label of each gate kind; input and u2 kinds occur in no pattern.
-_LABEL_OF: dict[LabelKind, GateLabel] = {label.kind: label for label in TERM_LABELS.values()}
 
 
 def _bind(edges: Mapping[int, Edge], producer: Mapping[int, int], lhs: Pattern, site: int) -> Optional[dict]:
@@ -267,12 +252,12 @@ def _candidates(key: tuple) -> tuple[GraphRule, ...]:
         below.setdefault(v, (k, None))
     site = len(shape)
     fresh = itertools.count(site + 1)
-    edges = {site: Edge(_LABEL_OF[kind], (site, *shape[:arity]))}  # keyed by result vertex
+    edges = {site: Edge(LABELS[kind.name], (site, *shape[:arity]))}  # keyed by result vertex
     for v, (k, args) in below.items():
-        if k in _LABEL_OF:
+        if k is not None and k.term:  # a kind some pattern edge can have
             if args is None:
                 args = tuple(itertools.islice(fresh, k.arity))
-            edges[v] = Edge(_LABEL_OF[k], (v, *args))
+            edges[v] = Edge(LABELS[k.name], (v, *args))
     producer = {v: v for v in edges}
     return tuple(rule for rule in rules if _bind(edges, producer, rule.lhs, site) is not None)
 
@@ -456,16 +441,19 @@ class WorkingGraph:
             raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
         site = redex.site
         rhs = redex.rule.rhs
-        ground = rhs.root not in rhs.open_vertices
-        if ground:
+        spliced = rhs.root not in rhs.open_vertices
+        if spliced:
             next_v = max(max(self.producer), max(self.readers, default=-1)) + 1
             next_e = max(self.edges) + 1
         removed = [self.producer[site]]
         candidates = [*self._delete(removed[0]).args, *self.orphans]
         self.orphans = []
         added: list[int] = []
-        if ground:
+        if spliced:
+            # Only the open vertices name matched wires: internal ones are
+            # named #k on both sides, and each side's are its own.
             local: dict[str, int] = {rhs.root: site}
+            local.update((name, redex.vertex_map[name]) for name in rhs.open_vertices)
             for pe in rhs.edges:
                 for name in pe.att:
                     if name not in local:
@@ -659,8 +647,8 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     """One proper rewrite step at the redex.
 
     Removes the unique gate producing the site, splices in the right-hand
-    pattern (site = its root; the open vertex, when reused, = its matched
-    wire), and garbage-collects.  The redex is re-verified first.  Parallel
+    pattern (site = its root; each open vertex = its matched wire), and
+    garbage-collects.  The redex is re-verified first.  Parallel
     duplicates the step makes are left in place.
     """
     graph = WorkingGraph(c)

@@ -1,21 +1,25 @@
 """Boolean formulas as trees, and a convergent simplification system for them.
 
-Terms are built from binary ``and``/``or``, unary ``not``, the constants
-``zero``/``one``, and named variables.  The module ships a fixed 16-rule
-simplification system over this signature (loaded from ``data/demorgan_rules.txt``)
-together with the machinery needed to certify it convergent: a node-weight
-measure that strictly decreases on every rewrite (termination) and a critical
-pair computation whose joinability, combined with termination, gives
-confluence by Newman's lemma.
+A term is a variable (``Var``) or an operator node (``Op``) whose ``kind``
+is a row of the label table ``KINDS``, as a circuit gate's is: the row gives
+its arity, truth table and formula name (``zero``, ``one``, ``not``, ``and``,
+``or``).  No term operation recurses, so any depth is fine.
+
+The module ships a fixed 16-rule simplification system over this signature
+(loaded from ``data/demorgan_rules.txt``) together with the machinery needed
+to certify it convergent: a node-weight measure that strictly decreases on
+every rewrite (termination) and a critical pair computation whose
+joinability, combined with termination, gives confluence by Newman's lemma.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 
 class BudgetError(RuntimeError):
@@ -26,117 +30,188 @@ class BudgetError(RuntimeError):
     """
 
 
+@dataclass(frozen=True, eq=False)
+class LabelKind:
+    """The facts every label of one kind shares: a row of ``KINDS``, or ``INPUT``.
+
+    Kinds compare and hash by identity, so a dict keyed by kind costs what
+    one keyed by type does.
+    """
+
+    name: str  # the op in the text format; an input's name is this and its index
+    arity: int
+    basis: Optional[str]  # None for inputs, which every basis has
+    truth: Optional[tuple[int, ...]]  # output bit per row of argument bits, in ``output``'s order
+    weight: int  # the gate's part of the termination measure
+    term: Optional[str]  # the operator's name in formula text; inputs and u2 gates have none
+
+    def output(self, *bits: int) -> int:
+        """The output bit on these argument bits.
+
+        Row r is where the complemented bits, the first most significant,
+        spell r in binary, so the all-ones row is row 0.
+        """
+        row = 0
+        for bit in bits:
+            row = 2 * row + 1 - bit
+        return self.truth[row]
+
+
+# Truth table of each binary operation, rows ordered (p,q) = TT, TF, FT, FF.
+# This table is the single source of truth for op semantics; ops 4 and 6
+# negate their first and second input, 1/2 are constants, 3/5 projections.
+U2_TRUTH: dict[int, tuple[int, int, int, int]] = {
+    1: (1, 1, 1, 1),
+    2: (0, 0, 0, 0),
+    3: (1, 1, 0, 0),
+    4: (0, 0, 1, 1),
+    5: (1, 0, 1, 0),
+    6: (0, 1, 0, 1),
+    7: (1, 1, 0, 1),
+    8: (0, 0, 1, 0),
+    9: (1, 0, 1, 1),
+    10: (0, 1, 0, 0),
+    11: (1, 0, 0, 0),
+    12: (0, 1, 1, 1),
+    13: (1, 1, 1, 0),
+    14: (0, 0, 0, 1),
+}
+
+INPUT = LabelKind("x", 0, None, None, 1, None)
+
+# Every gate kind by its text name.  Truth rows are ordered as in U2_TRUTH;
+# the weights make ``graph_measure`` fall on every rewrite step.
+KINDS: dict[str, LabelKind] = {
+    kind.name: kind
+    for kind in (
+        LabelKind("CONST0", 0, "demorgan", (0,), 5, "zero"),
+        LabelKind("CONST1", 0, "demorgan", (1,), 2, "one"),
+        LabelKind("NOT", 1, "demorgan", (0, 1), 1, "not"),
+        LabelKind("AND", 2, "demorgan", (1, 0, 0, 0), 4, "and"),
+        LabelKind("OR", 2, "demorgan", (1, 1, 1, 0), 4, "or"),
+        *(LabelKind(f"U2_{op}", 2, "u2", truth, 0, None) for op, truth in U2_TRUTH.items()),
+    )
+}
+
+# The kinds formula nodes have, by their names in formula text.
+_OPERATORS: dict[str, LabelKind] = {kind.term: kind for kind in KINDS.values() if kind.term}
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
+    args: ClassVar[tuple] = ()  # no arguments, so a walk reads ``args`` on every node alike
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const0:
+class Op:
+    """An operator node: ``kind`` is its row of ``KINDS`` and ``args`` its arguments.
+
+    Immutable.  The hash is computed once, from the arguments' hashes, and
+    ``==`` walks both terms with a stack of pairs, so neither recurses.
+    """
+
+    __slots__ = ("kind", "args", "_hash")
+
+    def __init__(self, kind: LabelKind, *args: Term):
+        if kind.term is None or len(args) != kind.arity:
+            raise ValueError(f"no formula node of kind {kind.name} has {len(args)} arguments")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((kind.term, args)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:  # copied and pickled as its formula text
+        return parse_term, (repr(self),)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Op:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            # types first: a ``!=`` on a mixed pair would come back here
+            if type(a) is not type(b) or (a != b if type(a) is Var else a._hash != b._hash or a.kind is not b.kind):
+                return False
+            stack.extend(zip(a.args, b.args))
+        return True
+
     def __repr__(self) -> str:
-        return "zero"
+        return fold(self, repr, lambda u, args: f"({' '.join([u.kind.term, *args])})" if args else u.kind.term)
 
 
-@dataclass(frozen=True)
-class Const1:
-    def __repr__(self) -> str:
-        return "one"
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "Term"
-
-    def __repr__(self) -> str:
-        return f"(not {self.child!r})"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Term"
-    right: "Term"
-
-    def __repr__(self) -> str:
-        return f"(and {self.left!r} {self.right!r})"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Term"
-    right: "Term"
-
-    def __repr__(self) -> str:
-        return f"(or {self.left!r} {self.right!r})"
-
-
-Term = Union[Var, Const0, Const1, Not, And, Or]
+Term = Union[Var, Op]
 Binding = dict[str, Term]
 Position = tuple[int, ...]
 
-ZERO = Const0()
-ONE = Const1()
+ZERO = Op(KINDS["CONST0"])
+ONE = Op(KINDS["CONST1"])
+Not = functools.partial(Op, KINDS["NOT"])
+And = functools.partial(Op, KINDS["AND"])
+Or = functools.partial(Op, KINDS["OR"])
 
 
-def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Not):
-        return (t.child,)
-    if isinstance(t, (And, Or)):
-        return (t.left, t.right)
-    return ()
+def fold(t: Term, var: Callable, op: Callable):
+    """Fold t bottom-up: ``var(v)`` at each variable, ``op(u, values of u.args)`` at each operator node.
 
-
-def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
-    if isinstance(t, Not):
-        return Not(kids[0])
-    if isinstance(t, And):
-        return And(kids[0], kids[1])
-    if isinstance(t, Or):
-        return Or(kids[0], kids[1])
-    return t
+    The calls come in post-order, left to right.
+    """
+    values: list = []
+    todo: list = [t]  # terms to fold, and (u,) once the values of u's arguments are the last in values
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            (u,) = u
+            k = len(values) - len(u.args)
+            values[k:] = [op(u, values[k:])]
+        elif type(u) is Var:
+            values.append(var(u))
+        else:
+            todo.append((u,))
+            todo.extend(reversed(u.args))
+    return values[0]
 
 
 def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for c in children(t):
-        out |= variables(c)
-    return out
+    return fold(t, lambda v: {v.name}, lambda u, names: set().union(*names))
 
 
 def positions(t: Term) -> Iterator[Position]:
     """All subterm positions of t, root first, in left-to-right order."""
-    yield ()
-    for i, c in enumerate(children(t)):
-        for p in positions(c):
-            yield (i,) + p
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        yield pos
+        stack.extend((pos + (i,), u.args[i]) for i in reversed(range(len(u.args))))
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
     for i in pos:
-        t = children(t)[i]
+        t = t.args[i]
     return t
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    kids = list(children(t))
-    kids[pos[0]] = replace_at(kids[pos[0]], pos[1:], new)
-    return rebuild(t, tuple(kids))
+    spine = [t]  # the nodes above the position, root first
+    for i in pos[:-1]:
+        spine.append(spine[-1].args[i])
+    for u, i in zip(reversed(spine), reversed(pos)):
+        new = Op(u.kind, *u.args[:i], new, *u.args[i + 1 :])
+    return new
 
 
 def apply_substitution(t: Term, binding: Binding) -> Term:
     """Replace every variable in binding's domain by its image."""
-    if isinstance(t, Var):
-        return binding.get(t.name, t)
-    kids = children(t)
-    if not kids:
-        return t
-    return rebuild(t, tuple(apply_substitution(c, binding) for c in kids))
+    return fold(t, lambda v: binding.get(v.name, v), lambda u, args: Op(u.kind, *args))
 
 
 def match(pattern: Term, t: Term) -> Optional[Binding]:
@@ -144,37 +219,26 @@ def match(pattern: Term, t: Term) -> Optional[Binding]:
 
     Returns a binding with apply_substitution(pattern, binding) == t, or
     None.  A variable occurring twice in the pattern must match equal
-    subterms.
+    subterms.  Pairs are visited left to right.
     """
     binding: Binding = {}
-
-    def go(p: Term, s: Term) -> bool:
-        if isinstance(p, Var):
-            bound = binding.get(p.name)
-            if bound is None:
-                binding[p.name] = s
-                return True
-            return bound == s
-        if type(p) is not type(s):
-            return False
-        return all(go(pc, sc) for pc, sc in zip(children(p), children(s)))
-
-    return binding if go(pattern, t) else None
+    stack = [(pattern, t)]
+    while stack:
+        p, s = stack.pop()
+        if type(p) is Var:
+            bound = binding.setdefault(p.name, s)
+            if bound is not s and bound != s:
+                return None
+        elif type(s) is Var or p.kind is not s.kind:
+            return None
+        else:
+            stack.extend(zip(reversed(p.args), reversed(s.args)))
+    return binding
 
 
 def evaluate_term(t: Term, env: dict[str, int]) -> int:
     """Standard Boolean semantics; env maps variable names to 0/1."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Const0):
-        return 0
-    if isinstance(t, Const1):
-        return 1
-    if isinstance(t, Not):
-        return 1 - evaluate_term(t.child, env)
-    if isinstance(t, And):
-        return evaluate_term(t.left, env) & evaluate_term(t.right, env)
-    return evaluate_term(t.left, env) | evaluate_term(t.right, env)
+    return fold(t, lambda v: env[v.name], lambda u, bits: u.kind.output(*bits))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +252,7 @@ class TermRule:
     rhs: Term
 
     def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
+        if type(self.lhs) is Var:
             raise ValueError(f"rule {self.name}: left-hand side is a bare variable")
         if not variables(self.rhs) <= variables(self.lhs):
             raise ValueError(f"rule {self.name}: right-hand side introduces variables")
@@ -205,19 +269,24 @@ def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:
     """One leftmost-innermost rewrite step; rules tried in system order.
 
     Returns (result, redex position, rule name), or None if t is in
-    normal form.
+    normal form.  The redex is the first node in post-order where a rule
+    matches, and only its position is built.
     """
-    for i, c in enumerate(children(t)):
-        got = rewrite_step(trs, c)
-        if got is not None:
-            new_child, pos, name = got
-            kids = list(children(t))
-            kids[i] = new_child
-            return rebuild(t, tuple(kids)), (i,) + pos, name
-    for rule in trs.rules:
-        binding = match(rule.lhs, t)
-        if binding is not None:
-            return apply_substitution(rule.rhs, binding), (), rule.name
+    path = [[t, 0]]  # the nodes from the root down, each with how many of its arguments were entered
+    while path:
+        u, i = path[-1]
+        if i < len(u.args):
+            path[-1][1] += 1
+            path.append([u.args[i], 0])
+            continue
+        path.pop()
+        if type(u) is Var:
+            continue
+        for rule in trs.rules:
+            binding = match(rule.lhs, u)
+            if binding is not None:
+                pos = tuple(i - 1 for _, i in path)
+                return replace_at(t, pos, apply_substitution(rule.rhs, binding)), pos, rule.name
     return None
 
 
@@ -271,17 +340,17 @@ def weight_shape(t: Term) -> tuple[int, int]:
     """(skel, occ): the weight of t's non-variable nodes and its number of variable occurrences.
 
     This is the one definition of the per-node weight: zero weighs 3, every
-    other node 1.  Walks with an explicit stack, so any depth is fine.
+    other node 1.
     """
     skel = occ = 0
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
+        if type(u) is Var:
             occ += 1
         else:
-            skel += 3 if isinstance(u, Const0) else 1
-            stack.extend(children(u))
+            skel += 3 if u.kind is ZERO.kind else 1
+            stack.extend(u.args)
     return skel, occ
 
 
@@ -314,46 +383,39 @@ class CriticalPair:
 
 
 def unify(s: Term, t: Term) -> Optional[Binding]:
-    """Syntactic unification with occurs check; returns a fully resolved mgu."""
+    """Syntactic unification with occurs check; returns a fully resolved mgu.
+
+    Pairs are visited depth first, left to right: that order picks the
+    variable each binding binds, and so the names in critical pairs.
+    """
     subst: Binding = {}
 
     def resolve(u: Term) -> Term:
-        while isinstance(u, Var) and u.name in subst:
+        while type(u) is Var and u.name in subst:
             u = subst[u.name]
         return u
 
-    def occurs(name: str, u: Term) -> bool:
-        u = resolve(u)
-        if isinstance(u, Var):
-            return u.name == name
-        return any(occurs(name, c) for c in children(u))
+    def resolved(u: Term) -> Term:  # substituted until no variable of it is bound
+        while variables(u) & subst.keys():
+            u = apply_substitution(u, subst)
+        return u
 
-    def go(a: Term, b: Term) -> bool:
-        a, b = resolve(a), resolve(b)
-        if isinstance(a, Var):
-            if isinstance(b, Var) and b.name == a.name:
-                return True
-            if occurs(a.name, b):
-                return False
+    stack = [(s, t)]
+    while stack:
+        a, b = map(resolve, stack.pop())
+        if type(a) is not Var and type(b) is Var:
+            a, b = b, a
+        if type(a) is Var:
+            if type(b) is Var and b.name == a.name:
+                continue
+            if a.name in variables(resolved(b)):
+                return None
             subst[a.name] = b
-            return True
-        if isinstance(b, Var):
-            return go(b, a)
-        if type(a) is not type(b):
-            return False
-        return all(go(ca, cb) for ca, cb in zip(children(a), children(b)))
-
-    if not go(s, t):
-        return None
-
-    def deep(u: Term) -> Term:
-        u = resolve(u)
-        kids = children(u)
-        if not kids:
-            return u
-        return rebuild(u, tuple(deep(c) for c in kids))
-
-    return {name: deep(Var(name)) for name in subst}
+        elif a.kind is not b.kind:
+            return None
+        else:
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+    return {name: resolved(u) for name, u in subst.items()}
 
 
 def critical_pairs(trs: TRS) -> list[CriticalPair]:
@@ -363,9 +425,19 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
     left-hand side that unifies with the (renamed) inner left-hand side, the
     two one-step results of the overlapped term.  The root overlap of a rule
     with itself is trivial and skipped.
+
+    The inner rule is renamed apart to names no rule uses: each old name and
+    the least number from 2 up that frees all of them (Baader and Nipkow,
+    *Term Rewriting and All That*, 1998, ch. 6).
     """
     pairs = []
-    apart = [{v: Var(v + "2") for v in variables(r.lhs)} for r in trs.rules]  # an rhs reads only lhs variables
+    taken = set().union(*(variables(r.lhs) for r in trs.rules))  # an rhs reads only lhs variables
+    apart = []
+    for r in trs.rules:
+        names, k = variables(r.lhs), 2
+        while any(f"{v}{k}" in taken for v in names):
+            k += 1
+        apart.append({v: Var(f"{v}{k}") for v in names})
     renamed = [(apply_substitution(r.lhs, a), apply_substitution(r.rhs, a)) for r, a in zip(trs.rules, apart)]
     for i, outer in enumerate(trs.rules):
         for j, (inner, (inner_lhs, inner_rhs)) in enumerate(zip(trs.rules, renamed)):
@@ -373,7 +445,7 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
                 if pos == () and i == j:
                     continue
                 sub = subterm_at(outer.lhs, pos)
-                if isinstance(sub, Var):
+                if type(sub) is Var:
                     continue
                 sigma = unify(sub, inner_lhs)
                 if sigma is None:
@@ -399,19 +471,24 @@ class ConvergenceReport:
 
 
 def random_term(rng: random.Random, max_depth: int, var_names: tuple[str, ...] = ("x1", "x2", "x3")) -> Term:
-    leaves: tuple[Term, ...] = (ZERO, ONE) + tuple(Var(v) for v in var_names)
-
-    def draw(depth: int) -> Term:
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(leaves)
-        kind = rng.choice(("not", "and", "or"))
-        if kind == "not":
-            return Not(draw(depth - 1))
-        left = draw(depth - 1)
-        right = draw(depth - 1)
-        return And(left, right) if kind == "and" else Or(left, right)
-
-    return draw(max_depth)
+    """A random term at most max_depth deep; each node is drawn before its arguments."""
+    leaves = tuple(Op(kind) for kind in _OPERATORS.values() if not kind.arity) + tuple(map(Var, var_names))
+    ops = tuple(kind for kind in _OPERATORS.values() if kind.arity)
+    open_: list[tuple[LabelKind, list[Term]]] = []  # operator nodes still missing arguments, outermost first
+    while True:
+        if len(open_) == max_depth or rng.random() < 0.3:
+            t = rng.choice(leaves)
+            while open_:  # close every node t completes
+                kind, args = open_[-1]
+                args.append(t)
+                if len(args) < kind.arity:
+                    break
+                open_.pop()
+                t = Op(kind, *args)
+            else:
+                return t
+        else:
+            open_.append((rng.choice(ops), []))
 
 
 def certify_convergence(trs: TRS, samples: int = 1000, seed: int = 0) -> ConvergenceReport:
@@ -464,43 +541,43 @@ _TOKEN_RE = re.compile(r"\(|\)|[a-z0-9_]+")
 
 
 def parse_term(text: str) -> Term:
-    """Parse an s-expression term: (and T T), (or T T), (not T), zero, one, vars."""
+    """Parse an s-expression term: (and T T), (or T T), (not T), zero, one, vars.
+
+    The operators and constants are the formula names in ``KINDS``.
+    """
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens) != re.sub(r"\s+", "", text):
         raise RuleSyntaxError(f"bad characters in term: {text!r}")
+    open_: list[tuple[LabelKind, list[Term]]] = []  # operator nodes not yet closed, outermost first
     pos = 0
-
-    def next_token() -> str:
-        nonlocal pos
+    while True:
         if pos >= len(tokens):
             raise RuleSyntaxError(f"unexpected end of term: {text!r}")
         tok = tokens[pos]
         pos += 1
-        return tok
-
-    def parse() -> Term:
-        tok = next_token()
-        if tok == "(":
-            head = next_token()
-            if head == "not":
-                t: Term = Not(parse())
-            elif head in ("and", "or"):
-                left, right = parse(), parse()
-                t = And(left, right) if head == "and" else Or(left, right)
-            else:
-                raise RuleSyntaxError(f"unknown operator {head!r}")
-            if next_token() != ")":
+        if open_ and len(open_[-1][1]) == open_[-1][0].arity:
+            if tok != ")":
                 raise RuleSyntaxError(f"missing ')' in {text!r}")
-            return t
-        if tok == ")":
+            kind, args = open_.pop()
+            t = Op(kind, *args)
+        elif tok == "(":
+            if pos >= len(tokens):
+                raise RuleSyntaxError(f"unexpected end of term: {text!r}")
+            head = tokens[pos]
+            pos += 1
+            kind = _OPERATORS.get(head)
+            if kind is None or not kind.arity:
+                raise RuleSyntaxError(f"unknown operator {head!r}")
+            open_.append((kind, []))
+            continue
+        elif tok == ")":
             raise RuleSyntaxError(f"unexpected ')' in {text!r}")
-        if tok == "zero":
-            return ZERO
-        if tok == "one":
-            return ONE
-        return Var(tok)
-
-    t = parse()
+        else:
+            kind = _OPERATORS.get(tok)
+            t = Op(kind) if kind is not None and not kind.arity else Var(tok)
+        if not open_:
+            break
+        open_[-1][1].append(t)
     if pos != len(tokens):
         raise RuleSyntaxError(f"trailing tokens in {text!r}")
     return t

@@ -10,7 +10,7 @@ One directive per line, ``#`` starts a comment, ASCII only::
     n3 = OR n2 x3
     output n3
 
-Gate ops are the names in the label table ``circuits.KINDS``: AND, OR, NOT,
+Gate ops are the names in the label table ``terms.KINDS``: AND, OR, NOT,
 CONST0, CONST1 (demorgan) and U2_1 .. U2_14 (u2).  Names match
 [a-z][a-z0-9_]* and must be defined before use; ``x<k>`` refers to input k
 and cannot be redefined; there is exactly one ``output`` line.

@@ -34,7 +34,7 @@ from gatelim.circuits import (
     validate,
 )
 from gatelim.refuter import xor_circuit
-from gatelim.terms import And, Not, Or, Var, children
+from gatelim.terms import And, Not, Or, Var
 
 
 def single_input():
@@ -299,17 +299,21 @@ def test_unroll_deep_chain_without_recursion():
     depth = 1500
     b = CircuitBuilder(2)
     acc = b.input(1)
+    direct = Var("x1")
     for k in range(depth):
         acc = (b.and_ if k % 2 == 0 else b.or_)(acc, b.input(2))
+        direct = (And if k % 2 == 0 else Or)(direct, Var("x2"))
     t = unroll_term(b.build(acc))
-    # walk the term iteratively: dataclass equality and repr would recurse
     kinds: dict[str, int] = {}
     stack = [t]
     while stack:
         node = stack.pop()
-        kinds[type(node).__name__] = kinds.get(type(node).__name__, 0) + 1
-        stack.extend(children(node))
-        if isinstance(node, Var):
+        name = "Var" if type(node) is Var else node.kind.name
+        kinds[name] = kinds.get(name, 0) + 1
+        stack.extend(node.args)
+        if type(node) is Var:
             assert node.name == ("x1" if kinds["Var"] == depth + 1 else "x2")
-    assert kinds == {"Or": depth // 2, "And": depth // 2, "Var": depth + 1}
-    assert isinstance(t, Or)
+    assert kinds == {"OR": depth // 2, "AND": depth // 2, "Var": depth + 1}
+    assert t.kind.name == "OR"
+    # term equality and repr walk without recursion too, at a depth recursion could not reach
+    assert t == direct and repr(t) == repr(direct)

@@ -13,7 +13,6 @@ from gatelim.circuits import (
     LABELS,
     NOT,
     OR,
-    TERM_LABELS,
     CircuitBuilder,
     CircuitError,
     ConstLabel,
@@ -25,7 +24,7 @@ from gatelim.circuits import (
     label_name,
 )
 from gatelim.rewrite import WorkingGraph, graph_measure
-from gatelim.terms import Var, evaluate_term
+from gatelim.terms import Op, Var, evaluate_term
 from gatelim.textio import parse_circuit, serialize_circuit
 from gatelim.u2 import u2_semantics
 
@@ -46,7 +45,16 @@ def test_every_gate_kind_has_one_label():
     assert [label.kind for label in ALL_LABELS] == list(KINDS.values())
     assert sorted(label_name(label) for label in ALL_LABELS) == sorted(KINDS)
     assert len(ALL_LABELS) == 5 + len(U2_TRUTH)
-    assert TERM_LABELS == {kind.term: LABELS[name] for name, kind in KINDS.items() if kind.basis == "demorgan"}
+    # every demorgan kind, and only those, is a formula node with a name in formula text
+    assert {name: kind.term for name, kind in KINDS.items() if kind.term} == {
+        "CONST0": "zero",
+        "CONST1": "one",
+        "NOT": "not",
+        "AND": "and",
+        "OR": "or",
+    }
+    assert all((kind.term is None) == (kind.basis != "demorgan") for kind in KINDS.values())
+    assert INPUT.term is None
 
 
 @pytest.mark.parametrize("label", ALL_LABELS, ids=label_name)
@@ -75,7 +83,7 @@ def test_evaluate_agrees_with_the_term_node_or_u2_semantics(label):
         if isinstance(label, U2Label):
             expected = u2_semantics(label.op, *bits)
         else:
-            node = label.kind.term(*(Var(f"x{i}") for i in range(1, len(bits) + 1)))
+            node = Op(label.kind, *(Var(f"x{i}") for i in range(1, len(bits) + 1)))
             expected = evaluate_term(node, {f"x{i}": b for i, b in enumerate(bits, start=1)})
         assert evaluate(c, bits) == label.kind.output(*bits) == expected
 

@@ -42,7 +42,7 @@ from gatelim.rewrite import (
     StaleRedexError,
     substitute_input,
 )
-from gatelim.terms import ONE, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term
+from gatelim.terms import ONE, TRS, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_at
 from gatelim.textio import serialize_circuit
 
 TRS_B = demorgan_system()
@@ -84,9 +84,24 @@ def test_repeated_variable_compiles_to_one_shared_open_vertex():
     assert and_dedup.rhs.root == open_vertex and and_dedup.rhs.edges == ()
 
 
-def test_compile_rule_rejects_a_nested_variable_on_the_right():
-    with pytest.raises(ValueError):
-        compile_rule(TermRule("bad", And(Var("g"), ONE), Not(Var("g"))))
+def test_compile_rule_splices_a_right_hand_side_with_variables_inside():
+    # De Morgan backwards: the right-hand side has edges and reads both matched wires
+    g, h = Var("g"), Var("h")
+    term_rule = TermRule("demorgan_back", Or(Not(g), Not(h)), Not(And(g, h)))
+    rule = compile_rule(term_rule)
+    b = CircuitBuilder(3)
+    n1 = b.not_(b.input(1))  # also read outside the redex, so a reused left-hand wire would stay live
+    site = b.or_(n1, b.not_(b.input(2)))
+    c = b.build(b.and_(site, b.or_(n1, b.input(3))))
+    redex = match_at(c, rule, site)
+    assert redex is not None
+    out, step = apply_rewrite(c, redex)
+    assert validate(out) == []
+    assert step.rule == "demorgan_back" and len(step.added_edges) == 2
+    expected = rewrite_at(TRS((term_rule,)), unroll_term(c), (0,), term_rule)
+    assert unroll_term(out) == expected
+    assert unroll_term(out) == And(Not(And(Var("x1"), Var("x2"))), Or(Not(Var("x1")), Var("x3")))
+    assert truth_table(out) == truth_table(c)
 
 
 def test_find_redexes_dedup_requires_shared_wire():

@@ -1,17 +1,19 @@
 """Formula rewriting: matching, normalization, and the convergence certificate."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatelim.terms import (
     ONE,
     ZERO,
     And,
     BudgetError,
-    Const0,
     Not,
     Or,
     TermRule,
@@ -28,9 +30,13 @@ from gatelim.terms import (
     normalize_term,
     normalize_term_random,
     parse_term,
+    positions,
     random_term,
+    redexes,
     rewrite_step,
+    subterm_at,
     term_weight,
+    unify,
     variables,
     weight_shape,
 )
@@ -133,12 +139,8 @@ def test_weight_shape_gives_the_weight_of_every_instance():
 
 def reference_weight(t):
     """The measure as first written: zero weighs 3, every other node 1."""
-    w = 3 if isinstance(t, Const0) else 1
-    if isinstance(t, Not):
-        return w + reference_weight(t.child)
-    if isinstance(t, (And, Or)):
-        return w + reference_weight(t.left) + reference_weight(t.right)
-    return w
+    w = 3 if t == ZERO else 1
+    return w + sum(reference_weight(a) for a in t.args)
 
 
 def reference_violations(trs, samples, seed):
@@ -241,15 +243,17 @@ def assert_normal_structure(t):
     if t == ONE or t == Not(ONE):
         return
 
+    def op(s):
+        return None if type(s) is Var else s.kind.term
+
     def walk(s):
         assert s != ZERO and s != ONE, "constant inside a non-constant normal form"
-        if isinstance(s, Not):
-            assert not isinstance(s.child, Not), "double negation in normal form"
-            walk(s.child)
-        elif isinstance(s, (And, Or)):
-            assert s.left != s.right, "equal-sibling gate in normal form"
-            walk(s.left)
-            walk(s.right)
+        if op(s) == "not":
+            assert op(s.args[0]) != "not", "double negation in normal form"
+        elif op(s) in ("and", "or"):
+            assert s.args[0] != s.args[1], "equal-sibling gate in normal form"
+        for a in s.args:
+            walk(a)
 
     walk(t)
 
@@ -320,6 +324,31 @@ def test_critical_pairs_are_pinned():
     assert digest == "dae8cbdd0cc8d821578a83d71c753627fa87e8f69e9ac9e7fb2bd1dfd15851f8"
 
 
+def up_to_renaming(pairs):
+    """The pairs with their variables renamed v0, v1, ... in order of first occurrence."""
+    out = []
+    for p in pairs:
+        names = {}
+        for t in (p.left, p.right):
+            for pos in positions(t):
+                u = subterm_at(t, pos)
+                if type(u) is Var:
+                    names.setdefault(u.name, Var(f"v{len(names)}"))
+        renamed = (apply_substitution(p.left, names), apply_substitution(p.right, names))
+        out.append((p.outer_rule, p.inner_rule, p.position, renamed))
+    return out
+
+
+def test_renaming_apart_avoids_the_outer_rules_variables():
+    # the inner rule's g renamed g2 would capture the outer rule's own g2
+    outer = TermRule("a", parse_term("(and g2 (not g))"), Var("g2"))
+    over_g = critical_pairs(TRS((outer, TermRule("b", Not(G), G))))
+    over_h = critical_pairs(TRS((outer, TermRule("b", Not(Var("h")), Var("h")))))
+    assert [(p.left, p.right) for p in over_h] == [(Var("g2"), And(Var("g2"), Var("h2")))]
+    assert up_to_renaming(over_g) == up_to_renaming(over_h)
+    assert over_g[0].right != And(Var("g2"), Var("g2"))
+
+
 def test_joinable_examples():
     assert joinable(TRS_B, Not(ONE), And(Not(G), G))
     assert joinable(TRS_B, X1, X1)
@@ -379,3 +408,68 @@ def test_random_term_draws_are_pinned():
         "(or (or zero (and a one)) b)",
         "(or (or (not one) (or b zero)) (not zero))",
     ]
+
+
+def chain(depth, bottom=X1):
+    """An alternating and/or chain: bottom at the end of the left spine, x2 hanging off every node."""
+    t = bottom
+    for k in range(depth):
+        t = (And if k % 2 == 0 else Or)(t, X2)
+    return t
+
+
+DEEP = 10_000
+
+
+def test_term_operations_at_depth_ten_thousand():
+    t, same = chain(DEEP), chain(DEEP)
+    assert t is not same and t == same and hash(t) == hash(same)
+    assert t != chain(DEEP, X2) and t != chain(DEEP - 1) and t != X1
+    text = repr(t)
+    assert text.startswith("(or (and (or ") and text.endswith(" x2)")
+    assert parse_term(text) == t
+    assert evaluate_term(t, {"x1": 1, "x2": 1}) == 1 and evaluate_term(t, {"x1": 1, "x2": 0}) == 0
+    assert apply_substitution(t, {"x1": ONE}) == chain(DEEP, ONE)
+    assert variables(t) == {"x1", "x2"}
+    assert term_weight(t) == 2 * DEEP + 1
+    pattern = chain(DEEP, G)
+    assert match(pattern, chain(DEEP, Not(X1))) == {"g": Not(X1), "x2": X2}
+    assert unify(chain(DEEP, Not(X1)), pattern) == {"g": Not(X1)}
+    assert joinable(TRS_B, t, same)
+    assert normalize_term(TRS_B, t) == t
+    assert normalize_term(TRS_B, chain(DEEP, Not(Not(X1)))) == t
+
+
+def test_positions_and_redexes_at_depth_two_thousand():
+    # a position is a path from the root, so these are quadratic in depth by design
+    depth = 2_000
+    t = chain(depth, Not(Not(X1)))
+    spine = (0,) * depth
+    assert len(list(positions(t))) == 2 * depth + 3
+    assert subterm_at(t, spine) == Not(Not(X1))
+    assert [(pos, rule.name) for pos, rule in redexes(TRS_B, t)] == [(spine, "double_neg_elim")]
+    assert rewrite_step(TRS_B, t) == (chain(depth), spine, "double_neg_elim")
+
+
+small_terms = st.recursive(
+    st.sampled_from([ZERO, ONE, G, X1, X2, Var("g2")]),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.tuples(kids, kids).map(lambda p: And(*p)),
+        st.tuples(kids, kids).map(lambda p: Or(*p)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_terms, small_terms)
+def test_text_equality_and_hash_agree(t, u):
+    assert parse_term(repr(t)) == t
+    assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+    subterms = [subterm_at(s, pos) for s in (t, u) for pos in positions(s)]
+    for a in subterms:
+        for b in subterms:
+            assert (a == b) == (repr(a) == repr(b))
+            if a == b:
+                assert hash(a) == hash(b)
