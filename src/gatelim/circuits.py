@@ -7,6 +7,11 @@ circuits use and/or/not/constant gates, ``u2`` circuits use the fourteen
 binary operations indexed 1..14 (all two-input Boolean functions except
 exclusive-or and its complement).
 
+A gate's label is its row of the label table ``KINDS`` (``INPUT`` for an
+input) plus an input index, 0 for every other kind.  Labels compare as
+tuples, the kind by identity, so every test of a gate's kind is an identity
+test on ``label.kind``.
+
 Circuits are immutable after construction; every operation here is a pure
 function.  Circuit size counts binary gates only - negations, constants, and
 inputs are free.
@@ -15,8 +20,7 @@ inputs are free.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import terms
 from .terms import INPUT, KINDS, U2_TRUTH, LabelKind
@@ -26,80 +30,43 @@ class CircuitError(Exception):
     pass
 
 
-def _kind_of(label: object, name: str, error: str) -> None:
-    """Give a parameterized label the kind its parameter names; ``error`` if there is none."""
-    kind = KINDS.get(name)
-    if kind is None:
-        raise CircuitError(error)
-    object.__setattr__(label, "kind", kind)
+class Label(NamedTuple):
+    """A gate's label: its row of the label table, and for an input its index (0 for every other kind)."""
+
+    kind: LabelKind
+    index: int = 0
 
 
-@dataclass(frozen=True)
-class InputLabel:
-    index: int
-    kind: ClassVar[LabelKind] = INPUT
+# The one label of each gate kind, by its text name, so that builders and
+# the parser construct none.  Only inputs have a label per index.
+LABELS: dict[str, Label] = {name: Label(kind) for name, kind in KINDS.items()}
+NOT, AND, OR, CONST0, CONST1 = (LABELS[name] for name in ("NOT", "AND", "OR", "CONST0", "CONST1"))
 
 
-@dataclass(frozen=True)
-class ConstLabel:
-    value: int
-    kind: LabelKind = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _kind_of(self, f"CONST{self.value}", f"constant {self.value} is not 0 or 1")
+def const_label(value: int) -> Label:
+    if value not in (0, 1):
+        raise CircuitError(f"constant {value} is not 0 or 1")
+    return CONST1 if value else CONST0
 
 
-@dataclass(frozen=True)
-class NotLabel:
-    kind: ClassVar[LabelKind] = KINDS["NOT"]
+def u2_label(op: int) -> Label:
+    label = LABELS.get(f"U2_{op}")
+    if label is None:
+        raise CircuitError(f"u2 op {op} out of range 1..14")
+    return label
 
 
-@dataclass(frozen=True)
-class AndLabel:
-    kind: ClassVar[LabelKind] = KINDS["AND"]
-
-
-@dataclass(frozen=True)
-class OrLabel:
-    kind: ClassVar[LabelKind] = KINDS["OR"]
-
-
-@dataclass(frozen=True)
-class U2Label:
-    op: int
-    kind: LabelKind = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _kind_of(self, f"U2_{self.op}", f"u2 op {self.op} out of range 1..14")
-
-
-GateLabel = Union[InputLabel, ConstLabel, NotLabel, AndLabel, OrLabel, U2Label]
-
-NOT = NotLabel()
-AND = AndLabel()
-OR = OrLabel()
-CONST0 = ConstLabel(0)
-CONST1 = ConstLabel(1)
-
-# The one label of each u2 op, and of each gate kind by text name, so that
-# builders and the parser construct none.
-U2_LABELS: dict[int, U2Label] = {op: U2Label(op) for op in U2_TRUTH}
-LABELS: dict[str, GateLabel] = {
-    label.kind.name: label for label in (CONST0, CONST1, NOT, AND, OR, *U2_LABELS.values())
-}
-
-
-def is_binary(label: GateLabel) -> bool:
+def is_binary(label: Label) -> bool:
     return label.kind.arity == 2
 
 
-def label_name(label: GateLabel) -> str:
+def label_name(label: Label) -> str:
     kind = label.kind
     return f"{kind.name}{label.index}" if kind is INPUT else kind.name
 
 
 class _EdgeFields(NamedTuple):
-    label: GateLabel
+    label: Label
     att: tuple[int, ...]
     result: int
     args: tuple[int, ...]
@@ -115,7 +82,7 @@ class Edge(_EdgeFields):
 
     __slots__ = ()
 
-    def __new__(cls, label: GateLabel, att: tuple[int, ...]) -> Edge:
+    def __new__(cls, label: Label, att: tuple[int, ...]) -> Edge:
         return tuple.__new__(cls, (label, att, att[0], att[1:]))
 
     def __getnewargs__(self):
@@ -141,7 +108,7 @@ class Circuit:
         for eid, e in self.edges.items():
             self.producer[e.result] = eid
             vertices.update(e.att)
-            if isinstance(e.label, InputLabel):
+            if e.label.kind is INPUT:
                 self.inputs.setdefault(e.label.index, eid)
         self.vertices: frozenset[int] = frozenset(vertices)
 
@@ -296,7 +263,7 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
         if count > budget:
             raise terms.BudgetError(f"unrolling exceeds {budget} nodes")
         e = c.producer_edge(item)
-        if isinstance(e.label, InputLabel):
+        if e.label.kind is INPUT:
             built.append(terms.Var(label_name(e.label)))
         else:
             todo.append(e)
@@ -372,7 +339,7 @@ class CircuitBuilder:
         self._next_vertex = 0
         self._next_edge = 0
 
-    def gate(self, label: GateLabel, *args: int) -> int:
+    def gate(self, label: Label, *args: int) -> int:
         """A new gate with this label reading the argument wires; inputs go through ``input``."""
         v = self._next_vertex
         self._next_vertex += 1
@@ -385,11 +352,11 @@ class CircuitBuilder:
         if not 1 <= index <= self.num_inputs:
             raise CircuitError(f"input index {index} out of range 1..{self.num_inputs}")
         if index not in self._inputs:
-            self._inputs[index] = self.gate(InputLabel(index))
+            self._inputs[index] = self.gate(Label(INPUT, index))
         return self._inputs[index]
 
     def const(self, value: int) -> int:
-        return self.gate(ConstLabel(value))
+        return self.gate(const_label(value))
 
     def not_(self, v: int) -> int:
         return self.gate(NOT, v)
@@ -401,7 +368,7 @@ class CircuitBuilder:
         return self.gate(OR, a, b)
 
     def u2(self, op: int, a: int, b: int) -> int:
-        return self.gate(U2_LABELS.get(op) or U2Label(op), a, b)
+        return self.gate(u2_label(op), a, b)
 
     def build(self, root: int, prune: bool = False) -> Circuit:
         edges = self._edges

@@ -49,9 +49,12 @@ def _load(path: str) -> Circuit:
 def _write_trace(path: Optional[str], records: Sequence[dict]) -> None:
     if path is None:
         return
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
+    try:
+        with open(path, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -25,13 +25,13 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .circuits import (
-    AndLabel,
+    AND,
+    INPUT,
+    NOT,
+    OR,
     Circuit,
     CircuitBuilder,
     CircuitError,
-    InputLabel,
-    NotLabel,
-    OrLabel,
     circuit_size,
     evaluate,
     is_binary,
@@ -130,11 +130,11 @@ class Counterexample:
 def literal_of(c: Circuit | WorkingGraph, vertex: int) -> Optional[tuple[int, bool]]:
     """(variable index, negated) if the wire carries an input literal, else None."""
     e = c.producer_edge(vertex)
-    if isinstance(e.label, InputLabel):
+    if e.label.kind is INPUT:
         return e.label.index, False
-    if isinstance(e.label, NotLabel):
+    if e.label.kind is NOT.kind:
         inner = c.producer_edge(e.args[0])
-        if isinstance(inner.label, InputLabel):
+        if inner.label.kind is INPUT:
             return inner.label.index, True
     return None
 
@@ -148,7 +148,7 @@ def costly_readers(g: WorkingGraph, wire: int, walk: Iterator[int], seen: dict[i
     ``seen``, only until each gate has come out.
     """
     wires = [wire]
-    wires += (g.edges[r].result for r in g.readers.get(wire, ()) if isinstance(g.edges[r].label, NotLabel))
+    wires += (g.edges[r].result for r in g.readers.get(wire, ()) if g.edges[r].label.kind is NOT.kind)
     gates = {r for v in wires for r in g.readers.get(v, ()) if is_binary(g.edges[r].label)}
     missing = len(gates - seen.keys())
     while missing:
@@ -174,13 +174,13 @@ def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
     order decides.
     """
     e = c.edges[gate]
-    if not isinstance(e.label, (AndLabel, OrLabel)):
+    if e.label.kind not in (AND.kind, OR.kind):
         raise CircuitError(f"edge {gate} is not an and/or gate")
     for v in e.args:
         lit = literal_of(c, v)
         if lit is not None and lit[0] == index:
             negated = lit[1]
-            if isinstance(e.label, AndLabel):
+            if e.label.kind is AND.kind:
                 return 1 if negated else 0
             return 0 if negated else 1
     raise CircuitError(f"gate {gate} does not read x{index}")
@@ -189,7 +189,7 @@ def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
 def _output_gate(c: WorkingGraph) -> Optional[int]:
     """The edge whose (possibly negated) value is the circuit output."""
     e = c.producer_edge(c.root)
-    if isinstance(e.label, NotLabel):
+    if e.label.kind is NOT.kind:
         return c.producer[e.args[0]]
     return c.producer[c.root]
 

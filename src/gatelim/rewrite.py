@@ -103,13 +103,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .circuits import (
+    INPUT,
     LABELS,
     Circuit,
     CircuitError,
-    ConstLabel,
     Edge,
-    InputLabel,
     LabelKind,
+    const_label,
     topo_order,
 )
 from .terms import BudgetError, Op, Term, TermRule, demorgan_system, fold, variables
@@ -372,7 +372,7 @@ class WorkingGraph:
                 self.inverted += self.producer.get(v, -1) >= eid
         if not e.args:
             self.leaves.add(eid)
-            if isinstance(e.label, InputLabel):
+            if e.label.kind is INPUT:
                 self.inputs.setdefault(e.label.index, eid)
         kind = e.label.kind
         self.size += kind.arity == 2
@@ -391,7 +391,7 @@ class WorkingGraph:
         del self.producer[e.result]
         self.inverted -= self._inverted_readers(eid, e.result)
         self.leaves.discard(eid)
-        if isinstance(e.label, InputLabel) and self.inputs.get(e.label.index) == eid:
+        if e.label.kind is INPUT and self.inputs.get(e.label.index) == eid:
             del self.inputs[e.label.index]
         key = (e.label, e.args)
         if self.table.get(key) == eid:
@@ -605,7 +605,7 @@ class WorkingGraph:
         eid = self.input_edge(index)
         if eid is None:
             raise CircuitError(f"input x{index} is not present")
-        self._add(eid, Edge(ConstLabel(int(bit)), self._delete(eid).att))
+        self._add(eid, Edge(const_label(int(bit)), self._delete(eid).att))
 
     def normalize(self, strategy: str = "det", seed: Optional[int] = None) -> list[TraceStep]:
         """Share, match again what changed and fire redexes until none is live; the steps taken.

@@ -35,7 +35,7 @@ class LabelKind:
     """The facts every label of one kind shares: a row of ``KINDS``, or ``INPUT``.
 
     Kinds compare and hash by identity, so a dict keyed by kind costs what
-    one keyed by type does.
+    one keyed by type does.  A pickled or copied kind is its row again.
     """
 
     name: str  # the op in the text format; an input's name is this and its index
@@ -55,6 +55,12 @@ class LabelKind:
         for bit in bits:
             row = 2 * row + 1 - bit
         return self.truth[row]
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def __reduce__(self) -> tuple:
+        return _kind_named, (self.name,)
 
 
 # Truth table of each binary operation, rows ordered (p,q) = TT, TF, FT, FF.
@@ -92,6 +98,11 @@ KINDS: dict[str, LabelKind] = {
         *(LabelKind(f"U2_{op}", 2, "u2", truth, 0, None) for op, truth in U2_TRUTH.items()),
     )
 }
+
+
+def _kind_named(name: str) -> LabelKind:
+    return INPUT if name == INPUT.name else KINDS[name]
+
 
 # The kinds formula nodes have, by their names in formula text.
 _OPERATORS: dict[str, LabelKind] = {kind.term: kind for kind in KINDS.values() if kind.term}
@@ -146,7 +157,20 @@ class Op:
         return True
 
     def __repr__(self) -> str:
-        return fold(self, repr, lambda u, args: f"({' '.join([u.kind.term, *args])})" if args else u.kind.term)
+        out: list[str] = []
+        todo: list = [self]  # terms still to write, and the text that follows them, last first
+        while todo:
+            u = todo.pop()
+            if type(u) is not Op:
+                out.append(u if type(u) is str else u.name)
+            elif u.args:
+                out.append("(" + u.kind.term)
+                todo.append(")")
+                for a in reversed(u.args):
+                    todo += a, " "
+            else:
+                out.append(u.kind.term)
+        return "".join(out)
 
 
 Term = Union[Var, Op]

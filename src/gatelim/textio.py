@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .circuits import LABELS, U2_LABELS, Circuit, CircuitBuilder, CircuitError, InputLabel, label_name
+from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, label_name
 
 
 class ParseError(Exception):
@@ -111,7 +111,7 @@ def parse_circuit(text: str) -> Circuit:
             if basis != "u2":
                 raise ParseError(no, f"{op} gate in a {basis} circuit")
             k = int(u2_match.group(1))
-            label = U2_LABELS.get(k)
+            label = LABELS.get(f"U2_{k}")
             if label is None:
                 raise ParseError(no, f"u2 op {k} out of range 1..14")
         else:
@@ -145,7 +145,7 @@ def serialize_circuit(c: Circuit) -> str:
         for a in args:
             if a not in names:
                 ea = c.producer_edge(a)
-                if isinstance(ea.label, InputLabel):
+                if ea.label.kind is INPUT:
                     names[a] = label_name(ea.label)
                 else:
                     names[a] = ""

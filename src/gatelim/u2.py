@@ -22,6 +22,8 @@ from importlib import resources
 
 from .circuits import (
     AND,
+    CONST0,
+    CONST1,
     INPUT,
     KINDS,
     LABELS,
@@ -30,21 +32,23 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     CircuitError,
-    ConstLabel,
     Edge,
     LabelKind,
-    U2Label,
-    U2_LABELS,
     U2_TRUTH,
     circuit_size,
+    label_name,
     reachable_edges,
     topo_order,
+    u2_label,
 )
 from .textio import parse_circuit
 
 # The tables below are computed from the truth rows of the label table.  A
 # row index is 2(1-p) + (1-q), so negating p flips its bit 2 and q its bit 1.
 _OP_OF_TRUTH = {truth: op for op, truth in U2_TRUTH.items()}
+
+# The op of each u2 kind.
+OPS: dict[LabelKind, int] = {KINDS[f"U2_{op}"]: op for op in U2_TRUTH}
 
 # COMPOSE[kind][4o + 2p + q] is the u2 op computing kind with its first
 # argument negated if p, its second if q and its output if o.  It covers the
@@ -62,22 +66,22 @@ TO_DEMORGAN: dict[int, tuple[str, bool, bool]] = dict(
 
 # Successor relabeling when a superfluous negation is removed below it:
 # PUSH_UP_FIRST[k](p, q) == k(not p, q) and PUSH_UP_SECOND[k](p, q) == k(p, not q).
-PUSH_UP_FIRST = {k: COMPOSE[U2_LABELS[k].kind][2] for k in TO_DEMORGAN}
-PUSH_UP_SECOND = {k: COMPOSE[U2_LABELS[k].kind][1] for k in TO_DEMORGAN}
+PUSH_UP_FIRST = {k: COMPOSE[u2_label(k).kind][2] for k in TO_DEMORGAN}
+PUSH_UP_SECOND = {k: COMPOSE[u2_label(k).kind][1] for k in TO_DEMORGAN}
 
 # COMPLEMENT[k](p, q) == not k(p, q); an involution on 7..14.
-COMPLEMENT = {k: COMPOSE[U2_LABELS[k].kind][4] for k in TO_DEMORGAN}
+COMPLEMENT = {k: COMPOSE[u2_label(k).kind][4] for k in TO_DEMORGAN}
 
 # The superfluous negation ops, each with the position of the argument it
 # negates: op 4 is not p, op 6 is not q.
 NEGATIONS = {_OP_OF_TRUTH[tuple(NOT.kind.truth[(r >> (1 - pos)) & 1] for r in range(4))]: pos for pos in (0, 1)}
 
 # Every negation kind of either basis, with the position of the argument it negates.
-NEGATES = {NOT.kind: 0, **{U2_LABELS[op].kind: pos for op, pos in NEGATIONS.items()}}
+NEGATES = {NOT.kind: 0, **{u2_label(op).kind: pos for op, pos in NEGATIONS.items()}}
 
 
 def u2_semantics(op: int, p: int, q: int) -> int:
-    return U2Label(op).kind.output(p, q)
+    return u2_label(op).kind.output(p, q)
 
 
 def _translate(c: Circuit) -> Circuit:
@@ -133,7 +137,7 @@ def demorgan_to_u2(c: Circuit) -> Circuit:
     """
     if c.basis != "demorgan":
         raise CircuitError("expected a demorgan circuit")
-    if any(isinstance(e.label, ConstLabel) for e in c.edges.values()):
+    if any(e.label.kind in (CONST0.kind, CONST1.kind) for e in c.edges.values()):
         raise CircuitError("translation applies to constant-free (normalized) circuits")
     if circuit_size(c) == 0:  # without constants, the output is a chain of NOTs over an input
         raise CircuitError("circuit computes a bare literal; no u2 counterpart of equal size")
@@ -151,8 +155,8 @@ def u2_to_demorgan(c: Circuit) -> Circuit:
     if c.basis != "u2":
         raise CircuitError("expected a u2 circuit")
     for eid, e in sorted(c.edges.items()):
-        if isinstance(e.label, U2Label) and e.label.op not in TO_DEMORGAN and e.label.op not in NEGATIONS:
-            raise CircuitError(f"edge {eid}: degenerate op {e.label.op}; not translatable")
+        if e.label.kind in OPS and e.label.kind not in COMPOSE and e.label.kind not in NEGATES:
+            raise CircuitError(f"edge {eid}: degenerate op {OPS[e.label.kind]}; not translatable")
     return _translate(c)
 
 
@@ -174,9 +178,9 @@ def push_up(c: Circuit, eid: int) -> Circuit:
     for cid, ce in list(edges.items()):
         if out not in ce.args:
             continue
-        if not (isinstance(ce.label, U2Label) and ce.label.op in TO_DEMORGAN):
+        op = OPS.get(ce.label.kind)
+        if op not in TO_DEMORGAN:
             raise CircuitError(f"successor edge {cid} has op outside 7..14; cannot relabel")
-        op = ce.label.op
         new_args = []
         for pos, v in enumerate(ce.args):
             if v == out:
@@ -184,7 +188,7 @@ def push_up(c: Circuit, eid: int) -> Circuit:
                 new_args.append(kept)
             else:
                 new_args.append(v)
-        edges[cid] = Edge(U2_LABELS[op], (ce.result, *new_args))
+        edges[cid] = Edge(u2_label(op), (ce.result, *new_args))
     keep = reachable_edges(edges, c.root)
     return Circuit({k: edges[k] for k in keep}, c.root, c.num_inputs, c.basis)
 
@@ -202,14 +206,14 @@ def push_down(c: Circuit, eid: int) -> Circuit:
     negarg = e.args[NEGATES[e.label.kind]]
     pid = c.producer[negarg]
     pe = c.edges[pid]
-    if not (isinstance(pe.label, U2Label) and pe.label.op in COMPLEMENT):
-        raise CircuitError(f"cannot push down: producer of the negated wire is {type(pe.label).__name__}")
+    if OPS.get(pe.label.kind) not in COMPLEMENT:
+        raise CircuitError(f"cannot push down: producer of the negated wire is {label_name(pe.label)}")
     readers = [x for x, other in c.edges.items() if negarg in other.args]
     if readers != [eid]:
         raise CircuitError("cannot push down: the producing gate has other readers")
     edges = dict(c.edges)
     del edges[eid]
-    edges[pid] = Edge(U2_LABELS[COMPLEMENT[pe.label.op]], pe.att)
+    edges[pid] = Edge(u2_label(COMPLEMENT[OPS[pe.label.kind]]), pe.att)
     out = e.result
     edges = {
         k: Edge(x.label, tuple(negarg if v == out else v for v in x.att)) for k, x in edges.items()

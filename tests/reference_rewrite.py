@@ -27,12 +27,13 @@ from typing import Optional
 
 from gatelim.circuits import (
     Circuit,
+    INPUT,
+    NOT,
     CircuitError,
-    ConstLabel,
     Edge,
-    InputLabel,
-    NotLabel,
+    Label,
     circuit_size,
+    const_label,
     is_binary,
     reachable_edges,
     topo_order,
@@ -171,13 +172,13 @@ def normalize_circuit(
 
 def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
     """The circuit with the x_index edge, found by a scan of every edge, relabelled as the constant bit."""
-    eid = next(eid for eid, e in c.edges.items() if e.label == InputLabel(index))
-    return Circuit({**c.edges, eid: Edge(ConstLabel(int(bit)), c.edges[eid].att)}, c.root, c.num_inputs, c.basis)
+    eid = next(eid for eid, e in c.edges.items() if e.label == Label(INPUT, index))
+    return Circuit({**c.edges, eid: Edge(const_label(int(bit)), c.edges[eid].att)}, c.root, c.num_inputs, c.basis)
 
 
 def costly_readers(c: Circuit, wire: int, order) -> list[int]:
     """And/or gates reading the wire directly or through a negation, by a scan of every edge."""
-    wires = {wire} | {e.result for e in c.edges.values() if isinstance(e.label, NotLabel) and e.args[0] == wire}
+    wires = {wire} | {e.result for e in c.edges.values() if e.label.kind is NOT.kind and e.args[0] == wire}
     return [g for g in order if is_binary(c.edges[g].label) and any(v in wires for v in c.edges[g].args)]
 
 
@@ -201,7 +202,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
             return RefuterOutcome("degen", restriction, var=p, iterations=tuple(iterations))
         f = next(g for g in readers if g != h)
         root = work.producer_edge(work.root)
-        output_gate = work.producer[root.args[0]] if isinstance(root.label, NotLabel) else work.producer[work.root]
+        output_gate = work.producer[root.args[0]] if root.label.kind is NOT.kind else work.producer[work.root]
         if output_gate == f:
             restriction = restriction.assign(p, fixer(work, f, p))
             return RefuterOutcome("const", restriction, var=p, sibling=q, iterations=tuple(iterations))

@@ -15,11 +15,12 @@ import pytest
 from gen import assignments, random_circuit, truth_table, undersized_circuit, xor_table
 
 from gatelim.circuits import (
-    AndLabel,
+    AND,
+    CONST0,
+    CONST1,
+    NOT,
+    OR,
     Circuit,
-    ConstLabel,
-    NotLabel,
-    OrLabel,
     bisimilar,
     circuit_size,
     evaluate,
@@ -117,12 +118,12 @@ def test_criterion_04_normal_form_structure(convergence_corpus):
     for _, nf in convergence_corpus:
         whole_is_constant = circuit_size(nf) == 0 and not nf.read_inputs()
         for e in nf.edges.values():
-            if isinstance(e.label, NotLabel):
+            if e.label.kind is NOT.kind:
                 inner = nf.producer_edge(e.args[0])
-                assert not isinstance(inner.label, NotLabel), "double negation survived"
-            if isinstance(e.label, (AndLabel, OrLabel)):
+                assert inner.label.kind is not NOT.kind, "double negation survived"
+            if e.label.kind in (AND.kind, OR.kind):
                 assert e.args[0] != e.args[1], "equal-sibling gate survived"
-            if isinstance(e.label, ConstLabel):
+            if e.label.kind in (CONST0.kind, CONST1.kind):
                 assert whole_is_constant, "constant edge in a non-constant normal form"
     report(4, "no double negation, no equal-sibling gate, no stray constant (1000 normal forms)")
 

@@ -22,13 +22,15 @@ from gatelim.circuits import (
     CircuitBuilder,
     CircuitError,
     Edge,
-    InputLabel,
+    INPUT,
+    Label,
     OR,
     U2_TRUTH,
     bisimilar,
     circuit_size,
     evaluate,
     isomorphic,
+    label_name,
     topo_order,
     unroll_term,
     validate,
@@ -59,18 +61,18 @@ def test_edges_are_values_with_stored_fields():
     assert e.args == e.att[1:] == (0, 1)
     assert e.args is e.args
     assert Edge(CONST1, (3,)).args == ()
-    assert repr(e) == "Edge(label=AndLabel(), att=(2, 0, 1))"
-    assert repr(Edge(InputLabel(2), (0,))) == "Edge(label=InputLabel(index=2), att=(0,))"
+    assert repr(e) == "Edge(label=Label(kind=AND, index=0), att=(2, 0, 1))"
+    assert repr(Edge(Label(INPUT, 2), (0,))) == "Edge(label=Label(kind=x, index=2), att=(0,))"
 
 
 def test_validate_reports_arity_violation():
-    c = Circuit({0: Edge(InputLabel(1), (0,)), 1: Edge(AND, (1, 0))}, 1, 1)
+    c = Circuit({0: Edge(Label(INPUT, 1), (0,)), 1: Edge(AND, (1, 0))}, 1, 1)
     assert any("arity" in v for v in validate(c))
 
 
 def test_validate_reports_duplicate_result():
     c = Circuit(
-        {0: Edge(InputLabel(1), (0,)), 1: Edge(InputLabel(2), (0,))},
+        {0: Edge(Label(INPUT, 1), (0,)), 1: Edge(Label(INPUT, 2), (0,))},
         0,
         2,
     )
@@ -83,7 +85,7 @@ def test_validate_reports_unreachable_and_cycle():
     b.and_(v1, v2)
     with pytest.raises(CircuitError, match="unreachable"):
         b.build(v1)
-    cyc = Circuit({0: Edge(InputLabel(1), (0,)), 1: Edge(AND, (1, 1, 0))}, 1, 1)
+    cyc = Circuit({0: Edge(Label(INPUT, 1), (0,)), 1: Edge(AND, (1, 1, 0))}, 1, 1)
     assert any("cycle" in v for v in validate(cyc))
 
 
@@ -161,7 +163,7 @@ def test_topo_order_simple_chain():
     b = CircuitBuilder(1)
     c = b.build(b.not_(b.input(1)))
     order = topo_order(c)
-    assert [type(c.edges[e].label).__name__ for e in order] == ["InputLabel", "NotLabel"]
+    assert [label_name(c.edges[e].label) for e in order] == ["x1", "NOT"]
 
 
 def test_evaluate_examples():

@@ -65,6 +65,15 @@ def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     assert captured.err.startswith(f"usage error: cannot read {path}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ("normalize", "refute"))
+def test_trace_that_cannot_be_written_is_a_usage_error(and2, tmp_path, capsys, command):
+    trace = tmp_path / "missing" / "t.jsonl"
+    assert main([command, and2, "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {trace}: ") and captured.err.count("\n") == 1
+
+
 def test_normalize_with_trace(tmp_path, capsys):
     src = tmp_path / "c.ckt"
     src.write_text(

@@ -1,8 +1,11 @@
 """The label table: every reader agrees with the one row of each label kind."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatelim.circuits import (
     AND,
@@ -15,18 +18,16 @@ from gatelim.circuits import (
     OR,
     CircuitBuilder,
     CircuitError,
-    ConstLabel,
-    InputLabel,
-    U2Label,
+    Label,
     U2_TRUTH,
     evaluate,
     is_binary,
     label_name,
 )
-from gatelim.rewrite import WorkingGraph, graph_measure
+from gatelim.rewrite import WorkingGraph, graph_measure, normalize_circuit
 from gatelim.terms import Op, Var, evaluate_term
 from gatelim.textio import parse_circuit, serialize_circuit
-from gatelim.u2 import u2_semantics
+from gatelim.u2 import OPS, u2_semantics
 
 ALL_LABELS = list(LABELS.values())
 
@@ -80,8 +81,8 @@ def test_arity_matches_the_attachment(label):
 def test_evaluate_agrees_with_the_term_node_or_u2_semantics(label):
     c = one_gate(label)
     for bits in itertools.product((0, 1), repeat=arity(label)):
-        if isinstance(label, U2Label):
-            expected = u2_semantics(label.op, *bits)
+        if label.kind in OPS:
+            expected = u2_semantics(OPS[label.kind], *bits)
         else:
             node = Op(label.kind, *(Var(f"x{i}") for i in range(1, len(bits) + 1)))
             expected = evaluate_term(node, {f"x{i}": b for i, b in enumerate(bits, start=1)})
@@ -94,23 +95,60 @@ def test_measure_weights():
     b = CircuitBuilder(1)
     assert graph_measure(b.build(b.input(1))) == 1
     for op in U2_TRUTH:
-        assert WorkingGraph(one_gate(U2Label(op))).measure == 2  # the two inputs; the gate weighs 0
+        assert WorkingGraph(one_gate(LABELS[f"U2_{op}"])).measure == 2  # the two inputs; the gate weighs 0
 
 
 def test_inputs_have_one_kind_and_an_indexed_name():
-    assert InputLabel(3).kind is INPUT and InputLabel(12).kind is INPUT
-    assert label_name(InputLabel(12)) == "x12"
-    assert (arity(InputLabel(1)), INPUT.basis) == (0, None)
+    assert Label(INPUT, 3).kind is INPUT and Label(INPUT, 12).kind is INPUT
+    assert label_name(Label(INPUT, 12)) == "x12"
+    assert (arity(Label(INPUT, 1)), INPUT.basis) == (0, None)
 
 
 def test_labels_outside_the_table_are_refused():
+    b = CircuitBuilder(2, basis="u2")
     with pytest.raises(CircuitError, match="u2 op 15 out of range 1..14"):
-        U2Label(15)
+        b.u2(15, b.input(1), b.input(2))
     with pytest.raises(CircuitError, match="constant 2 is not 0 or 1"):
-        ConstLabel(2)
+        CircuitBuilder(1).const(2)
 
 
 def test_labels_compare_and_hash_by_value():
-    assert U2Label(7) == LABELS["U2_7"] and hash(U2Label(7)) == hash(LABELS["U2_7"])
-    assert ConstLabel(1) == CONST1 and ConstLabel(0) != CONST1
-    assert repr(U2Label(7)) == "U2Label(op=7)" and repr(CONST0) == "ConstLabel(value=0)"
+    assert Label(KINDS["U2_7"]) == LABELS["U2_7"] and hash(Label(KINDS["U2_7"])) == hash(LABELS["U2_7"])
+    assert Label(KINDS["CONST1"]) == CONST1 and CONST0 != CONST1
+    assert repr(LABELS["U2_7"]) == "Label(kind=U2_7, index=0)" and repr(CONST0) == "Label(kind=CONST0, index=0)"
+
+
+def test_pickled_and_copied_circuits_normalize_as_the_original():
+    c = parse_circuit("ckt 1\nbasis demorgan\ninputs 1\nn1 = CONST0\nn2 = OR x1 n1\noutput n2\n")
+    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert all(e.label.kind is c.edges[eid].label.kind for eid, e in twin.edges.items())
+        _, trace = normalize_circuit(twin)
+        assert [step.rule for step in trace.steps] == ["zero_elim", "pass_or_right"]
+
+
+@st.composite
+def demorgan_circuits(draw):
+    n = draw(st.integers(1, 4))
+    b = CircuitBuilder(n)
+    nodes = [b.input(i) for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(1, 10))):
+        gate = draw(st.sampled_from(("and", "or", "not", "const")))
+        if gate == "const":
+            nodes.append(b.const(draw(st.integers(0, 1))))
+        elif gate == "not":
+            nodes.append(b.not_(draw(st.sampled_from(nodes))))
+        else:
+            args = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+            nodes.append(b.and_(*args) if gate == "and" else b.or_(*args))
+    return b.build(nodes[-1], prune=True)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(demorgan_circuits())
+def test_text_and_pickle_round_trips_keep_the_circuit(c):
+    text = serialize_circuit(c)
+    assert serialize_circuit(parse_circuit(text)) == text
+    nf, trace = normalize_circuit(c)
+    twin_nf, twin_trace = normalize_circuit(pickle.loads(pickle.dumps(c)))
+    assert serialize_circuit(twin_nf) == serialize_circuit(nf)
+    assert [s.as_dict() for s in twin_trace.steps] == [s.as_dict() for s in trace.steps]

@@ -11,7 +11,7 @@ import pytest
 import reference_rewrite
 from gen import assignments, neartight_parity, random_circuit, truth_table, undersized_circuit, xor_table
 
-from gatelim.circuits import CONST1, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
+from gatelim.circuits import AND, CONST1, OR, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
 import gatelim
 from gatelim import circuits, refuter, rewrite
 from gatelim.refuter import (
@@ -95,7 +95,7 @@ def test_fixer_bit_really_removes_the_gate():
         gates = [
             eid
             for eid, e in sorted(c.edges.items())
-            if type(e.label).__name__ in ("AndLabel", "OrLabel")
+            if e.label in (AND, OR)
         ]
         for gate in gates:
             for i in sorted(c.read_inputs()):

@@ -12,19 +12,21 @@ from gen import neartight_parity, random_circuit, renumbered, truth_table
 
 from gatelim.circuits import (
     AND,
-    AndLabel,
+    CONST0,
+    CONST1,
+    INPUT,
+    NOT,
+    OR,
     Circuit,
     CircuitBuilder,
     CircuitError,
-    ConstLabel,
     Edge,
-    InputLabel,
-    NotLabel,
-    OrLabel,
+    Label,
     bisimilar,
     circuit_size,
     evaluate,
     unroll_term,
+    label_name,
     validate,
 )
 from gatelim import rewrite
@@ -55,13 +57,13 @@ def pattern_term(pattern):
         if name in pattern.open_vertices:
             return Var("g")
         pe = producer[name]
-        if isinstance(pe.label, ConstLabel):
-            return ZERO if pe.label.value == 0 else ONE
-        if isinstance(pe.label, NotLabel):
+        if pe.label.kind in (CONST0.kind, CONST1.kind):
+            return ZERO if pe.label.kind.truth == (0,) else ONE
+        if pe.label.kind is NOT.kind:
             return Not(go(pe.att[1]))
-        if isinstance(pe.label, AndLabel):
+        if pe.label.kind is AND.kind:
             return And(go(pe.att[1]), go(pe.att[2]))
-        assert isinstance(pe.label, OrLabel)
+        assert pe.label.kind is OR.kind
         return Or(go(pe.att[1]), go(pe.att[2]))
 
     return go(pattern.root)
@@ -78,7 +80,7 @@ def test_rule_table_matches_the_formula_system():
 def test_repeated_variable_compiles_to_one_shared_open_vertex():
     (and_dedup,) = [r for r in RULES if r.name == "and_dedup"]
     (root_edge,) = and_dedup.lhs.edges
-    assert root_edge.label == AndLabel()
+    assert root_edge.label == AND
     (open_vertex,) = and_dedup.lhs.open_vertices
     assert root_edge.att[1:] == (open_vertex, open_vertex)
     assert and_dedup.rhs.root == open_vertex and and_dedup.rhs.edges == ()
@@ -151,7 +153,7 @@ def test_apply_passing_rewires_and_collects_garbage():
     out, step = apply_rewrite(c, redex)
     assert validate(out) == []
     assert len(out.edges) == 1
-    assert isinstance(out.producer_edge(out.root).label, InputLabel)
+    assert out.producer_edge(out.root).label.kind is INPUT
     assert step.size_after == 0
     assert len(step.removed_edges) == 2  # the and gate plus the orphaned constant
 
@@ -191,8 +193,8 @@ def test_substitute_input():
     b = CircuitBuilder(2)
     c = b.build(b.and_(b.input(1), b.input(2)))
     out = substitute_input(c, 2, 1)
-    labels = sorted(type(e.label).__name__ for e in out.edges.values())
-    assert labels == ["AndLabel", "ConstLabel", "InputLabel"]
+    labels = sorted(label_name(e.label) for e in out.edges.values())
+    assert labels == ["AND", "CONST1", "x1"]
 
     b = CircuitBuilder(1)
     c = b.build(b.input(1))
@@ -225,7 +227,7 @@ def test_input_index_on_circuits_and_working_graphs():
     assert c.inputs == {3: 0, 1: 1} and c.read_inputs() == {1, 3}
     assert c.input_edge(1) == 1 and c.input_edge(2) is None
     # two edges for x1 (an invalid circuit): the first in edge order is the one indexed
-    twice = Circuit({5: Edge(InputLabel(1), (0,)), 1: Edge(InputLabel(1), (1,)), 2: Edge(AND, (2, 0, 1))}, 2, 1)
+    twice = Circuit({5: Edge(Label(INPUT, 1), (0,)), 1: Edge(Label(INPUT, 1), (1,)), 2: Edge(AND, (2, 0, 1))}, 2, 1)
     assert twice.input_edge(1) == 5
     graph = WorkingGraph(c)  # neither shared nor normalized
     assert graph.input_edge(3) == 0 and graph.input_edge(1) == 1
@@ -442,17 +444,17 @@ def test_merges_of_one_pass_are_reported_in_first_id_order():
     # of edges 1 and 5 in the same pass; merge_parallel_edges reports the
     # class with the lower first id first, whatever order they were met in.
     edges = {
-        0: Edge(InputLabel(1), (0,)),
-        3: Edge(InputLabel(2), (3,)),
-        6: Edge(ConstLabel(1), (6,)),
-        4: Edge(AndLabel(), (4, 0, 6)),
-        1: Edge(NotLabel(), (1, 0)),
-        2: Edge(NotLabel(), (2, 4)),
-        5: Edge(OrLabel(), (5, 0, 3)),
-        9: Edge(OrLabel(), (9, 4, 3)),
-        7: Edge(AndLabel(), (7, 1, 2)),
-        8: Edge(AndLabel(), (8, 5, 9)),
-        10: Edge(OrLabel(), (10, 7, 8)),
+        0: Edge(Label(INPUT, 1), (0,)),
+        3: Edge(Label(INPUT, 2), (3,)),
+        6: Edge(CONST1, (6,)),
+        4: Edge(AND, (4, 0, 6)),
+        1: Edge(NOT, (1, 0)),
+        2: Edge(NOT, (2, 4)),
+        5: Edge(OR, (5, 0, 3)),
+        9: Edge(OR, (9, 4, 3)),
+        7: Edge(AND, (7, 1, 2)),
+        8: Edge(AND, (8, 5, 9)),
+        10: Edge(OR, (10, 7, 8)),
     }
     c = Circuit(edges, 10, 2)
     assert validate(c) == []
@@ -509,7 +511,7 @@ def test_incremental_normalizer_matches_reference_on_constant_fed_circuits(monke
         _, trace = normalize_circuit(c)
         sharing_steps += any(step.rule == "sharing" for step in trace.steps)
     assert sharing_steps > 0
-    assert any(isinstance(label, ConstLabel) for label in merged_in_steps)
+    assert any(label.kind in (CONST0.kind, CONST1.kind) for label in merged_in_steps)
 
 
 def test_incremental_normalizer_matches_reference_on_substituted_neartight_parity():
@@ -687,7 +689,7 @@ def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
 
     def counting_site_match(graph, site):
         nonlocal const1_sites
-        const1_sites += graph.producer_edge(site).label == ConstLabel(1)
+        const1_sites += graph.producer_edge(site).label == CONST1
         real_site_match(graph, site)
 
     monkeypatch.setattr(rewrite, "match_at", recording_match)
@@ -697,7 +699,7 @@ def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
             search_bad_restriction(neartight_parity(n, pos))
     assert const1_sites > 100
     assert any(name == "zero_elim" for name, _ in attempts)
-    assert not any(label == ConstLabel(1) for _, label in attempts)
+    assert not any(label == CONST1 for _, label in attempts)
 
 
 # sha256 of every output below: normal forms, traces and refutations.  A

@@ -11,11 +11,11 @@ from gen import random_circuit, truth_table
 from gatelim.circuits import (
     CircuitBuilder,
     CircuitError,
-    U2Label,
     circuit_size,
     evaluate,
     isomorphic,
     topo_order,
+    u2_label,
 )
 from gatelim.rewrite import normalize_circuit
 from gatelim.textio import parse_circuit, serialize_circuit
@@ -24,6 +24,7 @@ from gatelim.u2 import (
     NEGATIONS,
     PUSH_UP_FIRST,
     PUSH_UP_SECOND,
+    OPS,
     TO_DEMORGAN,
     demorgan_to_u2,
     load_witness,
@@ -79,7 +80,7 @@ def test_complement_table_is_an_involution_and_faithful():
 
 
 def _single_op(c):
-    gates = [e.label.op for e in c.edges.values() if isinstance(e.label, U2Label)]
+    gates = [OPS[e.label.kind] for e in c.edges.values() if e.label.kind in OPS]
     assert len(gates) == 1
     return gates[0]
 
@@ -135,31 +136,31 @@ def test_push_up_examples():
     b = CircuitBuilder(3, basis="u2")
     neg = b.u2(4, b.u2(8, b.input(1), b.input(2)), b.input(1))
     c = b.build(b.u2(10, neg, b.input(3)))
-    out = push_up(c, [e for e, x in c.edges.items() if isinstance(x.label, U2Label) and x.label.op == 4][0])
-    assert sorted(e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)) == [8, 14]
+    out = push_up(c, [e for e, x in c.edges.items() if OPS.get(x.label.kind) == 4][0])
+    assert sorted(OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS) == [8, 14]
     assert truth_table(out) == truth_table(c)
 
     # op-4 feeding the second position: successor 7 -> 13
     b = CircuitBuilder(3, basis="u2")
     neg = b.u2(4, b.input(1), b.input(2))
     c = b.build(b.u2(7, b.input(3), neg))
-    out = push_up(c, [e for e, x in c.edges.items() if isinstance(x.label, U2Label) and x.label.op == 4][0])
-    assert [e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)] == [13]
+    out = push_up(c, [e for e, x in c.edges.items() if OPS.get(x.label.kind) == 4][0])
+    assert [OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS] == [13]
     assert truth_table(out) == truth_table(c)
 
     # op-6 feeding the first position: successor 11 -> 8
     b = CircuitBuilder(3, basis="u2")
     neg = b.u2(6, b.input(2), b.input(1))
     c = b.build(b.u2(11, neg, b.input(3)))
-    out = push_up(c, [e for e, x in c.edges.items() if isinstance(x.label, U2Label) and x.label.op == 6][0])
-    assert [e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)] == [8]
+    out = push_up(c, [e for e, x in c.edges.items() if OPS.get(x.label.kind) == 6][0])
+    assert [OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS] == [8]
     assert truth_table(out) == truth_table(c)
 
 
 def test_push_up_rejects_output_gate():
     b = CircuitBuilder(2, basis="u2")
     c = b.build(b.u2(4, b.u2(11, b.input(1), b.input(2)), b.input(1)))
-    neg_edge = [e for e, x in c.edges.items() if x.label == U2Label(4)][0]
+    neg_edge = [e for e, x in c.edges.items() if x.label == u2_label(4)][0]
     with pytest.raises(CircuitError, match="output"):
         push_up(c, neg_edge)
 
@@ -168,32 +169,32 @@ def test_push_down_examples():
     b = CircuitBuilder(2, basis="u2")
     inner = b.u2(8, b.input(1), b.input(2))
     c = b.build(b.u2(4, inner, b.input(1)))
-    neg_edge = [e for e, x in c.edges.items() if x.label == U2Label(4)][0]
+    neg_edge = [e for e, x in c.edges.items() if x.label == u2_label(4)][0]
     out = push_down(c, neg_edge)
-    assert [e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)] == [7]
+    assert [OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS] == [7]
     assert truth_table(out) == truth_table(c)
 
     b = CircuitBuilder(2, basis="u2")
     inner = b.u2(11, b.input(1), b.input(2))
     c = b.build(b.u2(4, inner, b.input(1)))
-    neg_edge = [e for e, x in c.edges.items() if x.label == U2Label(4)][0]
+    neg_edge = [e for e, x in c.edges.items() if x.label == u2_label(4)][0]
     out = push_down(c, neg_edge)
-    assert [e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)] == [12]
+    assert [OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS] == [12]
     assert truth_table(out) == truth_table(c)
 
     b = CircuitBuilder(2, basis="u2")
     c = b.build(b.u2(4, b.input(1), b.input(2)))
-    neg_edge = [e for e, x in c.edges.items() if x.label == U2Label(4)][0]
-    with pytest.raises(CircuitError, match="push down"):
+    neg_edge = [e for e, x in c.edges.items() if x.label == u2_label(4)][0]
+    with pytest.raises(CircuitError, match="^cannot push down: producer of the negated wire is x1$"):
         push_down(c, neg_edge)
 
     # op 6 negates its second input; pushing down complements that producer
     b = CircuitBuilder(2, basis="u2")
     inner = b.u2(13, b.input(1), b.input(2))
     c = b.build(b.u2(6, b.input(1), inner))
-    neg_edge = [e for e, x in c.edges.items() if x.label == U2Label(6)][0]
+    neg_edge = [e for e, x in c.edges.items() if x.label == u2_label(6)][0]
     out = push_down(c, neg_edge)
-    assert [e.label.op for e in out.edges.values() if isinstance(e.label, U2Label)] == [14]
+    assert [OPS[e.label.kind] for e in out.edges.values() if e.label.kind in OPS] == [14]
     assert truth_table(out) == truth_table(c)
 
 
@@ -272,7 +273,7 @@ def push_loop(c, pick):
     """The translation as a push loop: remove the op-4/6 gate ``pick`` names
     until none is left, pushing down only at the output, then write each op
     7..14 as one and/or gate with one NOT per negated wire."""
-    negations = [U2Label(op) for op in NEGATIONS]
+    negations = [u2_label(op) for op in NEGATIONS]
     while True:
         negs = [eid for eid in topo_order(c) if c.edges[eid].label in negations]
         if not negs:
@@ -283,10 +284,10 @@ def push_loop(c, pick):
     wires, negated = {}, {}
     for eid in topo_order(c):
         e = c.edges[eid]
-        if not isinstance(e.label, U2Label):
+        if e.label.kind not in OPS:
             wires[e.result] = b.input(e.label.index)
             continue
-        gate, *negate = TO_DEMORGAN[e.label.op]
+        gate, *negate = TO_DEMORGAN[OPS[e.label.kind]]
         args = [wires[v] for v in e.args]
         for i, n in enumerate(negate):
             if n:
