@@ -14,13 +14,16 @@ test on ``label.kind``.
 
 Circuits are immutable after construction; every operation here is a pure
 function.  Circuit size counts binary gates only - negations, constants, and
-inputs are free.
+inputs are free.  Two indexes, which ``Circuit.walk`` runs over, are built on
+first use, so that parsing, ``validate`` and ``evaluate`` build neither:
+``readers`` and ``leaves``.  A ``rewrite.WorkingGraph`` keeps both current.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import terms
 from .terms import INPUT, KINDS, U2_TRUTH, LabelKind
@@ -121,6 +124,41 @@ class Circuit:
     def read_inputs(self) -> set[int]:
         return set(self.inputs)
 
+    @cached_property
+    def readers(self) -> dict[int, set[int]]:
+        """The edges reading each vertex; only vertices that are read have an entry."""
+        readers: dict[int, set[int]] = {}
+        for eid, e in self.edges.items():
+            for v in e.args:
+                readers.setdefault(v, set()).add(eid)
+        return readers
+
+    @cached_property
+    def leaves(self) -> set[int]:
+        """The edges without arguments: inputs and constants."""
+        return {eid for eid, e in self.edges.items() if not e.args}
+
+    def walk(self) -> Iterator[int]:
+        """The edge ids in ``topo_order``'s order, computed only as far as they are consumed.
+
+        Kahn's algorithm along the reader index, ready edges on a min-id heap,
+        where every wire has one producer (``topo_order`` handles the rest);
+        edges on or above a cycle never come out.  Do not change the circuit
+        while the walk is in use.
+        """
+        edges, readers = self.edges, self.readers
+        ready = sorted(self.leaves)
+        waiting: dict[int, int] = {}  # edge -> argument wires whose producers have not popped
+        while ready:
+            eid = heapq.heappop(ready)
+            yield eid
+            for r in readers.get(edges[eid].result, ()):
+                k = waiting.pop(r, 0) or len(set(edges[r].args))
+                if k == 1:
+                    heapq.heappush(ready, r)
+                else:
+                    waiting[r] = k - 1
+
 
 def reachable_edges(edges: dict[int, Edge], root: int) -> set[int]:
     """Edge ids reachable from the root vertex through producers and arguments."""
@@ -183,39 +221,26 @@ def circuit_size(c: Circuit) -> int:
 
 
 def topo_order(c: Circuit) -> list[int]:
-    """Edge ids in dependency order, ties broken by ascending edge id.
+    """Edge ids in dependency order, ties broken by ascending edge id: all of ``c.walk()``.
 
-    This is Kahn's algorithm with the ready edges on a min-id heap.  When
-    every argument's producer has a smaller id than the edge reading it, that
-    order is ascending id order: at each pop the smallest id not yet popped
-    has all of its producers popped, so it is ready and it is the least
-    ready id.  One pass checks for that case, as parsed and built circuits
-    number their gates; any other circuit, cyclic ones included, runs Kahn.
+    When every argument's producer has a smaller id than the edge reading it,
+    that order is ascending id order: at each pop the smallest id not yet
+    popped has all of its producers popped, so it is the least ready id.  One
+    pass checks for that case, as parsed and built circuits number their
+    gates, and builds no index; any other circuit, cyclic or not, is walked.
     """
     producer = c.producer
     if all(producer.get(v, -1) < eid for eid, e in c.edges.items() for v in e.args):
         return sorted(c.edges)
-    consumers: dict[int, list[int]] = {eid: [] for eid in c.edges}
-    indegree: dict[int, int] = {}
-    for eid, e in c.edges.items():
-        deps = set()
-        for v in e.args:
-            dep = c.producer.get(v)
-            if dep is not None:
-                deps.add(dep)
-        indegree[eid] = len(deps)
-        for dep in deps:
-            consumers[dep].append(eid)
-    ready = [eid for eid, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        eid = heapq.heappop(ready)
-        order.append(eid)
-        for succ in consumers[eid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
+    if not len(c.edges) == len(producer) == len(c.vertices):
+        # A wire with no producer or two: walk the copy Kahn sees, where edges read only
+        # produced wires, and a result that ``producer`` does not name becomes None.
+        edges = {
+            eid: Edge(e.label, (e.result if producer[e.result] == eid else None, *filter(producer.__contains__, e.args)))
+            for eid, e in c.edges.items()
+        }
+        c = Circuit(edges, c.root, c.num_inputs, c.basis)
+    order = list(c.walk())
     if len(order) != len(c.edges):
         raise CircuitError("cycle detected among edges " + str(sorted(set(c.edges) - set(order))))
     return order

@@ -127,7 +127,7 @@ class Counterexample:
     truth: int
 
 
-def literal_of(c: Circuit | WorkingGraph, vertex: int) -> Optional[tuple[int, bool]]:
+def literal_of(c: Circuit, vertex: int) -> Optional[tuple[int, bool]]:
     """(variable index, negated) if the wire carries an input literal, else None."""
     e = c.producer_edge(vertex)
     if e.label.kind is INPUT:
@@ -139,7 +139,7 @@ def literal_of(c: Circuit | WorkingGraph, vertex: int) -> Optional[tuple[int, bo
     return None
 
 
-def costly_readers(g: WorkingGraph, wire: int, walk: Iterator[int], seen: dict[int, int]) -> list[int]:
+def costly_readers(g: Circuit, wire: int, walk: Iterator[int], seen: dict[int, int]) -> list[int]:
     """And/or gates reading the wire directly or through a negation, in the walk's order.
 
     ``walk`` yields edge ids, ``g.walk()`` for topological order, and may be
@@ -163,10 +163,10 @@ def fanout_costly(c: Circuit, index: int) -> int:
     eid = c.input_edge(index)
     if eid is None:
         return 0
-    return len(costly_readers(WorkingGraph(c), c.edges[eid].result, iter(c.edges), {}))
+    return len(costly_readers(c, c.edges[eid].result, iter(c.edges), {}))
 
 
-def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
+def fixer(c: Circuit, gate: int, index: int) -> int:
     """The bit for x_index that turns the gate constant.
 
     An and-gate is killed by making the literal it reads false, an or-gate by
@@ -186,7 +186,7 @@ def fixer(c: Circuit | WorkingGraph, gate: int, index: int) -> int:
     raise CircuitError(f"gate {gate} does not read x{index}")
 
 
-def _output_gate(c: WorkingGraph) -> Optional[int]:
+def _output_gate(c: Circuit) -> Optional[int]:
     """The edge whose (possibly negated) value is the circuit output."""
     e = c.producer_edge(c.root)
     if e.label.kind is NOT.kind:
@@ -254,6 +254,18 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     return RefuterOutcome("fails", restriction, iterations=tuple(iterations))
 
 
+def _disagreement(c: Circuit, restriction: Restriction) -> Optional[tuple[int, ...]]:
+    """The first completion, in ``product`` order over the active variables, that is not parity."""
+    active = sorted(restriction.active)
+    fixed = dict(restriction.assigned)
+    for bits in product((0, 1), repeat=len(active)):
+        fixed.update(zip(active, bits))
+        full = tuple(fixed[i] for i in range(1, restriction.n + 1))
+        if evaluate(c, full) != parity(full):
+            return full
+    return None
+
+
 def extract_counterexample(c: Circuit, outcome: RefuterOutcome) -> Counterexample:
     """Turn a search outcome into a concrete disagreeing input.
 
@@ -272,16 +284,9 @@ def extract_counterexample(c: Circuit, outcome: RefuterOutcome) -> Counterexampl
         _check(left == right, f"restricted circuit still depends on x{var}")
         candidate = base if left != parity(base) else flipped
     else:
-        active = sorted(outcome.restriction.active)
-        _check(len(active) == 2, f"{len(active)} active variables, expected 2")
-        fixed = dict(outcome.restriction.assigned)
-        candidate = None
-        for b0, b1 in product((0, 1), repeat=2):
-            fixed[active[0]], fixed[active[1]] = b0, b1
-            bits = tuple(fixed[i] for i in range(1, c.num_inputs + 1))
-            if evaluate(c, bits) != parity(bits):
-                candidate = bits
-                break
+        active = len(outcome.restriction.active)
+        _check(active == 2, f"{active} active variables, expected 2")
+        candidate = _disagreement(c, outcome.restriction)
         _check(candidate is not None, "undersized circuit agreed with parity on all completions")
     claimed = evaluate(c, candidate)
     truth = parity(candidate)
@@ -299,10 +304,9 @@ def refute_detailed(c: Circuit) -> tuple[Counterexample, Optional[RefuterOutcome
             f"circuit has {circuit_size(c)} binary gates; refutation applies below 3(n-1) = {3 * (n - 1)}"
         )
     if n <= 3:
-        for bits in product((0, 1), repeat=n):
-            if evaluate(c, bits) != parity(bits):
-                return Counterexample(bits, evaluate(c, bits), parity(bits)), None
-        raise InternalError("undersized circuit agreed with parity everywhere")
+        bits = _disagreement(c, Restriction(n))
+        _check(bits is not None, "undersized circuit agreed with parity everywhere")
+        return Counterexample(bits, evaluate(c, bits), parity(bits)), None
     outcome = search_bad_restriction(c)
     cex = extract_counterexample(c, outcome)
     return cex, outcome

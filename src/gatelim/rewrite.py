@@ -26,20 +26,18 @@ subcircuits is always one vertex and the graph normal form unrolls to the
 formula normal form.
 
 ``normalize_circuit`` rewrites one mutable working graph (``WorkingGraph``)
-in place rather than rebuilding the circuit after every step.  Besides the
-edges and the producer of each vertex it keeps:
+in place rather than rebuilding the circuit after every step.  It keeps the
+indexes of a ``Circuit`` current, and its reader index is a reference count:
+a step deletes the edges it removes and then every edge whose result is no
+longer read and is not the root, cascading downwards, which collects exactly
+what is no longer reachable.  Besides these it keeps:
 
-- a reader index, the edges reading each vertex.  Its size is the vertex's
-  reference count: a step deletes the edges it removes and then every edge
-  whose result is no longer read and is not the root, cascading downwards,
-  which collects exactly what is no longer reachable;
 - a hash-cons table from ``(label, argument wires)`` to the one edge carrying
   them.  Only edges that are new, rewired or relabelled are looked up, all of
   them on entry; a duplicate is merged into the lowest-numbered edge of its
   class, whose readers are rewired in turn until nothing collides.  So
   maximal sharing holds after every step, and merges are reported pass by
   pass, each pass in the order of its classes' kept edges;
-- the input index, each input's edge by input index, as on a ``Circuit``;
 - the live binary-gate count, for the trace's ``size_after``, and the live
   graph measure, for the step budget;
 - the live redexes, keyed by site in rule order.  On entry every site is
@@ -64,7 +62,7 @@ discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
 kinds and wire shapes, so it stays small.  ``fire`` still re-verifies every
 redex.
 
-One generator, ``WorkingGraph.walk``, yields the edges in ``topo_order``'s
+One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
 constants, ready edges on a min-id heap - only as far as it is consumed.
 Choosing a redex needs the (topological site, rule) order of the live
@@ -96,11 +94,10 @@ the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` is ``fire``,
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .circuits import (
     INPUT,
@@ -316,15 +313,19 @@ class RewriteTrace:
     steps: tuple[TraceStep, ...]
 
 
-class WorkingGraph:
+class WorkingGraph(Circuit):
     """A circuit rewritten in place: the working graph of the module docstring.
 
-    ``edges`` and ``producer`` mean what they mean on a ``Circuit``, so
-    ``match_at`` and ``topo_order`` run on the graph as they are.  A new graph
-    is neither shared nor scanned; its first ``normalize`` does both.
+    Every change keeps the ``Circuit`` indexes ``edges``, ``producer``,
+    ``inputs``, ``readers`` and ``leaves`` current, and ``vertices`` is
+    computed when read, so every function on circuits, ``walk`` included,
+    runs on the graph as it is.  A new graph is neither shared nor scanned;
+    its first ``normalize`` does both.
     """
 
-    def __init__(self, c: Circuit):
+    __slots__ = ("readers", "leaves")  # faster to read than instance attributes over Circuit's lazy ones
+
+    def __init__(self, c: Circuit):  # builds every index itself, without Circuit.__init__
         self.edges: dict[int, Edge] = {}
         self.producer: dict[int, int] = {}
         self.root = c.root
@@ -345,11 +346,9 @@ class WorkingGraph:
         # Results nothing reads: all unreachable, collected by the first step.
         self.orphans = [v for v in self.producer if v != self.root and v not in self.readers]
 
-    def producer_edge(self, vertex: int) -> Edge:
-        return self.edges[self.producer[vertex]]
-
-    def input_edge(self, index: int) -> Optional[int]:
-        return self.inputs.get(index)
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.producer.keys() | self.readers.keys())
 
     def _inversions(self, eid: int, args: tuple[int, ...]) -> int:
         """How many of the distinct argument wires of edge ``eid`` have a producer not below it."""
@@ -549,25 +548,6 @@ class WorkingGraph:
         self.touched = set()
         for site in region:
             self._match(site)
-
-    def walk(self) -> Iterator[int]:
-        """The edge ids in ``topo_order``'s order, computed only as far as they are consumed.
-
-        Runs ``topo_order``'s Kahn algorithm (ready edges on a min-id heap,
-        so the same pop sequence) from the argument-free edges along the
-        reader index.  The graph must not change while the walk is in use.
-        """
-        ready = sorted(self.leaves)
-        waiting: dict[int, int] = {}  # edge -> arguments whose producers have not popped
-        while ready:
-            eid = heapq.heappop(ready)
-            yield eid
-            for r in self.readers.get(self.edges[eid].result, ()):
-                k = waiting.pop(r, None) or len(set(self.edges[r].args))
-                if k == 1:
-                    heapq.heappush(ready, r)
-                else:
-                    waiting[r] = k - 1
 
     def ordered(self, first: bool) -> list[Redex]:
         """The live redexes in (topological site, rule) order; with ``first``, those of the first site.

@@ -66,7 +66,7 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(no, "basis must be 'demorgan' or 'u2'")
     basis = parts[1]
     no, parts = expect_header(2, "inputs", "'inputs N'")
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
         raise ParseError(no, "expected 'inputs N'")
     num_inputs = int(parts[1])
 

@@ -175,9 +175,8 @@ def push_up(c: Circuit, eid: int) -> Circuit:
         raise CircuitError("the negation gate is the output; nothing to relabel above it")
     edges = dict(c.edges)
     del edges[eid]
-    for cid, ce in list(edges.items()):
-        if out not in ce.args:
-            continue
+    for cid in sorted(c.readers.get(out, ())):
+        ce = edges[cid]
         op = OPS.get(ce.label.kind)
         if op not in TO_DEMORGAN:
             raise CircuitError(f"successor edge {cid} has op outside 7..14; cannot relabel")
@@ -208,8 +207,7 @@ def push_down(c: Circuit, eid: int) -> Circuit:
     pe = c.edges[pid]
     if OPS.get(pe.label.kind) not in COMPLEMENT:
         raise CircuitError(f"cannot push down: producer of the negated wire is {label_name(pe.label)}")
-    readers = [x for x, other in c.edges.items() if negarg in other.args]
-    if readers != [eid]:
+    if c.readers[negarg] != {eid}:
         raise CircuitError("cannot push down: the producing gate has other readers")
     edges = dict(c.edges)
     del edges[eid]

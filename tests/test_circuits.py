@@ -24,6 +24,7 @@ from gatelim.circuits import (
     Edge,
     INPUT,
     Label,
+    NOT,
     OR,
     U2_TRUTH,
     bisimilar,
@@ -37,6 +38,7 @@ from gatelim.circuits import (
 )
 from gatelim.refuter import xor_circuit
 from gatelim.terms import And, Not, Or, Var
+from gatelim.textio import parse_circuit, serialize_circuit
 
 
 def single_input():
@@ -157,6 +159,56 @@ def test_topo_order_reports_a_cycle_as_kahn_does():
             assert str(got.value).startswith("cycle detected among edges")
             cycles += 1
     assert cycles > 60
+
+
+def test_topo_order_does_not_wait_for_an_argument_without_a_producer():
+    # Kahn over the producer map ignores wire 9; a walk of the circuit as it
+    # is would wait for it, never release edge 5 and report a cycle.
+    c = Circuit({0: Edge(Label(INPUT, 1), (0,)), 5: Edge(AND, (2, 0, 9)), 3: Edge(NOT, (4, 2))}, 4, 1)
+    assert topo_order(c) == kahn_order(c) == [0, 5, 3]
+    assert validate(c) == ["vertex 9 is the result of no edge"]
+    # Edge 3 reads only wire 9, so it is ready at once although it has an argument.
+    loose = Circuit({1: Edge(Label(INPUT, 1), (0,)), 3: Edge(NOT, (2, 9)), 0: Edge(NOT, (4, 2))}, 4, 1)
+    assert topo_order(loose) == kahn_order(loose) == [1, 3, 0]
+
+
+@pytest.mark.parametrize("args", [(1,), (1, 0)], ids=["NOT", "AND"])
+def test_topo_order_releases_readers_of_a_vertex_produced_twice_once(args):
+    # Edges 1 and 2 both produce vertex 1, and the producer map names 2, so
+    # the reader numbered 0 waits for edge 2 alone.  A walk of the circuit as
+    # it is would let edge 1 release it too: early, and for NOT a second time.
+    reader = Edge(NOT if len(args) == 1 else AND, (3, *args))
+    c = Circuit({4: Edge(Label(INPUT, 1), (0,)), 1: Edge(NOT, (1, 0)), 2: Edge(NOT, (1, 0)), 0: reader}, 3, 1)
+    assert c.producer[1] == 2
+    assert topo_order(c) == kahn_order(c) == [4, 1, 2, 0]
+    assert validate(c) == [
+        "vertex 1 is the result of edges [1, 2] (non-unique result edge)",
+        "edge 1 is unreachable from the root",
+    ]
+
+
+def test_walk_orders_a_renumbered_chain_ten_thousand_deep():
+    b = CircuitBuilder(2)
+    acc = b.input(1)
+    for k in range(10_000):
+        acc = (b.and_ if k % 2 == 0 else b.or_)(acc, b.input(2))
+    c = renumbered(b.build(acc), random.Random(9))
+    assert not ids_ascend_topologically(c)  # so topo_order walks
+    order = topo_order(c)
+    assert sorted(order) == sorted(c.edges)
+    placed = {eid: pos for pos, eid in enumerate(order)}
+    assert all(placed[c.producer[v]] < placed[eid] for eid, e in c.edges.items() for v in e.args)
+
+
+def test_parse_validate_and_evaluate_build_no_reader_index():
+    c = parse_circuit(serialize_circuit(neartight_parity(6, 4)))
+    assert validate(c) == []
+    assert truth_table(c) == truth_table(neartight_parity(6, 4))
+    assert "readers" not in vars(c) and "leaves" not in vars(c)
+    d = renumbered(c, random.Random(3))
+    assert not ids_ascend_topologically(d)
+    topo_order(d)  # walks, so builds both
+    assert "readers" in vars(d) and "leaves" in vars(d)
 
 
 def test_topo_order_simple_chain():

@@ -28,6 +28,27 @@ def test_validate(and2, capsys):
     assert "1 binary gates" in capsys.readouterr().out
 
 
+def test_validate_reports_an_invalid_circuit_as_a_parse_error(tmp_path, capsys):
+    # Parsing builds the circuit and building validates it, so an invalid
+    # circuit never reaches the command: exit 1, nothing on stdout.
+    path = tmp_path / "c.ckt"
+    path.write_text("ckt 1\nbasis demorgan\ninputs 1\nn1 = NOT x1\nn2 = NOT x1\noutput n1\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 6: invalid circuit: edge 2 is unreachable from the root\n"
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_inputs_count_must_be_ascii_digits(tmp_path, capsys, count):
+    path = tmp_path / "c.ckt"
+    path.write_text(f"ckt 1\nbasis demorgan\ninputs {count}\noutput x1\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 3: expected 'inputs N'\n"
+
+
 def test_eval(and2, capsys):
     assert main(["eval", and2, "--input", "11"]) == 0
     assert capsys.readouterr().out.strip() == "1"

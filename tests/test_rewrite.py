@@ -569,7 +569,9 @@ def checked_rematch(monkeypatch):
     """After every rematch, the live redexes are those of a full rescan.
 
     Also checks that the candidate index decides matches: at every site,
-    each rule the index offers matches and every other rule fails to match.
+    each rule the index offers matches and every other rule fails to match;
+    and that the graph's ``Circuit`` indexes are those of a circuit built
+    afresh from its edges.
     """
     real_rematch = WorkingGraph.rematch
     calls = []
@@ -577,6 +579,10 @@ def checked_rematch(monkeypatch):
     def checking_rematch(graph):
         real_rematch(graph)
         calls.append(len(graph.edges))
+        fresh = Circuit(graph.edges, graph.root, graph.num_inputs)
+        assert isinstance(graph, Circuit)
+        for index in ("producer", "inputs", "vertices", "readers", "leaves"):
+            assert getattr(graph, index) == getattr(fresh, index), index
         live = [r for found in graph.redexes.values() for r in found]
         assert redex_keys(live) == redex_keys(find_redexes(graph.snapshot()))
         for e in graph.edges.values():
