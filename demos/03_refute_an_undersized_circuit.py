@@ -37,7 +37,7 @@ cex, outcome = refute_detailed(c)
 print(f"search outcome: {outcome.tag} after {len(outcome.iterations)} elimination rounds")
 for it in outcome.iterations:
     print(
-        f"  round {it.index}: fixed x{it.var} := {it.bit}, "
+        f"  round {it.iteration}: fixed x{it.var} := {it.bit}, "
         f"size {it.size_before} -> {it.size_after}"
     )
 print(f"restriction: {dict(outcome.restriction.assigned)}")

@@ -47,9 +47,7 @@ def _load(path: str) -> Circuit:
     return textio.parse_circuit(text)
 
 
-def _write_trace(path: Optional[str], records: Sequence[dict]) -> None:
-    if path is None:
-        return
+def _write_trace(path: str, records: Sequence[dict]) -> None:
     try:
         with open(path, "w") as handle:
             for record in records:
@@ -80,7 +78,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     c = _load(args.file)
     normal, trace = rewrite.normalize_circuit(c, strategy=args.strategy, seed=args.seed)
-    _write_trace(args.trace, [s.as_dict() for s in trace.steps])
+    if args.trace is not None:
+        _write_trace(args.trace, [s.as_dict() for s in trace.steps])
     sys.stdout.write(textio.serialize_circuit(normal))
     return 0
 
@@ -88,18 +87,19 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 def _cmd_refute(args: argparse.Namespace) -> int:
     c = _load(args.file)
     cex, outcome = refuter.refute_detailed(c)
-    records = []
-    if outcome is not None:
-        records = [it.as_dict() for it in outcome.iterations]
-        records.append(
-            {
-                "outcome": outcome.tag,
-                "restriction": dict(outcome.restriction.assigned),
-                "var": outcome.var,
-                "sibling": outcome.sibling,
-            }
-        )
-    _write_trace(args.trace, records)
+    if args.trace is not None:
+        records = []
+        if outcome is not None:  # n <= 3 is brute-forced: the trace file is empty
+            records = [it.as_dict() for it in outcome.iterations]
+            records.append(
+                {
+                    "outcome": outcome.tag,
+                    "restriction": dict(outcome.restriction.assigned),
+                    "var": outcome.var,
+                    "sibling": outcome.sibling,
+                }
+            )
+        _write_trace(args.trace, records)
     print("".join(str(b) for b in cex.input))
     return 0
 
@@ -115,8 +115,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trs_check(args: argparse.Namespace) -> int:
-    trs = terms.demorgan_system()
-    report = terms.certify_convergence(trs, samples=args.samples, seed=args.seed)
+    report = terms.certify_convergence(rewrite.DEMORGAN.trs, samples=args.samples, seed=args.seed)
     print(f"rules: {report.rule_count}")
     print(f"critical pairs: {report.pair_count}")
     print(f"unjoinable pairs: {len(report.unjoinable)}")

@@ -19,7 +19,7 @@ completions can be brute-forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -89,7 +89,7 @@ class Restriction:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    index: int
+    iteration: int
     h: int
     f: int
     f_prime: int
@@ -99,16 +99,7 @@ class IterationRecord:
     size_after: int
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.index,
-            "h": self.h,
-            "f": self.f,
-            "f_prime": self.f_prime,
-            "var": self.var,
-            "bit": self.bit,
-            "size_before": self.size_before,
-            "size_after": self.size_after,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

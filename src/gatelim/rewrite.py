@@ -1,9 +1,10 @@
 """The 16-rule circuit simplification system, compiled from the rule file.
 
-``data/demorgan_rules.txt`` is the one source of the rules: ``gatelim trs
-check`` certifies the formula rules it holds, and ``compile_rule`` turns the
-same rules into the circuit patterns this module executes.  A line's position
-in the file sets the deterministic (``det``) rule order for both.
+``data/demorgan_rules.txt`` is the one source of the rules.  It is read
+once, into ``DEMORGAN``, the one ``System``: ``gatelim trs check`` certifies
+its ``trs``, and ``compile_rule`` turns the same rules into its ``rules``,
+the circuit patterns this module executes.  A line's position in the file
+sets the deterministic (``det``) rule order for both.
 
 A pattern is a small circuit whose *open* vertices (one per rule variable)
 have no producing edge and match any wire.  Every occurrence of a variable
@@ -45,22 +46,21 @@ what is no longer reachable.  Besides these it keeps:
   producing edge changed are matched again.  That region lies at most the
   left-hand patterns' depth of reader hops above the vertex, and it climbs
   past the first hop only from edges of a label kind that some inner
-  left-hand edge with a non-open child has (``_CLIMB_KINDS``, derived from
-  ``RULES``).
+  left-hand edge with a non-open child has (``DEMORGAN.climb``).
 
 The rules that match at a site are looked up by a two-level key: the label
 kinds of the site's edge and of its arguments' producers; below an argument
-produced by an edge of a kind in ``_INNER_KINDS`` (the kinds of the non-root
-left-hand edges with arguments, derived from ``RULES``), that edge's argument
-wires and the kinds of their producers; and which of all these wires are the
-same wire.  A kind is a row of the label table (``terms.KINDS``), so the
-two constants are two kinds.  No left-hand side reads more, so the index
-decides: its memo runs the one left-hand matcher on the small neighbourhood
-the key describes, and ``match_at`` runs only where a rule matches, to build
-the redex.  This is term indexing to the patterns' full depth, as a
-discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
-kinds and wire shapes, so it stays small.  ``fire`` still re-verifies every
-redex.
+produced by an edge of a kind in ``DEMORGAN.inner`` (the kinds of the
+non-root left-hand edges with arguments), that edge's argument wires and the
+kinds of their producers; and which of all these wires are the same wire.
+A kind is a row of the label table (``terms.KINDS``), so the two constants
+are two kinds.  No left-hand side reads more, so the index decides: its memo
+(``DEMORGAN.candidates``) runs the one left-hand matcher on the small
+neighbourhood the key describes, and ``match_at`` runs only where a rule
+matches, to build the redex.  This is term indexing to the patterns' full
+depth, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
+holds only kinds and wire shapes, so it stays small.  ``fire`` still
+re-verifies every redex.
 
 One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
@@ -96,7 +96,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 from .circuits import (
@@ -164,15 +164,6 @@ def compile_rule(rule: TermRule) -> GraphRule:
     return GraphRule(rule.name, _compile_term(rule.lhs), _compile_term(rule.rhs))
 
 
-RULES: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in demorgan_system().rules)
-
-# Rules grouped by the label kind of their root edge, for redex scanning.
-_RULES_BY_ROOT: dict[LabelKind, tuple[GraphRule, ...]] = {}
-for _rule in RULES:
-    _root_kind = _rule.lhs.edges[0].label.kind
-    _RULES_BY_ROOT[_root_kind] = _RULES_BY_ROOT.get(_root_kind, ()) + (_rule,)
-
-
 def _edge_depths(p: Pattern) -> list[int]:
     """Producer hops from the root to each edge of the pattern, in edge order."""
     depth = {p.root: 0}
@@ -180,29 +171,6 @@ def _edge_depths(p: Pattern) -> list[int]:
         for name in pe.args:
             depth.setdefault(name, depth[pe.result] + 1)
     return [depth[pe.result] for pe in p.edges]
-
-
-# A match at a site reads producing edges at most this many hops below it.
-_DEPTH = max(max(_edge_depths(rule.lhs)) for rule in RULES)
-
-# Label kinds of the non-root left-hand edges with a non-open child.  A change
-# two or more hops below a site can reach its match only through a chain of
-# such edges, so the rematch region climbs past the first hop only through them.
-_CLIMB_KINDS = frozenset(
-    pe.label.kind
-    for rule in RULES
-    for pe in rule.lhs.edges[1:]
-    if any(name not in rule.lhs.open_vertices for name in pe.args)
-)
-
-# Label kinds of the non-root left-hand edges with arguments.  The candidate
-# key reads the arguments of an argument's producer only below these kinds.
-_INNER_KINDS = frozenset(pe.label.kind for rule in RULES for pe in rule.lhs.edges[1:] if pe.args)
-
-# The key describes a site two levels deep, which decides a match only while
-# every left-hand edge with arguments is the root or one hop below it.
-if any(pe.args and d > 1 for rule in RULES for pe, d in zip(rule.lhs.edges, _edge_depths(rule.lhs))):
-    raise ValueError("a left-hand edge with arguments lies deeper than the candidate key reads")
 
 
 def _bind(edges: Mapping[int, Edge], producer: Mapping[int, int], lhs: Pattern, site: int) -> Optional[dict]:
@@ -224,39 +192,82 @@ def _bind(edges: Mapping[int, Edge], producer: Mapping[int, int], lhs: Pattern, 
     return vm
 
 
-@functools.cache
-def _candidates(key: tuple) -> tuple[GraphRule, ...]:
-    """The rules, in rule order, that match the neighbourhood the key describes.
+class System:
+    """A rule system for circuits of one basis: a formula ``TRS`` and all the matcher derives from it.
 
-    The key is ``WorkingGraph.candidates``': the site's kind, the kind of
-    the producer of each key wire (None if it has none) and the wires'
-    equality shape.  Wire ``i`` becomes vertex ``shape[i]``; an argument
-    whose producer the key does not expand gets fresh argument vertices,
-    which no pattern reads.
+    Holds the ``trs``, its compiled ``rules`` and, derived from their
+    left-hand sides:
+
+    - ``by_root``: the rules grouped by the label kind of their root edge,
+      each group in rule order;
+    - ``depth``: a match at a site reads producing edges at most this many
+      hops below it;
+    - ``climb``: the label kinds of the non-root left-hand edges with a
+      non-open child.  A change two or more hops below a site can reach its
+      match only through a chain of such edges;
+    - ``inner``: the label kinds of the non-root left-hand edges with
+      arguments.  The candidate key reads the arguments of an argument's
+      producer only below these kinds;
+    - ``candidates``: this system's memo from a candidate key to the rules
+      that match (``WorkingGraph.candidates``).
+
+    The key describes a site two levels deep, which decides a match only
+    while every left-hand edge with arguments is the root or one hop below
+    it; building a system whose rules break that raises ``ValueError``.
     """
-    kind, kinds, shape = key
-    rules = _RULES_BY_ROOT.get(kind)
-    if rules is None:
-        return ()
-    arity = kind.arity
-    below: dict[int, tuple] = {}  # vertex -> (its producer's kind, its argument vertices or None)
-    i = arity
-    for k, v in zip(kinds, shape[:arity]):
-        if k in _INNER_KINDS:
-            below[v] = (k, shape[i : i + k.arity])
-            i += k.arity
-    for k, v in zip(kinds, shape):
-        below.setdefault(v, (k, None))
-    site = len(shape)
-    fresh = itertools.count(site + 1)
-    edges = {site: Edge(LABELS[kind.name], (site, *shape[:arity]))}  # keyed by result vertex
-    for v, (k, args) in below.items():
-        if k is not None and k.term:  # a kind some pattern edge can have
-            if args is None:
-                args = tuple(itertools.islice(fresh, k.arity))
-            edges[v] = Edge(LABELS[k.name], (v, *args))
-    producer = {v: v for v in edges}
-    return tuple(rule for rule in rules if _bind(edges, producer, rule.lhs, site) is not None)
+
+    def __init__(self, basis: str, trs: TRS):
+        self.basis = basis
+        self.trs = trs
+        self.rules: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in trs.rules)
+        depths = [_edge_depths(rule.lhs) for rule in self.rules]
+        if any(pe.args and d > 1 for rule, ds in zip(self.rules, depths) for pe, d in zip(rule.lhs.edges, ds)):
+            raise ValueError("a left-hand edge with arguments lies deeper than the candidate key reads")
+        self.by_root: dict[LabelKind, tuple[GraphRule, ...]] = {}
+        for rule in self.rules:
+            kind = rule.lhs.edges[0].label.kind
+            self.by_root[kind] = self.by_root.get(kind, ()) + (rule,)
+        self.depth = max(map(max, depths))
+        non_root = [(rule.lhs, pe) for rule in self.rules for pe in rule.lhs.edges[1:]]
+        self.climb = frozenset(pe.label.kind for lhs, pe in non_root if not lhs.open_vertices.issuperset(pe.args))
+        self.inner = frozenset(pe.label.kind for _, pe in non_root if pe.args)
+        self.candidates = functools.cache(self._candidates)
+
+    def _candidates(self, key: tuple) -> tuple[GraphRule, ...]:
+        """The rules, in rule order, that match the neighbourhood the key describes.
+
+        The key is ``WorkingGraph.candidates``': the site's kind, the kind of
+        the producer of each key wire (None if it has none) and the wires'
+        equality shape.  Wire ``i`` becomes vertex ``shape[i]``; an argument
+        whose producer the key does not expand gets fresh argument vertices,
+        which no pattern reads.
+        """
+        kind, kinds, shape = key
+        rules = self.by_root.get(kind)
+        if rules is None:
+            return ()
+        arity = kind.arity
+        below: dict[int, tuple] = {}  # vertex -> (its producer's kind, its argument vertices or None)
+        i = arity
+        for k, v in zip(kinds, shape[:arity]):
+            if k in self.inner:
+                below[v] = (k, shape[i : i + k.arity])
+                i += k.arity
+        for k, v in zip(kinds, shape):
+            below.setdefault(v, (k, None))
+        site = len(shape)
+        fresh = itertools.count(site + 1)
+        edges = {site: Edge(LABELS[kind.name], (site, *shape[:arity]))}  # keyed by result vertex
+        for v, (k, args) in below.items():
+            if k is not None and k.term:  # a kind some pattern edge can have
+                if args is None:
+                    args = tuple(itertools.islice(fresh, k.arity))
+                edges[v] = Edge(LABELS[k.name], (v, *args))
+        producer = {v: v for v in edges}
+        return tuple(rule for rule in rules if _bind(edges, producer, rule.lhs, site) is not None)
+
+
+DEMORGAN = System("demorgan", demorgan_system())
 
 
 @dataclass(frozen=True)
@@ -281,7 +292,7 @@ def find_redexes(c: Circuit) -> list[Redex]:
     out: list[Redex] = []
     for eid in topo_order(c):
         e = c.edges[eid]
-        for rule in _RULES_BY_ROOT.get(e.label.kind, ()):
+        for rule in DEMORGAN.by_root.get(e.label.kind, ()):
             r = match_at(c, rule, e.result)
             if r is not None:
                 out.append(r)
@@ -298,14 +309,7 @@ class TraceStep:
     size_after: int
 
     def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "rule": self.rule,
-            "site": self.site,
-            "removed_edges": list(self.removed_edges),
-            "added_edges": list(self.added_edges),
-            "size_after": self.size_after,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -504,12 +508,12 @@ class WorkingGraph(Circuit):
 
         The key is the kind of the site's label, its argument wires and,
         below each argument produced by an edge of a kind in
-        ``_INNER_KINDS``, that edge's argument wires; then the kind of the
+        ``DEMORGAN.inner``, that edge's argument wires; then the kind of the
         producer of each of these wires and which of them are the same wire.
-        That is all a left-hand side reads, so ``_candidates`` decides the
-        match on the key alone.
+        That is all a left-hand side reads, so ``DEMORGAN.candidates``
+        decides the match on the key alone.
         """
-        edges, producer = self.edges, self.producer
+        edges, producer, inner = self.edges, self.producer, DEMORGAN.inner
         e = edges[producer[site]]
         wires = [*e.args]
         kinds = []
@@ -517,12 +521,12 @@ class WorkingGraph(Circuit):
             p = producer.get(v)
             k = None if p is None else edges[p].label.kind
             kinds.append(k)
-            if k in _INNER_KINDS:
+            if k in inner:
                 wires += edges[p].args
         for v in wires[len(kinds) :]:
             p = producer.get(v)
             kinds.append(None if p is None else edges[p].label.kind)
-        return _candidates((e.label.kind, tuple(kinds), tuple(map(wires.index, wires))))
+        return DEMORGAN.candidates((e.label.kind, tuple(kinds), tuple(map(wires.index, wires))))
 
     def _match(self, site: int) -> None:
         found = [match_at(self, rule, site) for rule in self.candidates(site)]
@@ -534,17 +538,19 @@ class WorkingGraph(Circuit):
     def rematch(self) -> None:
         """Match again every site whose match can read the producing edge of a touched vertex.
 
-        Such a site lies at most ``_DEPTH`` reader hops above the vertex, and
-        every hop past the first climbs from an edge of a kind in ``_CLIMB_KINDS``.
+        Such a site lies at most ``DEMORGAN.depth`` reader hops above the
+        vertex, and every hop past the first climbs from an edge of a kind in
+        ``DEMORGAN.climb``.
         """
+        depth, climb_kinds = DEMORGAN.depth, DEMORGAN.climb
         for v in self.touched:
             self.redexes.pop(v, None)
         region = {v for v in self.touched if v in self.producer}
         climb = region
-        for _ in range(_DEPTH):
+        for _ in range(depth):
             above = {self.edges[r].result for v in climb for r in self.readers.get(v, ())} - region
             region |= above
-            climb = {v for v in above if self.edges[self.producer[v]].label.kind in _CLIMB_KINDS}
+            climb = {v for v in above if self.edges[self.producer[v]].label.kind in climb_kinds}
         self.touched = set()
         for site in region:
             self._match(site)
@@ -593,7 +599,7 @@ class WorkingGraph(Circuit):
         A leading ``sharing`` step reports the merges made on entry.  The
         budget is one more step than the graph measure after them.
         """
-        if self.basis != "demorgan":
+        if self.basis != DEMORGAN.basis:
             raise CircuitError("the rule system is defined for demorgan circuits")
         if strategy not in ("det", "rand"):
             raise CircuitError(f"unknown strategy {strategy!r}")
@@ -660,7 +666,7 @@ def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
 
 def graph_measure(c: Circuit) -> int:
     """Termination measure; strictly decreases on every rewrite step."""
-    if c.basis != "demorgan":
+    if c.basis != DEMORGAN.basis:
         raise CircuitError("the measure is defined for demorgan circuits")
     return sum(e.label.kind.weight for e in c.edges.values())
 

@@ -29,10 +29,12 @@ from gatelim.circuits import (
     label_name,
     validate,
 )
-from gatelim import rewrite
+from gatelim import rewrite, terms
+from gatelim.cli import main
 from gatelim.refuter import refute_detailed, search_bad_restriction
 from gatelim.rewrite import (
-    RULES,
+    DEMORGAN,
+    System,
     WorkingGraph,
     apply_rewrite,
     compile_rule,
@@ -70,20 +72,92 @@ def pattern_term(pattern):
 
 
 def test_rule_table_matches_the_formula_system():
-    assert len(RULES) == 16
-    assert [r.name for r in RULES] == [r.name for r in TRS_B.rules]
-    for graph_rule, term_rule in zip(RULES, TRS_B.rules):
+    assert len(DEMORGAN.rules) == 16
+    assert [r.name for r in DEMORGAN.rules] == [r.name for r in TRS_B.rules]
+    for graph_rule, term_rule in zip(DEMORGAN.rules, TRS_B.rules):
         assert pattern_term(graph_rule.lhs) == term_rule.lhs, graph_rule.name
         assert pattern_term(graph_rule.rhs) == term_rule.rhs, graph_rule.name
 
 
 def test_repeated_variable_compiles_to_one_shared_open_vertex():
-    (and_dedup,) = [r for r in RULES if r.name == "and_dedup"]
+    (and_dedup,) = [r for r in DEMORGAN.rules if r.name == "and_dedup"]
     (root_edge,) = and_dedup.lhs.edges
     assert root_edge.label == AND
     (open_vertex,) = and_dedup.lhs.open_vertices
     assert root_edge.att[1:] == (open_vertex, open_vertex)
     assert and_dedup.rhs.root == open_vertex and and_dedup.rhs.edges == ()
+
+
+def test_demorgan_system_derives_what_the_matcher_reads():
+    assert DEMORGAN.basis == "demorgan" and DEMORGAN.trs == TRS_B
+    assert DEMORGAN.depth == 2
+    assert DEMORGAN.climb == DEMORGAN.inner == {NOT.kind}
+    assert {kind.name: [r.name for r in rules] for kind, rules in DEMORGAN.by_root.items()} == {
+        "CONST0": ["zero_elim"],
+        "NOT": ["double_neg_elim"],
+        "AND": [
+            "and_dedup",
+            "fix_and_right",
+            "fix_and_left",
+            "pass_and_right",
+            "pass_and_left",
+            "taut_and_right",
+            "taut_and_left",
+        ],
+        "OR": [
+            "or_dedup",
+            "fix_or_right",
+            "fix_or_left",
+            "pass_or_right",
+            "pass_or_left",
+            "taut_or_right",
+            "taut_or_left",
+        ],
+    }
+
+
+def test_a_system_reading_deeper_than_the_candidate_key_is_refused():
+    g = Var("g")
+    deep = TermRule("deep", And(Not(Not(g)), g), g)  # the inner NOT has an argument two hops down
+    with pytest.raises(ValueError, match="deeper than the candidate key reads"):
+        System("demorgan", TRS((deep,)))
+
+
+def test_each_system_has_its_own_candidate_memo():
+    (and_dedup,) = [r for r in TRS_B.rules if r.name == "and_dedup"]
+    system = System("demorgan", TRS((and_dedup,)))
+    before = DEMORGAN.candidates.cache_info()
+    dedup_key = (AND.kind, (None, None), (0, 0))  # AND(a, a), a not produced
+    taut_key = (AND.kind, (None, NOT.kind, None), (0, 1, 0))  # AND(a, NOT(a))
+    assert system.candidates(dedup_key) == system.rules
+    assert system.candidates(taut_key) == ()
+    assert system.candidates.cache_info().currsize == 2
+    assert DEMORGAN.candidates.cache_info() == before
+    assert [r.name for r in DEMORGAN.candidates(taut_key)] == ["taut_and_right"]
+
+
+def test_trs_check_certifies_the_system_normalize_runs(monkeypatch, capsys):
+    def read_again(*args, **kwargs):
+        raise AssertionError("the rule file was read again")
+
+    certified = []
+    certify = terms.certify_convergence
+
+    def spy(trs, **kwargs):
+        certified.append(trs)
+        return certify(trs, **kwargs)
+
+    monkeypatch.setattr(terms, "load_rules", read_again)
+    monkeypatch.setattr(terms, "certify_convergence", spy)
+    assert main(["trs", "check", "--samples", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "rules: 16\n"
+        "critical pairs: 61\n"
+        "unjoinable pairs: 0\n"
+        "weight samples: 5, violations: 0\n"
+        "convergent: all critical pairs joinable, weight strictly decreasing\n"
+    )
+    assert len(certified) == 1 and certified[0] is DEMORGAN.trs
 
 
 def test_compile_rule_splices_a_right_hand_side_with_variables_inside():
@@ -587,7 +661,7 @@ def checked_rematch(monkeypatch):
         assert redex_keys(live) == redex_keys(find_redexes(graph.snapshot()))
         for e in graph.edges.values():
             offered = graph.candidates(e.result)
-            for rule in RULES:
+            for rule in DEMORGAN.rules:
                 assert (match_at(graph, rule, e.result) is not None) == (rule in offered), rule.name
 
     monkeypatch.setattr(WorkingGraph, "rematch", checking_rematch)
