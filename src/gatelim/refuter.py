@@ -81,10 +81,10 @@ class Restriction:
             raise ValueError(f"x{var} already assigned")
         return Restriction(self.n, self.assigned + ((var, int(bit)),))
 
-    def completion(self, default: int = 0) -> tuple[int, ...]:
-        """A total assignment extending the restriction; active bits take default."""
+    def completion(self) -> tuple[int, ...]:
+        """The total assignment extending the restriction with every active bit 0."""
         fixed = dict(self.assigned)
-        return tuple(fixed.get(i, default) for i in range(1, self.n + 1))
+        return tuple(fixed.get(i, 0) for i in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def extract_counterexample(c: Circuit, outcome: RefuterOutcome) -> Counterexampl
     if outcome.tag in ("degen", "const"):
         var = outcome.var if outcome.tag == "degen" else outcome.sibling
         _check(var is not None and var in outcome.restriction.active, f"x{var} is not an active variable")
-        base = outcome.restriction.completion(0)
+        base = outcome.restriction.completion()
         flipped = flip(base, var)
         left, right = evaluate(c, base), evaluate(c, flipped)
         _check(left == right, f"restricted circuit still depends on x{var}")

@@ -59,23 +59,26 @@ are two kinds.  No left-hand side reads more, so the index decides: its memo
 neighbourhood the key describes, and ``match_at`` runs only where a rule
 matches, to build the redex.  This is term indexing to the patterns' full
 depth, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
-holds only kinds and wire shapes, so it stays small.  ``fire`` still
-re-verifies every redex.
+holds only kinds and wire shapes, so it stays small.  A step still
+re-verifies its redex before firing it.
 
 One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
 constants, ready edges on a min-id heap - only as far as it is consumed.
-Choosing a redex needs the (topological site, rule) order of the live
-redexes.  The graph counts its inversions (``inverted``): the pairs of an
-edge and a distinct argument wire whose producer's id is not smaller than the
-edge's.  With none, the walk's order is ascending edge id (the lemma of
-``topo_order``), so the live sites are ordered by their producers' ids and
-nothing is walked.  Otherwise, with redexes at two or more sites live, the
-choice consumes the walk up to the first live site (``det``) or until every
-live site has come out (``rand``).  New vertex and edge ids are one more than
-the largest live id, as in ``apply_rewrite``, which fires one step on the
-same working graph.  On a circuit that starts without inversions only a
-right-hand side with edges, numbered so from its root down, makes any.
+The live redexes have one order, (topological site, rule), and one
+generator yields them in it, ``WorkingGraph.ordered``, also only as far as
+it is consumed: ``det`` fires its first element and ``rand`` draws uniformly
+from all of it.  The graph counts its inversions (``inverted``): the pairs
+of an edge and a distinct argument wire whose producer's id is not smaller
+than the edge's.  With none, the walk's order is ascending edge id (the
+lemma of ``topo_order``), so the live sites come off a heap of their
+producers' ids and nothing is walked.  Otherwise, with redexes at two or
+more sites live, the walk is consumed until the sites asked for have come
+out: the first live one for ``det``, every one for ``rand``.  New vertex and
+edge ids are one more than the largest live id, as in ``apply_rewrite``,
+which fires one step on the same working graph.  On a circuit that starts
+without inversions only a right-hand side with edges, numbered so from its
+root down, makes any.
 
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
@@ -86,18 +89,19 @@ the graph, advanced only until the gates it compares have come out, so no
 round orders the whole graph with ``topo_order``.
 
 The functions on immutable circuits run the same working graph: each copies
-the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` is ``fire``,
-``merge_parallel_edges`` is ``share`` and ``substitute_input`` is
-``substitute``.
+the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` fires one
+redex as ``normalize`` does, ``merge_parallel_edges`` is ``share`` and
+``substitute_input`` is ``substitute``.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .circuits import (
     INPUT,
@@ -227,7 +231,7 @@ class System:
         for rule in self.rules:
             kind = rule.lhs.edges[0].label.kind
             self.by_root[kind] = self.by_root.get(kind, ()) + (rule,)
-        self.depth = max(map(max, depths))
+        self.depth = max(map(max, depths), default=0)
         non_root = [(rule.lhs, pe) for rule in self.rules for pe in rule.lhs.edges[1:]]
         self.climb = frozenset(pe.label.kind for lhs, pe in non_root if not lhs.open_vertices.issuperset(pe.args))
         self.inner = frozenset(pe.label.kind for _, pe in non_root if pe.args)
@@ -432,13 +436,11 @@ class WorkingGraph(Circuit):
             candidates.extend(self._delete(eid).args)
         return dead
 
-    def fire(self, redex: Redex) -> TraceStep:
-        """Re-verify the redex, splice its right-hand side in place and collect garbage."""
-        removed, added = self._fire(redex)
-        return TraceStep(0, redex.rule.name, redex.site, tuple(removed), tuple(added), self.size)
-
     def _fire(self, redex: Redex) -> tuple[list[int], list[int]]:
-        """``fire`` without the trace step: the removed and the added edge ids."""
+        """Re-verify the redex, splice its right-hand side in place and collect garbage.
+
+        Returns the removed and the added edge ids.
+        """
         fresh = match_at(self, redex.rule, redex.site)
         if fresh is None or fresh.vertex_map != redex.vertex_map:
             raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
@@ -555,32 +557,33 @@ class WorkingGraph(Circuit):
         for site in region:
             self._match(site)
 
-    def ordered(self, first: bool) -> list[Redex]:
-        """The live redexes in (topological site, rule) order; with ``first``, those of the first site.
+    def ordered(self) -> Iterator[Redex]:
+        """The live redexes in (topological site, rule) order, computed only as far as they are consumed.
 
-        With no inversion the walk's order is ascending edge id (the lemma of
-        ``topo_order``), so the sites are ordered by their producers' ids and
-        nothing is walked.  Otherwise consumes ``walk`` only until the sites
-        it needs have come out.
+        With one live site there is nothing to order.  With no inversion the
+        walk's order is ascending edge id (the lemma of ``topo_order``), so
+        the sites come off a heap of their producers' ids and nothing is
+        walked.  Otherwise ``walk`` is consumed until every live site has
+        come out.  Do not change the graph while the generator is in use.
         """
-        if len(self.redexes) == 1:
-            return next(iter(self.redexes.values()))
-        if not self.inverted:
-            if first:
-                return self.redexes[min(self.redexes, key=self.producer.__getitem__)]
-            return [r for site in sorted(self.redexes, key=self.producer.__getitem__) for r in self.redexes[site]]
-        left = len(self.redexes)
-        out: list[Redex] = []
-        for eid in self.walk():
-            found = self.redexes.get(self.edges[eid].result)
-            if found:
-                if first:
-                    return found
-                out += found
-                left -= 1
-                if not left:
-                    break
-        return out
+        redexes, edges = self.redexes, self.edges
+        if len(redexes) < 2:
+            for found in redexes.values():
+                yield from found
+        elif not self.inverted:
+            heap = [self.producer[site] for site in redexes]
+            heapq.heapify(heap)
+            while heap:
+                yield from redexes[edges[heapq.heappop(heap)].result]
+        else:
+            left = len(redexes)
+            for eid in self.walk():
+                found = redexes.get(edges[eid].result)
+                if found:
+                    yield from found
+                    left -= 1
+                    if not left:
+                        return
 
     def substitute(self, index: int, bit: int) -> None:
         """Relabel the x_index edge as the constant bit, keeping its edge id.
@@ -612,10 +615,7 @@ class WorkingGraph(Circuit):
         budget = self.measure + 1
         fired = 0
         while self.redexes:
-            if strategy == "det":
-                chosen = self.ordered(first=True)[0]
-            else:
-                chosen = rng.choice(self.ordered(first=False))
+            chosen = next(self.ordered()) if strategy == "det" else rng.choice(list(self.ordered()))
             removed, added = self._fire(chosen)
             removed += self.share()
             self.rematch()
@@ -638,8 +638,8 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     duplicates the step makes are left in place.
     """
     graph = WorkingGraph(c)
-    step = graph.fire(redex)
-    return graph.snapshot(), step
+    removed, added = graph._fire(redex)
+    return graph.snapshot(), TraceStep(0, redex.rule.name, redex.site, tuple(removed), tuple(added), graph.size)
 
 
 def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:

@@ -10,6 +10,11 @@ The module ships a fixed 16-rule simplification system over this signature
 to certify it convergent: a node-weight measure that strictly decreases on
 every rewrite (termination) and a critical pair computation whose
 joinability, combined with termination, gives confluence by Newman's lemma.
+
+A term's redexes have one order, innermost first: ``redexes`` yields them
+lazily, positions in post-order and the rules at each in system order.  The
+deterministic strategy (``rewrite_step``, ``normalize_term``) fires the
+first and the random one (``normalize_term_random``) draws from all of them.
 """
 
 from __future__ import annotations
@@ -289,12 +294,13 @@ class TRS:
     rules: tuple[TermRule, ...]
 
 
-def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:
-    """One leftmost-innermost rewrite step; rules tried in system order.
+def redexes(trs: TRS, t: Term) -> Iterator[tuple[Position, TermRule, Binding]]:
+    """Every redex of t, innermost first, as (position, rule, binding).
 
-    Returns (result, redex position, rule name), or None if t is in
-    normal form.  The redex is the first node in post-order where a rule
-    matches, and only its position is built.
+    Positions come in post-order, left to right, and the rules at one
+    position in system order; a position is built only when it is yielded.
+    This is the one redex order: ``rewrite_step`` fires its first element and
+    ``normalize_term_random`` draws from all of it.
     """
     path = [[t, 0]]  # the nodes from the root down, each with how many of its arguments were entered
     while path:
@@ -309,28 +315,18 @@ def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:
         for rule in trs.rules:
             binding = match(rule.lhs, u)
             if binding is not None:
-                pos = tuple(i - 1 for _, i in path)
-                return replace_at(t, pos, apply_substitution(rule.rhs, binding)), pos, rule.name
+                yield tuple(i - 1 for _, i in path), rule, binding
+
+
+def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:
+    """One leftmost-innermost rewrite step: the first of ``redexes``.
+
+    Returns (result, redex position, rule name), or None if t is in
+    normal form.
+    """
+    for pos, rule, binding in redexes(trs, t):
+        return replace_at(t, pos, apply_substitution(rule.rhs, binding)), pos, rule.name
     return None
-
-
-def redexes(trs: TRS, t: Term) -> list[tuple[Position, TermRule]]:
-    """Every (position, rule) pair at which a rule matches a subterm of t."""
-    out = []
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        for rule in trs.rules:
-            if match(rule.lhs, sub) is not None:
-                out.append((pos, rule))
-    return out
-
-
-def rewrite_at(trs: TRS, t: Term, pos: Position, rule: TermRule) -> Term:
-    sub = subterm_at(t, pos)
-    binding = match(rule.lhs, sub)
-    if binding is None:
-        raise ValueError(f"rule {rule.name} does not match at {pos}")
-    return replace_at(t, pos, apply_substitution(rule.rhs, binding))
 
 
 def normalize_term(trs: TRS, t: Term) -> Term:
@@ -352,11 +348,11 @@ def normalize_term_random(trs: TRS, t: Term, rng: random.Random) -> Term:
     """Rewrite to a fixpoint choosing a uniformly random redex each step."""
     budget = 3 * term_weight(t)
     for _ in range(budget + 1):
-        rs = redexes(trs, t)
+        rs = list(redexes(trs, t))
         if not rs:
             return t
-        pos, rule = rng.choice(rs)
-        t = rewrite_at(trs, t, pos, rule)
+        pos, rule, binding = rng.choice(rs)
+        t = replace_at(t, pos, apply_substitution(rule.rhs, binding))
     raise BudgetError(f"no normal form within {budget} steps")
 
 
@@ -494,9 +490,9 @@ class ConvergenceReport:
         return not self.unjoinable and self.weight_violations == 0
 
 
-def random_term(rng: random.Random, max_depth: int, var_names: tuple[str, ...] = ("x1", "x2", "x3")) -> Term:
-    """A random term at most max_depth deep; each node is drawn before its arguments."""
-    leaves = tuple(Op(kind) for kind in _OPERATORS.values() if not kind.arity) + tuple(map(Var, var_names))
+def random_term(rng: random.Random, max_depth: int) -> Term:
+    """A random term over x1, x2 and x3 at most max_depth deep; each node is drawn before its arguments."""
+    leaves = tuple(Op(kind) for kind in _OPERATORS.values() if not kind.arity) + (Var("x1"), Var("x2"), Var("x3"))
     ops = tuple(kind for kind in _OPERATORS.values() if kind.arity)
     open_: list[tuple[LabelKind, list[Term]]] = []  # operator nodes still missing arguments, outermost first
     while True:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from gatelim.circuits import Circuit, CircuitBuilder, circuit_size, evaluate
+from gatelim.circuits import Circuit, CircuitBuilder, Edge, circuit_size, evaluate
 from gatelim.terms import Term, evaluate_term
 
 
@@ -63,6 +63,14 @@ def renumbered(c: Circuit, rng: random.Random) -> Circuit:
     ids = list(c.edges)
     shuffled = rng.sample(ids, len(ids))
     return Circuit({new: c.edges[old] for old, new in zip(ids, shuffled)}, c.root, c.num_inputs)
+
+
+def revertexed(c: Circuit, rng: random.Random) -> Circuit:
+    """c with its vertex ids shuffled, so sites need not follow their producers' order; edge ids stay."""
+    vs = sorted(c.vertices)
+    new = dict(zip(vs, rng.sample(vs, len(vs))))
+    edges = {eid: Edge(e.label, tuple(map(new.__getitem__, e.att))) for eid, e in c.edges.items()}
+    return Circuit(edges, new[c.root], c.num_inputs)
 
 
 def assignments(n: int):

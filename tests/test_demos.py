@@ -31,8 +31,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env, timeout=60
-    )
+    python = [sys.executable, *["-O"] * sys.flags.optimize]  # optimized when the tests are
+    run = subprocess.run([*python, "-W", "error", str(demo)], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

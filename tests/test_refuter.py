@@ -1,5 +1,6 @@
 """The parity refuter: fixers, the restriction search, and extraction."""
 
+import collections
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import reference_rewrite
 from gen import assignments, neartight_parity, random_circuit, truth_table, undersized_circuit, xor_table
 
-from gatelim.circuits import AND, CONST1, OR, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
+from gatelim.circuits import AND, CONST1, NOT, OR, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
 import gatelim
 from gatelim import circuits, refuter, rewrite
 from gatelim.refuter import (
@@ -113,7 +114,7 @@ def test_restriction_bookkeeping():
     assert r.active == frozenset({1, 2, 3, 4})
     r = r.assign(2, 1)
     assert r.active == frozenset({1, 3, 4})
-    assert r.completion(0) == (0, 1, 0, 0)
+    assert r.completion() == (0, 1, 0, 0)
     with pytest.raises(ValueError):
         r.assign(2, 0)
 
@@ -218,6 +219,25 @@ def test_refuter_totality_randomized():
             for it in outcome.iterations:
                 assert it.size_after <= it.size_before - 3
     assert "degen" in tags and "brute" in tags
+
+
+def negated(c):
+    """c with a NOT gate added at its output."""
+    v = max(c.vertices) + 1
+    return Circuit({**c.edges, max(c.edges) + 1: Edge(NOT, (v, c.root))}, v, c.num_inputs)
+
+
+def test_refutes_circuits_whose_output_is_a_negation():
+    # the output gate lies below the NOT, so a search ending ``const`` must look through it
+    rng = random.Random(5)
+    circuits = [negated(undersized_circuit(rng, rng.randint(4, 6))) for _ in range(3000)]
+    circuits += [negated(neartight_parity(n, pos)) for n in range(5, 11) for pos in range(2, n + 1)]
+    tags = collections.Counter()
+    for c in circuits:
+        cex, outcome = refute_detailed(c)
+        assert evaluate(c, cex.input) == cex.claimed != cex.truth == parity(cex.input)
+        tags[outcome.tag] += 1
+    assert tags["const"] >= 1
 
 
 def almost_parity(n, tail_op):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import reference_rewrite
-from gen import neartight_parity, random_circuit, renumbered, truth_table
+from gen import neartight_parity, random_circuit, renumbered, revertexed, truth_table
 
 from gatelim.circuits import (
     AND,
@@ -46,7 +46,7 @@ from gatelim.rewrite import (
     StaleRedexError,
     substitute_input,
 )
-from gatelim.terms import ONE, TRS, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_at
+from gatelim.terms import ONE, TRS, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_step
 from gatelim.textio import serialize_circuit
 
 TRS_B = demorgan_system()
@@ -136,6 +136,15 @@ def test_each_system_has_its_own_candidate_memo():
     assert [r.name for r in DEMORGAN.candidates(taut_key)] == ["taut_and_right"]
 
 
+def test_an_empty_system_builds_and_offers_no_rule():
+    # every term is normal in it; a completion starts from such partial rule sets
+    empty = System("demorgan", TRS(()))
+    assert empty.rules == () and empty.depth == 0
+    assert empty.by_root == {} and empty.climb == empty.inner == frozenset()
+    assert empty.candidates((AND.kind, (None, None), (0, 0))) == ()
+    assert empty.candidates((NOT.kind, (NOT.kind, None), (0, 1))) == ()
+
+
 def test_trs_check_certifies_the_system_normalize_runs(monkeypatch, capsys):
     def read_again(*args, **kwargs):
         raise AssertionError("the rule file was read again")
@@ -174,7 +183,8 @@ def test_compile_rule_splices_a_right_hand_side_with_variables_inside():
     out, step = apply_rewrite(c, redex)
     assert validate(out) == []
     assert step.rule == "demorgan_back" and len(step.added_edges) == 2
-    expected = rewrite_at(TRS((term_rule,)), unroll_term(c), (0,), term_rule)
+    expected, pos, _ = rewrite_step(TRS((term_rule,)), unroll_term(c))
+    assert pos == (0,)
     assert unroll_term(out) == expected
     assert unroll_term(out) == And(Not(And(Var("x1"), Var("x2"))), Or(Not(Var("x1")), Var("x3")))
     assert truth_table(out) == truth_table(c)
@@ -690,15 +700,9 @@ def test_live_redexes_equal_a_rescan_through_neartight_refutations(checked_remat
     assert len(checked_rematch) > 200
 
 
-def walk_order(graph, first):
+def walk_order(graph):
     """The live redexes in (topological site, rule) order, taken from a full walk."""
-    out = []
-    for eid in graph.walk():
-        found = graph.redexes.get(graph.edges[eid].result, [])
-        if first and found:
-            return found
-        out += found
-    return out
+    return [r for eid in graph.walk() for r in graph.redexes.get(graph.edges[eid].result, [])]
 
 
 def recount_inverted(graph):
@@ -709,7 +713,7 @@ def recount_inverted(graph):
 
 @pytest.fixture
 def checked_order(monkeypatch):
-    """After every step the inversion count is a recount, and every redex choice equals a full walk's.
+    """After every step the inversion count is a recount, and the whole ordered list at every choice is a full walk's.
 
     Returns how many choices with two or more live sites were made without
     inversions (the ordered shortcut) and with them (the walk).
@@ -721,13 +725,13 @@ def checked_order(monkeypatch):
         real_rematch(graph)
         assert graph.inverted == recount_inverted(graph)
 
-    def checking_ordered(graph, first):
+    def checking_ordered(graph):
         assert graph.inverted == recount_inverted(graph)
-        got = real_ordered(graph, first)
-        assert got == walk_order(graph, first)
+        got = list(real_ordered(graph))
+        assert got == walk_order(graph)
         if len(graph.redexes) > 1:
             choices["walk" if graph.inverted else "shortcut"] += 1
-        return got
+        return iter(got)
 
     monkeypatch.setattr(WorkingGraph, "rematch", checking_rematch)
     monkeypatch.setattr(WorkingGraph, "ordered", checking_ordered)
@@ -746,6 +750,7 @@ def test_redex_choice_equals_a_full_walk(checked_order):
                 fed = substitute_input(fed, i, rng.randint(0, 1))
         circuits += [c, fed, renumbered(fed, rng)]
     circuits += [neartight_parity(n, pos) for n in (5, 8) for pos in (2, n // 2 + 1, n)]
+    circuits += [revertexed(c, random.Random(k)) for k, c in enumerate(circuits)]
     for c in circuits:
         for strategy, seed in STRATEGIES:
             normalize_circuit(c, strategy, seed=seed)

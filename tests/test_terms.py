@@ -33,6 +33,7 @@ from gatelim.terms import (
     positions,
     random_term,
     redexes,
+    replace_at,
     rewrite_step,
     subterm_at,
     term_weight,
@@ -273,6 +274,32 @@ def test_order_independence():
             assert normalize_term_random(TRS_B, t, random.Random(seed)) == det
 
 
+def test_redexes_come_innermost_first_and_rewrite_step_fires_the_first():
+    # positions in post-order, left to right, and the rules at each in system order
+    rng = random.Random(17)
+    differs = 0
+    for _ in range(500):
+        t = random_term(rng, 6)
+        post_order = sorted(positions(t), key=lambda pos: pos + (float("inf"),))
+        expected = [
+            (pos, rule.name)
+            for pos in post_order
+            for rule in TRS_B.rules
+            if match(rule.lhs, subterm_at(t, pos)) is not None
+        ]
+        found = list(redexes(TRS_B, t))
+        assert [(pos, rule.name) for pos, rule, _ in found] == expected
+        for pos, rule, binding in found:
+            assert apply_substitution(rule.lhs, binding) == subterm_at(t, pos)
+        if not found:
+            assert rewrite_step(TRS_B, t) is None
+            continue
+        pos, rule, binding = next(redexes(TRS_B, t))
+        assert rewrite_step(TRS_B, t) == (replace_at(t, pos, apply_substitution(rule.rhs, binding)), pos, rule.name)
+        differs += pos != min(pos for pos, _, _ in found)  # the outermost-first order would start elsewhere
+    assert differs > 100
+
+
 def test_critical_pair_example_tautology_vs_double_negation():
     pairs = critical_pairs(TRS_B)
     # overlap of (and g (not g)) with (not (not g2)) at the second argument:
@@ -403,10 +430,11 @@ def test_random_term_draws_are_pinned():
         "(not (and (not (not one)) zero))",
     ]
     rng = random.Random(3)
-    assert [repr(random_term(rng, 3, ("a", "b"))) for _ in range(3)] == [
-        "one",
-        "(or (or zero (and a one)) b)",
-        "(or (or (not one) (or b zero)) (not zero))",
+    assert [repr(random_term(rng, 3)) for _ in range(4)] == [
+        "x3",
+        "x3",
+        "(or zero (and one x2))",
+        "(or (or (not one) (or x2 zero)) (not x3))",
     ]
 
 
@@ -447,7 +475,7 @@ def test_positions_and_redexes_at_depth_two_thousand():
     spine = (0,) * depth
     assert len(list(positions(t))) == 2 * depth + 3
     assert subterm_at(t, spine) == Not(Not(X1))
-    assert [(pos, rule.name) for pos, rule in redexes(TRS_B, t)] == [(spine, "double_neg_elim")]
+    assert [(pos, rule.name) for pos, rule, _ in redexes(TRS_B, t)] == [(spine, "double_neg_elim")]
     assert rewrite_step(TRS_B, t) == (chain(depth), spine, "double_neg_elim")
 
 
