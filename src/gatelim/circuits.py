@@ -121,9 +121,6 @@ class Circuit:
     def input_edge(self, index: int) -> Optional[int]:
         return self.inputs.get(index)
 
-    def read_inputs(self) -> set[int]:
-        return set(self.inputs)
-
     @cached_property
     def readers(self) -> dict[int, set[int]]:
         """The edges reading each vertex; only vertices that are read have an entry."""

@@ -149,14 +149,6 @@ def costly_readers(g: Circuit, wire: int, walk: Iterator[int], seen: dict[int, i
     return sorted(gates, key=seen.__getitem__)
 
 
-def fanout_costly(c: Circuit, index: int) -> int:
-    """Number of distinct and/or gates reading x_index directly or through a negation."""
-    eid = c.input_edge(index)
-    if eid is None:
-        return 0
-    return len(costly_readers(c, c.edges[eid].result, iter(c.edges), {}))
-
-
 def fixer(c: Circuit, gate: int, index: int) -> int:
     """The bit for x_index that turns the gate constant.
 

@@ -1,27 +1,29 @@
-"""The 16-rule circuit simplification system, compiled from the rule file.
+"""The 16-rule circuit simplification system, run on circuits as the formula rules.
 
 ``data/demorgan_rules.txt`` is the one source of the rules.  It is read
 once, into ``DEMORGAN``, the one ``System``: ``gatelim trs check`` certifies
-its ``trs``, and ``compile_rule`` turns the same rules into its ``rules``,
-the circuit patterns this module executes.  A line's position in the file
-sets the deterministic (``det``) rule order for both.
+its ``trs``, and this module executes the same ``TermRule`` objects on
+circuits.  A line's position in the file sets the deterministic (``det``)
+rule order for both.
 
-A pattern is a small circuit whose *open* vertices (one per rule variable)
-have no producing edge and match any wire.  Every occurrence of a variable
-shares its open vertex, so de-duplication matches only when both arguments
-are literally the same wire and the tautology rules only when one argument
-is the other fed through a negation gate.
+A left-hand side is matched as a term on the graph, by the one matcher
+``terms.match``: each operator node must meet a wire whose producing edge
+has the node's kind, its arguments then meet that edge's argument wires, and
+a variable matches any wire.  Every occurrence of a variable must meet the
+same wire, so de-duplication matches only when both arguments are literally
+the same wire and the tautology rules only when one argument is the other
+fed through a negation gate.
 
-A rewrite step removes the matched gate, splices in the right-hand pattern
-(identifying the site with its root, and each open vertex with its matched
-wire), then garbage-collects everything unreachable from the root.
+A rewrite step removes the matched gate, splices in the right-hand term (its
+root on the site, one new edge per operator node, each variable the wire it
+matched), then garbage-collects everything unreachable from the root.
 
 The normalizer keeps circuits *maximally shared*: no two edges carry
 the same label and the same argument wires.  Merging such parallel duplicates
 never changes the unrolling, so it is invisible to bisimilarity, but it is
 load-bearing for confluence in practice: vertex identifications performed by
 the passing and de-duplication rules can split one wire carrying a value into
-two parallel copies, and the non-left-linear patterns above would then never
+two parallel copies, and the non-left-linear rules above would then never
 see their redex again.  With sharing maintained, a wire-equal pair of
 subcircuits is always one vertex and the graph normal form unrolls to the
 formula normal form.
@@ -44,22 +46,22 @@ what is no longer reachable.  Besides these it keeps:
 - the live redexes, keyed by site in rule order.  On entry every site is
   matched; after a change only the sites whose match can read a vertex whose
   producing edge changed are matched again.  That region lies at most the
-  left-hand patterns' depth of reader hops above the vertex, and it climbs
+  left-hand sides' depth of reader hops above the vertex, and it climbs
   past the first hop only from edges of a label kind that some inner
-  left-hand edge with a non-open child has (``DEMORGAN.climb``).
+  left-hand node with an operator argument has (``DEMORGAN.climb``).
 
 The rules that match at a site are looked up by a two-level key: the label
 kinds of the site's edge and of its arguments' producers; below an argument
 produced by an edge of a kind in ``DEMORGAN.inner`` (the kinds of the
-non-root left-hand edges with arguments), that edge's argument wires and the
+non-root left-hand nodes with arguments), that edge's argument wires and the
 kinds of their producers; and which of all these wires are the same wire.
 A kind is a row of the label table (``terms.KINDS``), so the two constants
 are two kinds.  No left-hand side reads more, so the index decides: its memo
 (``DEMORGAN.candidates``) runs the one left-hand matcher on the small
 neighbourhood the key describes, and ``match_at`` runs only where a rule
-matches, to build the redex.  This is term indexing to the patterns' full
-depth, as a discrimination tree does it (McCune, JAR 9(2), 1992); the memo
-holds only kinds and wire shapes, so it stays small.  A step still
+matches, to build the redex.  This is term indexing to the left-hand sides'
+full depth, as a discrimination tree does it (McCune, JAR 9(2), 1992); the
+memo holds only kinds and wire shapes, so it stays small.  A step still
 re-verifies its redex before firing it.
 
 One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
@@ -113,162 +115,86 @@ from .circuits import (
     const_label,
     topo_order,
 )
-from .terms import BudgetError, Op, Term, TermRule, demorgan_system, fold, variables
+from .terms import TRS, BudgetError, Op, TermRule, Var, demorgan_system, match
 
 
 class StaleRedexError(CircuitError):
     """The circuit changed since the redex was found."""
 
 
-class PatternEdge(Edge):
-    """An edge of a pattern: its attachment names vertices instead of numbering them."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A circuit fragment over named vertices; open vertices have no producer.
-
-    Edges are listed root edge first, parents before children, so a matcher
-    can bind each edge's result vertex before visiting it.
-    """
-
-    edges: tuple[PatternEdge, ...]
-    root: str
-    open_vertices: frozenset[str]
-
-
-@dataclass(frozen=True)
-class GraphRule:
-    name: str
-    lhs: Pattern
-    rhs: Pattern
-
-
-def _compile_term(t: Term) -> Pattern:
-    """The pattern of a term: one edge per non-variable node, parents before children.
-
-    Each variable becomes an open vertex named after it, shared by all of
-    its occurrences.  The fold meets the nodes children first and names the
-    k-th one's vertex ``#k``; the edges are listed in reverse.
-    """
-    edges: list[PatternEdge] = []
-
-    def edge(u: Op, args: list[str]) -> str:
-        edges.append(PatternEdge(LABELS[u.kind.name], (f"#{len(edges)}", *args)))
-        return edges[-1].result
-
-    root = fold(t, lambda v: v.name, edge)
-    return Pattern(tuple(reversed(edges)), root, frozenset(variables(t)))
-
-
-def compile_rule(rule: TermRule) -> GraphRule:
-    """The circuit form of a formula rule."""
-    return GraphRule(rule.name, _compile_term(rule.lhs), _compile_term(rule.rhs))
-
-
-def _edge_depths(p: Pattern) -> list[int]:
-    """Producer hops from the root to each edge of the pattern, in edge order."""
-    depth = {p.root: 0}
-    for pe in p.edges:
-        for name in pe.args:
-            depth.setdefault(name, depth[pe.result] + 1)
-    return [depth[pe.result] for pe in p.edges]
-
-
-def _bind(edges: Mapping[int, Edge], producer: Mapping[int, int], lhs: Pattern, site: int) -> Optional[dict]:
-    """The vertex map of the left-hand pattern with its root sent to the site, or None."""
-    vm: dict[str, int] = {lhs.root: site}
-    for pe in lhs.edges:
-        eid = producer.get(vm[pe.result])
-        if eid is None:
-            return None
-        e = edges[eid]
-        if e.label != pe.label:
-            return None
-        for pname, v in zip(pe.args, e.args):
-            bound = vm.get(pname)
-            if bound is None:
-                vm[pname] = v
-            elif bound != v:
-                return None
-    return vm
-
-
 class System:
     """A rule system for circuits of one basis: a formula ``TRS`` and all the matcher derives from it.
 
-    Holds the ``trs``, its compiled ``rules`` and, derived from their
-    left-hand sides:
+    Holds the ``trs``, its ``rules`` (the ``TermRule`` objects themselves)
+    and, derived from the operator nodes of their left-hand sides:
 
-    - ``by_root``: the rules grouped by the label kind of their root edge,
+    - ``by_root``: the rules grouped by the kind of their left-hand root,
       each group in rule order;
     - ``depth``: a match at a site reads producing edges at most this many
-      hops below it;
-    - ``climb``: the label kinds of the non-root left-hand edges with a
-      non-open child.  A change two or more hops below a site can reach its
-      match only through a chain of such edges;
-    - ``inner``: the label kinds of the non-root left-hand edges with
-      arguments.  The candidate key reads the arguments of an argument's
-      producer only below these kinds;
+      hops below it, the depth of the deepest operator node;
+    - ``climb``: the kinds of the non-root operator nodes with an operator
+      argument.  A change two or more hops below a site can reach its match
+      only through a chain of edges of these kinds;
+    - ``inner``: the kinds of the non-root operator nodes with arguments.
+      The candidate key reads the arguments of an argument's producer only
+      below these kinds;
     - ``candidates``: this system's memo from a candidate key to the rules
       that match (``WorkingGraph.candidates``).
 
     The key describes a site two levels deep, which decides a match only
-    while every left-hand edge with arguments is the root or one hop below
-    it; building a system whose rules break that raises ``ValueError``.
+    while every left-hand operator node with arguments is the root or one
+    hop below it; building a system whose rules break that raises
+    ``ValueError``.
     """
 
     def __init__(self, basis: str, trs: TRS):
         self.basis = basis
         self.trs = trs
-        self.rules: tuple[GraphRule, ...] = tuple(compile_rule(r) for r in trs.rules)
-        depths = [_edge_depths(rule.lhs) for rule in self.rules]
-        if any(pe.args and d > 1 for rule, ds in zip(self.rules, depths) for pe, d in zip(rule.lhs.edges, ds)):
-            raise ValueError("a left-hand edge with arguments lies deeper than the candidate key reads")
-        self.by_root: dict[LabelKind, tuple[GraphRule, ...]] = {}
+        self.rules = trs.rules
+        self.by_root: dict[LabelKind, tuple[TermRule, ...]] = {}
         for rule in self.rules:
-            kind = rule.lhs.edges[0].label.kind
-            self.by_root[kind] = self.by_root.get(kind, ()) + (rule,)
-        self.depth = max(map(max, depths), default=0)
-        non_root = [(rule.lhs, pe) for rule in self.rules for pe in rule.lhs.edges[1:]]
-        self.climb = frozenset(pe.label.kind for lhs, pe in non_root if not lhs.open_vertices.issuperset(pe.args))
-        self.inner = frozenset(pe.label.kind for _, pe in non_root if pe.args)
+            self.by_root[rule.lhs.kind] = self.by_root.get(rule.lhs.kind, ()) + (rule,)
+        nodes = []  # (depth, node) of each left-hand operator node
+        todo = [(0, rule.lhs) for rule in self.rules]
+        while todo:
+            d, u = todo.pop()
+            if type(u) is Op:
+                nodes.append((d, u))
+                todo += ((d + 1, a) for a in u.args)
+        if any(u.args and d > 1 for d, u in nodes):
+            raise ValueError("a left-hand node with arguments lies deeper than the candidate key reads")
+        self.depth = max((d for d, _ in nodes), default=0)
+        self.climb = frozenset(u.kind for d, u in nodes if d and any(type(a) is Op for a in u.args))
+        self.inner = frozenset(u.kind for d, u in nodes if d and u.args)
         self.candidates = functools.cache(self._candidates)
 
-    def _candidates(self, key: tuple) -> tuple[GraphRule, ...]:
+    def _candidates(self, key: tuple) -> tuple[TermRule, ...]:
         """The rules, in rule order, that match the neighbourhood the key describes.
 
         The key is ``WorkingGraph.candidates``': the site's kind, the kind of
         the producer of each key wire (None if it has none) and the wires'
-        equality shape.  Wire ``i`` becomes vertex ``shape[i]``; an argument
-        whose producer the key does not expand gets fresh argument vertices,
-        which no pattern reads.
+        equality shape.  Wire ``i`` becomes vertex ``shape[i]``, the site
+        vertex ``len(shape)``, and ``match`` reads each vertex's producer
+        from the key; an argument whose producer the key does not expand
+        gets fresh argument vertices, which no left-hand side reads.
         """
         kind, kinds, shape = key
         rules = self.by_root.get(kind)
         if rules is None:
             return ()
         arity = kind.arity
-        below: dict[int, tuple] = {}  # vertex -> (its producer's kind, its argument vertices or None)
+        site = len(shape)
+        fresh = itertools.count(site + 1)
+        nodes = {site: (kind, shape[:arity])}  # vertex -> its producer's kind and argument vertices
         i = arity
         for k, v in zip(kinds, shape[:arity]):
             if k in self.inner:
-                below[v] = (k, shape[i : i + k.arity])
+                nodes[v] = (k, shape[i : i + k.arity])
                 i += k.arity
         for k, v in zip(kinds, shape):
-            below.setdefault(v, (k, None))
-        site = len(shape)
-        fresh = itertools.count(site + 1)
-        edges = {site: Edge(LABELS[kind.name], (site, *shape[:arity]))}  # keyed by result vertex
-        for v, (k, args) in below.items():
-            if k is not None and k.term:  # a kind some pattern edge can have
-                if args is None:
-                    args = tuple(itertools.islice(fresh, k.arity))
-                edges[v] = Edge(LABELS[k.name], (v, *args))
-        producer = {v: v for v in edges}
-        return tuple(rule for rule in rules if _bind(edges, producer, rule.lhs, site) is not None)
+            if k is not None and v not in nodes:
+                nodes[v] = (k, tuple(itertools.islice(fresh, k.arity)))
+        return tuple(rule for rule in rules if match(rule.lhs, site, nodes.get) is not None)
 
 
 DEMORGAN = System("demorgan", demorgan_system())
@@ -277,14 +203,23 @@ DEMORGAN = System("demorgan", demorgan_system())
 @dataclass(frozen=True)
 class Redex:
     site: int
-    rule: GraphRule
-    vertex_map: Mapping[str, int]
+    rule: TermRule
+    binding: Mapping[str, int]  # each left-hand variable's wire
 
 
-def match_at(c: Circuit, rule: GraphRule, site: int) -> Optional[Redex]:
-    """Match the rule's left pattern with its root sent to the given vertex."""
-    vm = _bind(c.edges, c.producer, rule.lhs, site)
-    return None if vm is None else Redex(site, rule, vm)
+def match_at(c: Circuit, rule: TermRule, site: int) -> Optional[Redex]:
+    """Match the rule's left-hand side with its root at the given wire, reading each wire's producer."""
+    edges, producer = c.edges, c.producer
+
+    def node(v: int) -> Optional[tuple]:
+        eid = producer.get(v)
+        if eid is None:
+            return None
+        e = edges[eid]
+        return e.label.kind, e.args
+
+    binding = match(rule.lhs, site, node)
+    return None if binding is None else Redex(site, rule, binding)
 
 
 def find_redexes(c: Circuit) -> list[Redex]:
@@ -439,14 +374,19 @@ class WorkingGraph(Circuit):
     def _fire(self, redex: Redex) -> tuple[list[int], list[int]]:
         """Re-verify the redex, splice its right-hand side in place and collect garbage.
 
-        Returns the removed and the added edge ids.
+        A variable right-hand side redirects the site to the wire it matched.
+        Otherwise each operator node of the right-hand term, counted by
+        occurrence, becomes a new edge: the root's first, on the site, then
+        from a stack that pops the last argument first.  An operator argument
+        gets a new vertex, in argument order, when its parent's edge is
+        added; a variable argument is the wire it matched.  Returns the
+        removed and the added edge ids.
         """
         fresh = match_at(self, redex.rule, redex.site)
-        if fresh is None or fresh.vertex_map != redex.vertex_map:
+        if fresh is None or fresh.binding != redex.binding:
             raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
-        site = redex.site
-        rhs = redex.rule.rhs
-        spliced = rhs.root not in rhs.open_vertices
+        site, rhs, binding = redex.site, redex.rule.rhs, redex.binding
+        spliced = type(rhs) is Op
         if spliced:
             next_v = max(max(self.producer), max(self.readers, default=-1)) + 1
             next_e = max(self.edges) + 1
@@ -455,20 +395,22 @@ class WorkingGraph(Circuit):
         self.orphans = []
         added: list[int] = []
         if spliced:
-            # Only the open vertices name matched wires: internal ones are
-            # named #k on both sides, and each side's are its own.
-            local: dict[str, int] = {rhs.root: site}
-            local.update((name, redex.vertex_map[name]) for name in rhs.open_vertices)
-            for pe in rhs.edges:
-                for name in pe.att:
-                    if name not in local:
-                        local[name] = next_v
+            todo = [(rhs, site)]  # operator nodes still to add, each with its result vertex
+            while todo:
+                u, v = todo.pop()
+                att = [v]
+                for a in u.args:
+                    if type(a) is Var:
+                        att.append(binding[a.name])
+                    else:
+                        todo.append((a, next_v))
+                        att.append(next_v)
                         next_v += 1
-                self._add(next_e, Edge(pe.label, tuple(local[n] for n in pe.att)))
+                self._add(next_e, Edge(LABELS[u.kind.name], tuple(att)))
                 added.append(next_e)
                 next_e += 1
         else:
-            self._redirect(site, redex.vertex_map[rhs.root])
+            self._redirect(site, binding[rhs.name])
         removed.extend(sorted(self._collect(candidates)))
         return removed, added
 
@@ -505,7 +447,7 @@ class WorkingGraph(Circuit):
                 self._redirect(old, new)
         return merged
 
-    def candidates(self, site: int) -> tuple[GraphRule, ...]:
+    def candidates(self, site: int) -> tuple[TermRule, ...]:
         """The rules, in rule order, that match at the site.
 
         The key is the kind of the site's label, its argument wires and,
@@ -633,7 +575,7 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     """One proper rewrite step at the redex.
 
     Removes the unique gate producing the site, splices in the right-hand
-    pattern (site = its root; each open vertex = its matched wire), and
+    term (its root on the site; each variable the wire it matched), and
     garbage-collects.  The redex is re-verified first.  Parallel
     duplicates the step makes are left in place.
     """

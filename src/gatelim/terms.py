@@ -243,14 +243,22 @@ def apply_substitution(t: Term, binding: Binding) -> Term:
     return fold(t, lambda v: binding.get(v.name, v), lambda u, args: Op(u.kind, *args))
 
 
-def match(pattern: Term, t: Term) -> Optional[Binding]:
+def _node(t: Term) -> Optional[tuple[LabelKind, tuple[Term, ...]]]:
+    return None if type(t) is Var else (t.kind, t.args)
+
+
+def match(pattern: Term, t, node: Callable = _node) -> Optional[dict]:
     """Match pattern against t at the root.
 
-    Returns a binding with apply_substitution(pattern, binding) == t, or
-    None.  A variable occurring twice in the pattern must match equal
-    subterms.  Pairs are visited left to right.
+    ``node(s)`` reads a subject node: its kind and its arguments, or None
+    where no operator node is, which only a variable matches.  By default
+    the subject is a term, and the binding returned satisfies
+    apply_substitution(pattern, binding) == t; the circuit rewriter's
+    subjects are wires, read through their producers.  A variable occurring
+    twice in the pattern must match equal subjects.  Pairs are visited left
+    to right.  Returns None where the pattern does not match.
     """
-    binding: Binding = {}
+    binding: dict = {}
     stack = [(pattern, t)]
     while stack:
         p, s = stack.pop()
@@ -258,10 +266,11 @@ def match(pattern: Term, t: Term) -> Optional[Binding]:
             bound = binding.setdefault(p.name, s)
             if bound is not s and bound != s:
                 return None
-        elif type(s) is Var or p.kind is not s.kind:
-            return None
         else:
-            stack.extend(zip(reversed(p.args), reversed(s.args)))
+            n = node(s)
+            if n is None or n[0] is not p.kind:
+                return None
+            stack.extend(zip(reversed(p.args), reversed(n[1])))
     return binding
 
 

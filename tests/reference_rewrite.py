@@ -21,6 +21,7 @@ without its ascending-id shortcut.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import replace
 from typing import Optional
@@ -28,6 +29,7 @@ from typing import Optional
 from gatelim.circuits import (
     Circuit,
     INPUT,
+    LABELS,
     NOT,
     CircuitError,
     Edge,
@@ -49,7 +51,7 @@ from gatelim.rewrite import (
     match_at,
 )
 from gatelim.rewrite import normalize_circuit as incremental_normalize
-from gatelim.terms import BudgetError
+from gatelim.terms import BudgetError, Var
 
 
 def kahn_order(c: Circuit) -> list[int]:
@@ -102,9 +104,15 @@ def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
 
 
 def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
-    """One rewrite step on a copy of the circuit, then garbage collection by reachability."""
+    """One rewrite step on a copy of the circuit, then garbage collection by reachability.
+
+    The right-hand term is spliced by a recursion over its occurrences: a
+    node's edge takes the next edge id, its operator arguments the next
+    vertex ids from left to right, and then its arguments are spliced from
+    right to left.
+    """
     fresh = match_at(c, redex.rule, redex.site)
-    if fresh is None or fresh.vertex_map != redex.vertex_map:
+    if fresh is None or fresh.binding != redex.binding:
         raise StaleRedexError(f"redex {redex.rule.name}@{redex.site} no longer matches")
     site = redex.site
     rhs = redex.rule.rhs
@@ -113,24 +121,26 @@ def apply_rewrite(c: Circuit, redex: Redex) -> tuple[Circuit, TraceStep]:
     del edges[removed[0]]
     added: list[int] = []
     root = c.root
-    if rhs.root in rhs.open_vertices:
-        # right-hand side is the bare open vertex: identify site with its match
-        target = redex.vertex_map[rhs.root]
+    if isinstance(rhs, Var):
+        # right-hand side is a bare variable: identify the site with its match
+        target = redex.binding[rhs.name]
         edges = _remap(edges, {site: target})
         if root == site:
             root = target
     else:
-        next_v = max(c.vertices) + 1
-        next_e = max(c.edges) + 1
-        local: dict[str, int] = {rhs.root: site}
-        for pe in rhs.edges:
-            for name in pe.att:
-                if name not in local:
-                    local[name] = next_v
-                    next_v += 1
-            edges[next_e] = Edge(pe.label, tuple(local[n] for n in pe.att))
-            added.append(next_e)
-            next_e += 1
+        next_v = itertools.count(max(c.vertices) + 1)
+        next_e = itertools.count(max(c.edges) + 1)
+
+        def splice(term, result):
+            wires = [redex.binding[a.name] if isinstance(a, Var) else next(next_v) for a in term.args]
+            eid = next(next_e)
+            edges[eid] = Edge(LABELS[term.kind.name], (result, *wires))
+            added.append(eid)
+            for a, w in reversed(list(zip(term.args, wires))):
+                if not isinstance(a, Var):
+                    splice(a, w)
+
+        splice(rhs, site)
     keep = reachable_edges(edges, root)
     removed.extend(sorted(set(edges) - keep))
     edges = {eid: edges[eid] for eid in keep}
@@ -189,7 +199,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     restriction = Restriction(n)
     iterations: list[IterationRecord] = []
     while len(restriction.active) > 2:
-        read = work.read_inputs()
+        read = work.inputs.keys()
         unread = sorted(v for v in restriction.active if v not in read)
         if unread:
             return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))

@@ -116,7 +116,7 @@ def test_criterion_03_rewriting_evaluates_circuits():
 
 def test_criterion_04_normal_form_structure(convergence_corpus):
     for _, nf in convergence_corpus:
-        whole_is_constant = circuit_size(nf) == 0 and not nf.read_inputs()
+        whole_is_constant = circuit_size(nf) == 0 and not nf.inputs
         for e in nf.edges.values():
             if e.label.kind is NOT.kind:
                 inner = nf.producer_edge(e.args[0])

@@ -37,7 +37,6 @@ from gatelim.rewrite import (
     System,
     WorkingGraph,
     apply_rewrite,
-    compile_rule,
     find_redexes,
     graph_measure,
     match_at,
@@ -46,46 +45,14 @@ from gatelim.rewrite import (
     StaleRedexError,
     substitute_input,
 )
-from gatelim.terms import ONE, TRS, ZERO, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_step
+from gatelim.terms import ONE, TRS, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_step
 from gatelim.textio import serialize_circuit
 
 TRS_B = demorgan_system()
 
 
-def pattern_term(pattern):
-    producer = {pe.att[0]: pe for pe in pattern.edges}
-
-    def go(name):
-        if name in pattern.open_vertices:
-            return Var("g")
-        pe = producer[name]
-        if pe.label.kind in (CONST0.kind, CONST1.kind):
-            return ZERO if pe.label.kind.truth == (0,) else ONE
-        if pe.label.kind is NOT.kind:
-            return Not(go(pe.att[1]))
-        if pe.label.kind is AND.kind:
-            return And(go(pe.att[1]), go(pe.att[2]))
-        assert pe.label.kind is OR.kind
-        return Or(go(pe.att[1]), go(pe.att[2]))
-
-    return go(pattern.root)
-
-
 def test_rule_table_matches_the_formula_system():
-    assert len(DEMORGAN.rules) == 16
-    assert [r.name for r in DEMORGAN.rules] == [r.name for r in TRS_B.rules]
-    for graph_rule, term_rule in zip(DEMORGAN.rules, TRS_B.rules):
-        assert pattern_term(graph_rule.lhs) == term_rule.lhs, graph_rule.name
-        assert pattern_term(graph_rule.rhs) == term_rule.rhs, graph_rule.name
-
-
-def test_repeated_variable_compiles_to_one_shared_open_vertex():
-    (and_dedup,) = [r for r in DEMORGAN.rules if r.name == "and_dedup"]
-    (root_edge,) = and_dedup.lhs.edges
-    assert root_edge.label == AND
-    (open_vertex,) = and_dedup.lhs.open_vertices
-    assert root_edge.att[1:] == (open_vertex, open_vertex)
-    assert and_dedup.rhs.root == open_vertex and and_dedup.rhs.edges == ()
+    assert DEMORGAN.rules is DEMORGAN.trs.rules
 
 
 def test_demorgan_system_derives_what_the_matcher_reads():
@@ -169,11 +136,10 @@ def test_trs_check_certifies_the_system_normalize_runs(monkeypatch, capsys):
     assert len(certified) == 1 and certified[0] is DEMORGAN.trs
 
 
-def test_compile_rule_splices_a_right_hand_side_with_variables_inside():
+def test_a_right_hand_side_with_variables_inside_is_spliced():
     # De Morgan backwards: the right-hand side has edges and reads both matched wires
     g, h = Var("g"), Var("h")
-    term_rule = TermRule("demorgan_back", Or(Not(g), Not(h)), Not(And(g, h)))
-    rule = compile_rule(term_rule)
+    rule = TermRule("demorgan_back", Or(Not(g), Not(h)), Not(And(g, h)))
     b = CircuitBuilder(3)
     n1 = b.not_(b.input(1))  # also read outside the redex, so a reused left-hand wire would stay live
     site = b.or_(n1, b.not_(b.input(2)))
@@ -183,11 +149,54 @@ def test_compile_rule_splices_a_right_hand_side_with_variables_inside():
     out, step = apply_rewrite(c, redex)
     assert validate(out) == []
     assert step.rule == "demorgan_back" and len(step.added_edges) == 2
-    expected, pos, _ = rewrite_step(TRS((term_rule,)), unroll_term(c))
+    expected, pos, _ = rewrite_step(TRS((rule,)), unroll_term(c))
     assert pos == (0,)
     assert unroll_term(out) == expected
     assert unroll_term(out) == And(Not(And(Var("x1"), Var("x2"))), Or(Not(Var("x1")), Var("x3")))
     assert truth_table(out) == truth_table(c)
+
+
+def test_a_node_object_at_two_right_hand_positions_is_spliced_per_occurrence():
+    # Absorption, with g at two depths on the left and one And object at two
+    # positions on the right, as a completion would build it.
+    g, h = Var("g"), Var("h")
+    gh = And(g, h)
+    rule = TermRule("absorb", Or(g, gh), And(Or(g, gh), Or(g, Not(gh))))
+    assert rule.rhs.args[0].args[1] is rule.rhs.args[1].args[1].args[0]
+    system = System("demorgan", TRS((rule,)))
+    assert system.depth == 1 and system.inner == {AND.kind} and system.climb == frozenset()
+    assert system.candidates((OR.kind, (None, AND.kind, None, None), (0, 1, 0, 3))) == (rule,)
+    assert system.candidates((OR.kind, (None, AND.kind, None, None), (0, 1, 2, 3))) == ()
+
+    circuits = []
+    b = CircuitBuilder(3)
+    x1 = b.input(1)
+    site = b.or_(x1, b.and_(x1, b.input(2)))
+    circuits.append((b.build(b.and_(site, b.input(3))), site))
+    b = CircuitBuilder(3)
+    n1 = b.not_(b.input(1))  # also read outside the redex
+    site = b.or_(n1, b.and_(n1, b.or_(b.input(2), b.input(3))))
+    circuits.append((b.build(b.or_(b.and_(n1, b.input(3)), site)), site))
+    b = CircuitBuilder(2)
+    x2 = b.input(2)
+    site = b.or_(x2, b.and_(x2, b.not_(b.input(1))))
+    circuits.append((b.build(site), site))
+    rng = random.Random(5)
+    for c, site in circuits:
+        for c in (c, renumbered(c, rng)):
+            redex = match_at(c, rule, site)
+            assert redex is not None and redex.binding["g"] == c.edges[c.producer[site]].args[0]
+            out, step = apply_rewrite(c, redex)
+            ref, ref_step = reference_rewrite.apply_rewrite(c, redex)
+            assert (out.edges, out.root) == (ref.edges, ref.root) and step == ref_step
+            assert len(step.added_edges) == 6 and validate(out) == []
+            assert unroll_term(out) == rewrite_step(TRS((rule,)), unroll_term(c))[0]
+            assert truth_table(out) == truth_table(c)
+            assert_normalizers_agree(out)
+            nf, _ = normalize_circuit(out)
+            for seed in range(4):
+                assert bisimilar(nf, normalize_circuit(out, "rand", seed=seed)[0])
+            assert unroll_term(nf) == normalize_term(TRS_B, unroll_term(out))
 
 
 def test_find_redexes_dedup_requires_shared_wire():
@@ -289,7 +298,7 @@ def test_substitute_input():
     c = b.build(b.and_(b.input(1), b.input(2)))
     nf, _ = normalize_circuit(substitute_input(c, 2, 0))
     assert unroll_term(nf) == Not(ONE)
-    assert nf.read_inputs() == set()  # x1 garbage-collected
+    assert not nf.inputs  # x1 garbage-collected
 
     with pytest.raises(CircuitError):
         substitute_input(c, 5, 0)
@@ -299,7 +308,7 @@ def test_substitute_input_matches_the_reference_relabel():
     for c in merge_corpus():
         if c.basis != "demorgan":
             continue
-        for i in sorted(c.read_inputs()):
+        for i in sorted(c.inputs):
             out = substitute_input(c, i, i % 2)
             ref = reference_rewrite.substitute_input(c, i, i % 2)
             assert (out.edges, out.root, out.inputs) == (ref.edges, ref.root, ref.inputs)
@@ -308,7 +317,7 @@ def test_substitute_input_matches_the_reference_relabel():
 def test_input_index_on_circuits_and_working_graphs():
     b = CircuitBuilder(3)
     c = b.build(b.and_(b.input(3), b.not_(b.input(1))))
-    assert c.inputs == {3: 0, 1: 1} and c.read_inputs() == {1, 3}
+    assert c.inputs == {3: 0, 1: 1}
     assert c.input_edge(1) == 1 and c.input_edge(2) is None
     # two edges for x1 (an invalid circuit): the first in edge order is the one indexed
     twice = Circuit({5: Edge(Label(INPUT, 1), (0,)), 1: Edge(Label(INPUT, 1), (1,)), 2: Edge(AND, (2, 0, 1))}, 2, 1)
@@ -645,7 +654,7 @@ def test_match_attempts_grow_linearly_along_a_collapsing_chain(monkeypatch):
 
 
 def redex_keys(redexes):
-    return sorted((r.site, r.rule.name, sorted(r.vertex_map.items())) for r in redexes)
+    return sorted((r.site, r.rule.name, sorted(r.binding.items())) for r in redexes)
 
 
 @pytest.fixture
