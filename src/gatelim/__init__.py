@@ -1,9 +1,9 @@
 """Convergent gate-elimination rewriting for Boolean circuits.
 
 Formula-level rewriting with a mechanized convergence certificate, the
-compiled circuit simplification system, a constructive refuter for
-undersized parity circuits, and translation to and from the full
-two-input basis that never adds a binary gate.
+same rules run on circuits as the circuit simplification system, a
+constructive refuter for undersized parity circuits, and translation to and
+from the full two-input basis that never adds a binary gate.
 """
 
 from .circuits import (

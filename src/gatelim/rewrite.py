@@ -44,25 +44,25 @@ what is no longer reachable.  Besides these it keeps:
 - the live binary-gate count, for the trace's ``size_after``, and the live
   graph measure, for the step budget;
 - the live redexes, keyed by site in rule order.  On entry every site is
-  matched; after a change only the sites whose match can read a vertex whose
-  producing edge changed are matched again.  That region lies at most the
-  left-hand sides' depth of reader hops above the vertex, and it climbs
-  past the first hop only from edges of a label kind that some inner
-  left-hand node with an operator argument has (``DEMORGAN.climb``).
+  matched; after a change only the sites whose candidate key (below) reads
+  a vertex whose producing edge changed are matched again: the vertex, its
+  readers, and the readers of those of them whose kind is in
+  ``DEMORGAN.inner``.
 
-The rules that match at a site are looked up by a two-level key: the label
-kinds of the site's edge and of its arguments' producers; below an argument
-produced by an edge of a kind in ``DEMORGAN.inner`` (the kinds of the
-non-root left-hand nodes with arguments), that edge's argument wires and the
-kinds of their producers; and which of all these wires are the same wire.
-A kind is a row of the label table (``terms.KINDS``), so the two constants
-are two kinds.  No left-hand side reads more, so the index decides: its memo
-(``DEMORGAN.candidates``) runs the one left-hand matcher on the small
-neighbourhood the key describes, and ``match_at`` runs only where a rule
-matches, to build the redex.  This is term indexing to the left-hand sides'
-full depth, as a discrimination tree does it (McCune, JAR 9(2), 1992); the
-memo holds only kinds and wire shapes, so it stays small.  A step still
-re-verifies its redex before firing it.
+The rules that match at a site are looked up by a two-level key
+(``DEMORGAN.candidates``): the label kinds of the site's edge and of its
+arguments' producers; below an argument produced by an edge of a kind in
+``DEMORGAN.inner`` (the kinds of the non-root left-hand nodes with
+arguments), that edge's argument wires and the kinds of their producers; and
+which of all these wires are the same wire.  A kind is a row of the label
+table (``terms.KINDS``), so the two constants are two kinds.  No left-hand
+side reads more, so the key decides the match: the memo
+(``DEMORGAN.memo``) is filled by the one left-hand matcher at the first
+site that has a key, and ``match_at`` runs only where a rule matches, to
+build the redex.  This is term indexing to the left-hand sides' full depth, as a
+discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
+kinds and wire shapes, so it stays small.  A step still re-verifies its
+redex before firing it.
 
 One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
 order - Kahn's algorithm over the reader index from the inputs and
@@ -74,9 +74,9 @@ from all of it.  The graph counts its inversions (``inverted``): the pairs
 of an edge and a distinct argument wire whose producer's id is not smaller
 than the edge's.  With none, the walk's order is ascending edge id (the
 lemma of ``topo_order``), so the live sites come off a heap of their
-producers' ids and nothing is walked.  Otherwise, with redexes at two or
-more sites live, the walk is consumed until the sites asked for have come
-out: the first live one for ``det``, every one for ``rand``.  New vertex and
+producers' ids and nothing is walked; so does a single live site, which
+needs no order.  Otherwise the walk is consumed until the sites asked for
+have come out: the first live one for ``det``, every one for ``rand``.  New vertex and
 edge ids are one more than the largest live id, as in ``apply_rewrite``,
 which fires one step on the same working graph.  On a circuit that starts
 without inversions only a right-hand side with edges, numbered so from its
@@ -98,12 +98,10 @@ redex as ``normalize`` does, ``merge_parallel_edges`` is ``share`` and
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .circuits import (
     INPUT,
@@ -130,16 +128,13 @@ class System:
 
     - ``by_root``: the rules grouped by the kind of their left-hand root,
       each group in rule order;
-    - ``depth``: a match at a site reads producing edges at most this many
-      hops below it, the depth of the deepest operator node;
-    - ``climb``: the kinds of the non-root operator nodes with an operator
-      argument.  A change two or more hops below a site can reach its match
-      only through a chain of edges of these kinds;
     - ``inner``: the kinds of the non-root operator nodes with arguments.
       The candidate key reads the arguments of an argument's producer only
-      below these kinds;
-    - ``candidates``: this system's memo from a candidate key to the rules
-      that match (``WorkingGraph.candidates``).
+      below these kinds, and ``WorkingGraph.rematch`` climbs a second
+      reader hop only through them;
+    - ``memo``: this system's candidate index, from a candidate key to the
+      rules that match, filled at the sites where ``candidates`` meets each
+      key first.
 
     The key describes a site two levels deep, which decides a match only
     while every left-hand operator node with arguments is the root or one
@@ -163,38 +158,42 @@ class System:
                 todo += ((d + 1, a) for a in u.args)
         if any(u.args and d > 1 for d, u in nodes):
             raise ValueError("a left-hand node with arguments lies deeper than the candidate key reads")
-        self.depth = max((d for d, _ in nodes), default=0)
-        self.climb = frozenset(u.kind for d, u in nodes if d and any(type(a) is Op for a in u.args))
         self.inner = frozenset(u.kind for d, u in nodes if d and u.args)
-        self.candidates = functools.cache(self._candidates)
+        self.memo: dict[tuple, tuple[TermRule, ...]] = {}
 
-    def _candidates(self, key: tuple) -> tuple[TermRule, ...]:
-        """The rules, in rule order, that match the neighbourhood the key describes.
+    def candidates(self, g: Circuit, site: int) -> tuple[TermRule, ...]:
+        """The rules, in rule order, that match at the site of ``g``.
 
-        The key is ``WorkingGraph.candidates``': the site's kind, the kind of
-        the producer of each key wire (None if it has none) and the wires'
-        equality shape.  Wire ``i`` becomes vertex ``shape[i]``, the site
-        vertex ``len(shape)``, and ``match`` reads each vertex's producer
-        from the key; an argument whose producer the key does not expand
-        gets fresh argument vertices, which no left-hand side reads.
+        The key is the kind of the site's label, its argument wires and,
+        below each argument produced by an edge of a kind in ``inner``, that
+        edge's argument wires; then the kind of the producer of each of
+        these wires (None if it has none) and which of them are the same
+        wire.  That is all a left-hand side reads, so the key decides the
+        match: a key met for the first time is filled by matching each rule
+        of the site's kind at this site, as ``match_at`` does, and every
+        later site with the same key reads the memo.  The fill builds no
+        redex, so ``match_at`` calls count redexes built and re-verified
+        however warm the memo is.
         """
-        kind, kinds, shape = key
-        rules = self.by_root.get(kind)
-        if rules is None:
-            return ()
-        arity = kind.arity
-        site = len(shape)
-        fresh = itertools.count(site + 1)
-        nodes = {site: (kind, shape[:arity])}  # vertex -> its producer's kind and argument vertices
-        i = arity
-        for k, v in zip(kinds, shape[:arity]):
-            if k in self.inner:
-                nodes[v] = (k, shape[i : i + k.arity])
-                i += k.arity
-        for k, v in zip(kinds, shape):
-            if k is not None and v not in nodes:
-                nodes[v] = (k, tuple(itertools.islice(fresh, k.arity)))
-        return tuple(rule for rule in rules if match(rule.lhs, site, nodes.get) is not None)
+        edges, producer, inner = g.edges, g.producer, self.inner
+        e = edges[producer[site]]
+        wires = [*e.args]
+        kinds = []
+        for v in e.args:
+            p = producer.get(v)
+            k = None if p is None else edges[p].label.kind
+            kinds.append(k)
+            if k in inner:
+                wires += edges[p].args
+        for v in wires[len(kinds) :]:
+            p = producer.get(v)
+            kinds.append(None if p is None else edges[p].label.kind)
+        key = (e.label.kind, tuple(kinds), tuple(map(wires.index, wires)))
+        found = self.memo.get(key)
+        if found is None:
+            rules, node = self.by_root.get(e.label.kind, ()), _wires(g)
+            found = self.memo[key] = tuple(rule for rule in rules if match(rule.lhs, site, node) is not None)
+        return found
 
 
 DEMORGAN = System("demorgan", demorgan_system())
@@ -207,8 +206,8 @@ class Redex:
     binding: Mapping[str, int]  # each left-hand variable's wire
 
 
-def match_at(c: Circuit, rule: TermRule, site: int) -> Optional[Redex]:
-    """Match the rule's left-hand side with its root at the given wire, reading each wire's producer."""
+def _wires(c: Circuit) -> Callable[[int], Optional[tuple]]:
+    """``terms.match``'s ``node`` on the wires of ``c``: a wire's producer's kind and argument wires."""
     edges, producer = c.edges, c.producer
 
     def node(v: int) -> Optional[tuple]:
@@ -218,7 +217,12 @@ def match_at(c: Circuit, rule: TermRule, site: int) -> Optional[Redex]:
         e = edges[eid]
         return e.label.kind, e.args
 
-    binding = match(rule.lhs, site, node)
+    return node
+
+
+def match_at(c: Circuit, rule: TermRule, site: int) -> Optional[Redex]:
+    """Match the rule's left-hand side with its root at the given wire, reading each wire's producer."""
+    binding = match(rule.lhs, site, _wires(c))
     return None if binding is None else Redex(site, rule, binding)
 
 
@@ -447,54 +451,29 @@ class WorkingGraph(Circuit):
                 self._redirect(old, new)
         return merged
 
-    def candidates(self, site: int) -> tuple[TermRule, ...]:
-        """The rules, in rule order, that match at the site.
-
-        The key is the kind of the site's label, its argument wires and,
-        below each argument produced by an edge of a kind in
-        ``DEMORGAN.inner``, that edge's argument wires; then the kind of the
-        producer of each of these wires and which of them are the same wire.
-        That is all a left-hand side reads, so ``DEMORGAN.candidates``
-        decides the match on the key alone.
-        """
-        edges, producer, inner = self.edges, self.producer, DEMORGAN.inner
-        e = edges[producer[site]]
-        wires = [*e.args]
-        kinds = []
-        for v in e.args:
-            p = producer.get(v)
-            k = None if p is None else edges[p].label.kind
-            kinds.append(k)
-            if k in inner:
-                wires += edges[p].args
-        for v in wires[len(kinds) :]:
-            p = producer.get(v)
-            kinds.append(None if p is None else edges[p].label.kind)
-        return DEMORGAN.candidates((e.label.kind, tuple(kinds), tuple(map(wires.index, wires))))
-
     def _match(self, site: int) -> None:
-        found = [match_at(self, rule, site) for rule in self.candidates(site)]
+        found = [match_at(self, rule, site) for rule in DEMORGAN.candidates(self, site)]
         if found:
             self.redexes[site] = found
         else:
             self.redexes.pop(site, None)
 
     def rematch(self) -> None:
-        """Match again every site whose match can read the producing edge of a touched vertex.
+        """Match again every site whose candidate key reads the producing edge of a touched vertex.
 
-        Such a site lies at most ``DEMORGAN.depth`` reader hops above the
-        vertex, and every hop past the first climbs from an edge of a kind in
-        ``DEMORGAN.climb``.
+        The key reads the site's edge, the producers of its arguments and,
+        below an argument produced by an edge of a kind in
+        ``DEMORGAN.inner``, the producers of that edge's arguments.  So the
+        sites are the touched vertices, their readers' results, and the
+        readers' results of those of the latter whose kind is in ``inner``.
         """
-        depth, climb_kinds = DEMORGAN.depth, DEMORGAN.climb
+        edges, producer, readers, inner = self.edges, self.producer, self.readers, DEMORGAN.inner
         for v in self.touched:
             self.redexes.pop(v, None)
-        region = {v for v in self.touched if v in self.producer}
-        climb = region
-        for _ in range(depth):
-            above = {self.edges[r].result for v in climb for r in self.readers.get(v, ())} - region
-            region |= above
-            climb = {v for v in above if self.edges[self.producer[v]].label.kind in climb_kinds}
+        region = {v for v in self.touched if v in producer}
+        above = {edges[r].result for v in region for r in readers.get(v, ())}
+        region |= above
+        region.update(edges[r].result for v in above if edges[producer[v]].label.kind in inner for r in readers.get(v, ()))
         self.touched = set()
         for site in region:
             self._match(site)
@@ -502,17 +481,14 @@ class WorkingGraph(Circuit):
     def ordered(self) -> Iterator[Redex]:
         """The live redexes in (topological site, rule) order, computed only as far as they are consumed.
 
-        With one live site there is nothing to order.  With no inversion the
-        walk's order is ascending edge id (the lemma of ``topo_order``), so
-        the sites come off a heap of their producers' ids and nothing is
-        walked.  Otherwise ``walk`` is consumed until every live site has
-        come out.  Do not change the graph while the generator is in use.
+        With one live site, or with no inversion, the sites come off a heap
+        of their producers' ids and nothing is walked: without inversions
+        the walk's order is ascending edge id (the lemma of ``topo_order``).
+        Otherwise ``walk`` is consumed until every live site has come out.
+        Do not change the graph while the generator is in use.
         """
         redexes, edges = self.redexes, self.edges
-        if len(redexes) < 2:
-            for found in redexes.values():
-                yield from found
-        elif not self.inverted:
+        if len(redexes) < 2 or not self.inverted:
             heap = [self.producer[site] for site in redexes]
             heapq.heapify(heap)
             while heap:

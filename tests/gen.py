@@ -1,11 +1,13 @@
-"""Shared test helpers: the seeded random circuit generator and truth-table oracles."""
+"""Shared test helpers: seeded random circuit generators, a hypothesis circuit strategy and truth-table oracles."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from gatelim.circuits import Circuit, CircuitBuilder, Edge, circuit_size, evaluate
+from hypothesis import strategies as st
+
+from gatelim.circuits import INPUT, Circuit, CircuitBuilder, Edge, circuit_size, topo_order
 from gatelim.terms import Term, evaluate_term
 
 
@@ -30,6 +32,24 @@ def random_circuit(rng: random.Random, n: int, gates: int) -> Circuit:
         last = b.and_(*args) if rng.random() < 0.5 else b.or_(*args)
         nodes.append(last)
     return b.build(last, prune=True)
+
+
+@st.composite
+def demorgan_circuits(draw) -> Circuit:
+    """A hypothesis strategy: small pruned demorgan circuits over and, or, not and constants."""
+    n = draw(st.integers(1, 4))
+    b = CircuitBuilder(n)
+    nodes = [b.input(i) for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(1, 10))):
+        gate = draw(st.sampled_from(("and", "or", "not", "const")))
+        if gate == "const":
+            nodes.append(b.const(draw(st.integers(0, 1))))
+        elif gate == "not":
+            nodes.append(b.not_(draw(st.sampled_from(nodes))))
+        else:
+            args = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+            nodes.append(b.and_(*args) if gate == "and" else b.or_(*args))
+    return b.build(nodes[-1], prune=True)
 
 
 def neartight_parity(n: int, weak_at: int) -> Circuit:
@@ -78,7 +98,34 @@ def assignments(n: int):
 
 
 def truth_table(c: Circuit) -> tuple[int, ...]:
-    return tuple(evaluate(c, bits) for bits in assignments(c.num_inputs))
+    """The root's bit on every assignment, in ``assignments`` order, from one topological pass.
+
+    Each wire's value is a Python-int mask, bit r its value in row r; a
+    gate's mask is the union, over the rows of its kind's truth table that
+    output 1, of the conjunction of its arguments' masks or complements.
+    """
+    n = c.num_inputs
+    rows = 1 << n
+    full = (1 << rows) - 1
+    value: dict[int, int] = {}
+    for eid in topo_order(c):
+        e = c.edges[eid]
+        kind = e.label.kind
+        if kind is INPUT:  # x_k is bit n-k of the row number: runs of 2^(n-k) zeros, then ones
+            run = 1 << (n - e.label.index)
+            mask = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+        else:  # row j of kind.truth: argument i is 0 where bit (arity-1-i) of j is set
+            mask = 0
+            for j, out in enumerate(kind.truth):
+                if out:
+                    term = full
+                    for i, a in enumerate(reversed(e.args)):
+                        term &= full ^ value[a] if j >> i & 1 else value[a]
+                    mask |= term
+        value[e.result] = mask
+    root = value[c.root]
+    return tuple(root >> r & 1 for r in range(rows))
+
 
 
 def term_truth_table(t: Term, names: list[str]) -> tuple[int, ...]:

@@ -37,6 +37,7 @@ from gatelim.circuits import (
     validate,
 )
 from gatelim.refuter import xor_circuit
+from gatelim.rewrite import substitute_input
 from gatelim.terms import And, Not, Or, Var
 from gatelim.textio import parse_circuit, serialize_circuit
 
@@ -233,6 +234,26 @@ def test_evaluate_examples():
 def test_evaluate_rejects_wrong_length():
     with pytest.raises(CircuitError, match="assignment"):
         evaluate(single_input(), (0, 1))
+
+
+def test_bit_parallel_truth_table_agrees_with_evaluate():
+    # gen.truth_table reads kind.truth over row masks; evaluate reads it one row at a time
+    def evaluated(c):
+        return tuple(evaluate(c, bits) for bits in assignments(c.num_inputs))
+
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        c = random_circuit(rng, n, rng.randint(1, 16))
+        for i in rng.sample(range(1, n + 1), rng.randint(0, n)):
+            if c.input_edge(i) is not None:
+                c = substitute_input(c, i, rng.randint(0, 1))
+        b = CircuitBuilder(n, basis="u2")
+        nodes = [b.input(i) for i in range(1, n + 1)]
+        for _ in range(rng.randint(1, 12)):
+            nodes.append(b.u2(rng.randint(1, 14), rng.choice(nodes), rng.choice(nodes)))
+        for circuit in (c, b.build(nodes[-1], prune=True)):
+            assert truth_table(circuit) == evaluated(circuit)
 
 
 def test_u2_truth_table_pinned():

@@ -5,7 +5,9 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+
+from gen import demorgan_circuits
 
 from gatelim.circuits import (
     AND,
@@ -124,23 +126,6 @@ def test_pickled_and_copied_circuits_normalize_as_the_original():
         assert all(e.label.kind is c.edges[eid].label.kind for eid, e in twin.edges.items())
         _, trace = normalize_circuit(twin)
         assert [step.rule for step in trace.steps] == ["zero_elim", "pass_or_right"]
-
-
-@st.composite
-def demorgan_circuits(draw):
-    n = draw(st.integers(1, 4))
-    b = CircuitBuilder(n)
-    nodes = [b.input(i) for i in range(1, n + 1)]
-    for _ in range(draw(st.integers(1, 10))):
-        gate = draw(st.sampled_from(("and", "or", "not", "const")))
-        if gate == "const":
-            nodes.append(b.const(draw(st.integers(0, 1))))
-        elif gate == "not":
-            nodes.append(b.not_(draw(st.sampled_from(nodes))))
-        else:
-            args = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
-            nodes.append(b.and_(*args) if gate == "and" else b.or_(*args))
-    return b.build(nodes[-1], prune=True)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -6,9 +6,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_rewrite
-from gen import neartight_parity, random_circuit, renumbered, revertexed, truth_table
+from gen import demorgan_circuits, neartight_parity, random_circuit, renumbered, revertexed, truth_table
 
 from gatelim.circuits import (
     AND,
@@ -57,8 +58,7 @@ def test_rule_table_matches_the_formula_system():
 
 def test_demorgan_system_derives_what_the_matcher_reads():
     assert DEMORGAN.basis == "demorgan" and DEMORGAN.trs == TRS_B
-    assert DEMORGAN.depth == 2
-    assert DEMORGAN.climb == DEMORGAN.inner == {NOT.kind}
+    assert DEMORGAN.inner == {NOT.kind}
     assert {kind.name: [r.name for r in rules] for kind, rules in DEMORGAN.by_root.items()} == {
         "CONST0": ["zero_elim"],
         "NOT": ["double_neg_elim"],
@@ -90,26 +90,38 @@ def test_a_system_reading_deeper_than_the_candidate_key_is_refused():
         System("demorgan", TRS((deep,)))
 
 
+def dedup_and_tautology():
+    """AND(x1, x1) and AND(x1, NOT x1) in one circuit: the two sites and the circuit."""
+    b = CircuitBuilder(1)
+    x1 = b.input(1)
+    dedup, taut = b.and_(x1, x1), b.and_(x1, b.not_(x1))
+    return dedup, taut, b.build(b.or_(dedup, taut))
+
+
 def test_each_system_has_its_own_candidate_memo():
     (and_dedup,) = [r for r in TRS_B.rules if r.name == "and_dedup"]
     system = System("demorgan", TRS((and_dedup,)))
-    before = DEMORGAN.candidates.cache_info()
-    dedup_key = (AND.kind, (None, None), (0, 0))  # AND(a, a), a not produced
-    taut_key = (AND.kind, (None, NOT.kind, None), (0, 1, 0))  # AND(a, NOT(a))
-    assert system.candidates(dedup_key) == system.rules
-    assert system.candidates(taut_key) == ()
-    assert system.candidates.cache_info().currsize == 2
-    assert DEMORGAN.candidates.cache_info() == before
-    assert [r.name for r in DEMORGAN.candidates(taut_key)] == ["taut_and_right"]
+    dedup, taut, c = dedup_and_tautology()
+    assert [r.name for r in DEMORGAN.candidates(c, taut)] == ["taut_and_right"]
+    assert DEMORGAN.memo[AND.kind, (INPUT, NOT.kind, INPUT), (0, 1, 0)] == DEMORGAN.candidates(c, taut)
+    before = dict(DEMORGAN.memo)
+    assert system.candidates(c, dedup) == system.rules
+    assert system.candidates(c, taut) == ()
+    dedup_key = (AND.kind, (INPUT, INPUT), (0, 0))  # AND(a, a)
+    taut_key = (AND.kind, (INPUT, NOT.kind), (0, 1))  # AND(a, NOT(...)): no rule here reads below a NOT
+    assert system.memo == {dedup_key: system.rules, taut_key: ()}
+    assert DEMORGAN.memo == before
 
 
 def test_an_empty_system_builds_and_offers_no_rule():
     # every term is normal in it; a completion starts from such partial rule sets
     empty = System("demorgan", TRS(()))
-    assert empty.rules == () and empty.depth == 0
-    assert empty.by_root == {} and empty.climb == empty.inner == frozenset()
-    assert empty.candidates((AND.kind, (None, None), (0, 0))) == ()
-    assert empty.candidates((NOT.kind, (NOT.kind, None), (0, 1))) == ()
+    assert empty.rules == () and empty.by_root == {} and empty.inner == frozenset()
+    dedup, taut, c = dedup_and_tautology()
+    b = CircuitBuilder(1)
+    double_neg = b.not_(b.not_(b.input(1)))
+    for g, site in ((c, dedup), (c, taut), (b.build(double_neg), double_neg)):
+        assert empty.candidates(g, site) == ()
 
 
 def test_trs_check_certifies_the_system_normalize_runs(monkeypatch, capsys):
@@ -164,9 +176,13 @@ def test_a_node_object_at_two_right_hand_positions_is_spliced_per_occurrence():
     rule = TermRule("absorb", Or(g, gh), And(Or(g, gh), Or(g, Not(gh))))
     assert rule.rhs.args[0].args[1] is rule.rhs.args[1].args[1].args[0]
     system = System("demorgan", TRS((rule,)))
-    assert system.depth == 1 and system.inner == {AND.kind} and system.climb == frozenset()
-    assert system.candidates((OR.kind, (None, AND.kind, None, None), (0, 1, 0, 3))) == (rule,)
-    assert system.candidates((OR.kind, (None, AND.kind, None, None), (0, 1, 2, 3))) == ()
+    assert system.inner == {AND.kind}
+    b = CircuitBuilder(2)
+    x1, x2 = b.input(1), b.input(2)
+    absorbed, kept = b.or_(x1, b.and_(x1, x2)), b.or_(x2, b.and_(x1, x2))  # g at both depths, or not
+    c = b.build(b.and_(absorbed, kept))
+    assert system.candidates(c, absorbed) == (rule,)
+    assert system.candidates(c, kept) == ()
 
     circuits = []
     b = CircuitBuilder(3)
@@ -489,6 +505,16 @@ def test_strategies_agree_up_to_bisimilarity():
             assert bisimilar(det, rand_nf)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(demorgan_circuits(), st.integers(0, 1000))
+def test_the_det_normal_form_is_normal_strategy_free_and_keeps_the_function(c, seed):
+    nf, _ = normalize_circuit(c)
+    again, trace = normalize_circuit(nf)
+    assert trace.steps == () and again is nf
+    assert bisimilar(nf, normalize_circuit(c, "rand", seed=seed)[0])
+    assert truth_table(nf) == truth_table(c)
+
+
 def test_graph_normal_form_agrees_with_term_normal_form():
     rng = random.Random(24)
     for _ in range(100):
@@ -679,7 +705,7 @@ def checked_rematch(monkeypatch):
         live = [r for found in graph.redexes.values() for r in found]
         assert redex_keys(live) == redex_keys(find_redexes(graph.snapshot()))
         for e in graph.edges.values():
-            offered = graph.candidates(e.result)
+            offered = DEMORGAN.candidates(graph, e.result)
             for rule in DEMORGAN.rules:
                 assert (match_at(graph, rule, e.result) is not None) == (rule in offered), rule.name
 

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import random_circuit, truth_table
 
-from gatelim.circuits import circuit_size, evaluate, isomorphic
+from gatelim.circuits import Circuit, circuit_size, evaluate, isomorphic
 from gatelim.refuter import xor_circuit
 from gatelim.textio import ParseError, parse_circuit, serialize_circuit
 
@@ -133,3 +134,36 @@ def test_u2_roundtrip():
     text = "ckt 1\nbasis u2\ninputs 2\nn1 = U2_8 x1 x2\noutput n1\n"
     c = parse_circuit(text)
     assert serialize_circuit(c) == text
+
+
+# The format's own words, malformed numbers and names, and characters the
+# format rejects (non-ASCII digits among them), to reach every branch.
+TOKENS = (
+    "ckt", "1", "2", "basis", "demorgan", "u2", "xor", "inputs", "0", "3", "-1", "01", "\u0663",
+    "output", "=", "AND", "OR", "NOT", "CONST0", "CONST1", "U2_4", "U2_0", "U2_15", "and",
+    "x0", "x1", "x2", "x3", "x4", "n1", "n2", "N1", "1n", "#", "\t",
+)
+ARITY = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0, "U2_4": 2, "U2_11": 2, "U2_15": 2}
+
+
+@st.composite
+def circuit_texts(draw) -> str:
+    """A header, gates n1, n2, ... and an output line; any line may be format tokens or any text."""
+    operand = st.sampled_from(("x1", "x2", "x3", "x4", "n1", "n2", "n3"))
+    lines = ["ckt 1", draw(st.sampled_from(("basis demorgan", "basis u2"))), f"inputs {draw(st.integers(0, 4))}"]
+    for i in range(1, draw(st.integers(0, 4)) + 1):
+        op = draw(st.sampled_from(sorted(ARITY)))
+        lines.append(" ".join([f"n{i} =", op, *(draw(operand) for _ in range(ARITY[op]))]))
+    lines.append(f"output {draw(operand)}")
+    other = st.one_of(st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join), st.text(max_size=12))
+    return "\n".join(draw(other) if draw(st.integers(0, 7)) == 3 else line for line in lines)  # one line in eight
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.one_of(circuit_texts(), st.text()))
+def test_any_text_parses_to_a_circuit_or_a_parse_error(text):
+    try:
+        c = parse_circuit(text)
+    except ParseError:
+        return
+    assert isinstance(c, Circuit)
