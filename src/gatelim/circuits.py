@@ -12,6 +12,11 @@ input) plus an input index, 0 for every other kind.  Labels compare as
 tuples, the kind by identity, so every test of a gate's kind is an identity
 test on ``label.kind``.
 
+``CircuitBuilder`` makes circuits in which vertex v is the result of edge v
+and every argument is an earlier wire, so they are defined, acyclic and
+topologically numbered by construction; its ``build`` is their check, and
+``validate`` the full check for any other circuit.
+
 Circuits are immutable after construction; every operation here is a pure
 function.  Circuit size counts binary gates only - negations, constants, and
 inputs are free.  Two indexes, which ``Circuit.walk`` runs over, are built on
@@ -114,6 +119,23 @@ class Circuit:
             if e.label.kind is INPUT:
                 self.inputs.setdefault(e.label.index, eid)
         self.vertices: frozenset[int] = frozenset(vertices)
+
+    @classmethod
+    def _numbered(
+        cls, edges: dict[int, Edge], root: int, num_inputs: int, basis: str, inputs: dict[int, int]
+    ) -> Circuit:
+        """A circuit in which edge v has result v and every argument is a result, indexed without a pass.
+
+        So the producer of v is v and the vertices are the edge ids; the
+        caller, ``CircuitBuilder.build``, has proved that and gives the input
+        edges, in edge order.
+        """
+        c = cls({}, root, num_inputs, basis)  # checks the basis
+        c.edges = dict(edges)
+        c.producer = dict(zip(c.edges, c.edges))
+        c.inputs = inputs
+        c.vertices = frozenset(c.edges)
+        return c
 
     def producer_edge(self, vertex: int) -> Edge:
         return self.edges[self.producer[vertex]]
@@ -351,22 +373,24 @@ def isomorphic(a: Circuit, b: Circuit) -> bool:
 
 
 class CircuitBuilder:
-    """Incremental construction; methods return the result vertex of the new gate."""
+    """Incremental construction; methods return the result vertex of the new gate.
+
+    The builder numbers wires and gates alike, so vertex v is the result of
+    edge v; a gate should read only earlier wires.  ``build`` is the check:
+    what it returns is a valid circuit, and what it refuses it names with
+    ``validate``'s words.
+    """
 
     def __init__(self, num_inputs: int, basis: str = "demorgan"):
         self.num_inputs = num_inputs
         self.basis = basis
-        self._edges: dict[int, Edge] = {}
+        self._edges: dict[int, Edge] = {}  # edge v produces vertex v
         self._inputs: dict[int, int] = {}
-        self._next_vertex = 0
-        self._next_edge = 0
 
     def gate(self, label: Label, *args: int) -> int:
         """A new gate with this label reading the argument wires; inputs go through ``input``."""
-        v = self._next_vertex
-        self._next_vertex += 1
-        self._edges[self._next_edge] = Edge(label, (v, *args))
-        self._next_edge += 1
+        v = len(self._edges)
+        self._edges[v] = Edge(label, (v, *args))
         return v
 
     def input(self, index: int) -> int:
@@ -392,11 +416,58 @@ class CircuitBuilder:
     def u2(self, op: int, a: int, b: int) -> int:
         return self.gate(u2_label(op), a, b)
 
+    def _proved(self, root: int) -> Optional[Circuit]:
+        """The circuit with this output, where one pass proves it valid with every edge reached; else None.
+
+        The pass goes from the last edge down.  Vertex v is edge v's result,
+        so an edge whose kind, arity and input index are right and whose
+        arguments are all earlier wires is defined, and edges so numbered are
+        acyclic and in topological order.  The root marks its edge and each
+        proved edge its arguments, so an edge is reached exactly when it is
+        marked by the time the pass comes to it.  The proof asks more than
+        ``validate``: a gate that reads a later wire fails it.
+        """
+        edges, num_inputs = self._edges, self.num_inputs
+        if root not in edges:
+            return None
+        reached = {root}
+        inputs: dict[int, int] = {}  # input index -> its edge, the last edge first
+        for v in range(len(edges) - 1, -1, -1):
+            if v not in reached:
+                return None
+            e = edges[v]
+            label = e.label
+            kind = label.kind
+            if len(e.args) != kind.arity:
+                return None
+            if kind is INPUT:
+                if not 1 <= label.index <= num_inputs or label.index in inputs:
+                    return None
+                inputs[label.index] = v
+            elif kind.basis != self.basis:
+                return None
+            for a in e.args:
+                if not 0 <= a < v:
+                    return None
+                reached.add(a)
+        return Circuit._numbered(edges, root, num_inputs, self.basis, dict(reversed(inputs.items())))
+
     def build(self, root: int, prune: bool = False) -> Circuit:
+        """The circuit of the gates made so far with this output; with ``prune``, of those it reaches.
+
+        Raises ``CircuitError`` with ``validate``'s violations exactly when
+        that circuit is invalid.  Where ``_proved`` proves it, that is the
+        whole check; otherwise ``validate`` runs, so a circuit that the proof
+        refuses (it leaves a gate unreached, or a gate reads a later wire) but
+        ``validate`` accepts still builds.  Pruning keeps the edges in the
+        order of ``reachable_edges``' set.
+        """
+        c = self._proved(root)
+        if c is not None:
+            return c
         edges = self._edges
         if prune:
-            keep = reachable_edges(edges, root)
-            edges = {eid: edges[eid] for eid in keep}
+            edges = {eid: edges[eid] for eid in reachable_edges(edges, root)}
         c = Circuit(edges, root, self.num_inputs, self.basis)
         violations = validate(c)
         if violations:

@@ -24,8 +24,9 @@ same input indexing serialize to identical text.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
-from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, label_name
+from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, Edge, Label, label_name
 
 
 class ParseError(Exception):
@@ -37,6 +38,26 @@ class ParseError(Exception):
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INPUT_RE = re.compile(r"^x([0-9]+)$")
 _U2_RE = re.compile(r"^U2_([0-9]+)$")
+_GATE_NAME_RE = re.compile(r"^(?!x[0-9]+$)[a-z][a-z0-9_]*$")  # a name, not of the form x<k>
+
+
+def _op_label(no: int, op: str, basis: str) -> Label:
+    """The label an op text names in a circuit of this basis; raises ParseError otherwise."""
+    u2_match = _U2_RE.match(op)
+    if u2_match:  # any U2_<digits>: leading zeros parse, and an op out of range is named
+        if basis != "u2":
+            raise ParseError(no, f"{op} gate in a {basis} circuit")
+        k = int(u2_match.group(1))
+        label = LABELS.get(f"U2_{k}")
+        if label is None:
+            raise ParseError(no, f"u2 op {k} out of range 1..14")
+        return label
+    label = LABELS.get(op)
+    if label is None:
+        raise ParseError(no, f"unknown op {op!r}")
+    if basis != label.kind.basis:
+        raise ParseError(no, f"{op} gate in a {basis} circuit")
+    return label
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -88,6 +109,8 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(no, f"undefined operand {token!r}")
         raise ParseError(no, f"bad operand {token!r}")
 
+    ops: dict[str, Label] = {}  # op text -> its label, once its first line has checked it
+    wire = names.__getitem__
     for no, line in lines[3:]:
         parts = line.split()
         if parts[0] == "output":
@@ -100,30 +123,24 @@ def parse_circuit(text: str) -> Circuit:
         if len(parts) < 3 or parts[1] != "=":
             raise ParseError(no, f"expected '<name> = <OP> <operands...>', got {line!r}")
         name, op, operands = parts[0], parts[2], parts[3:]
-        if not _NAME_RE.match(name):
-            raise ParseError(no, f"bad gate name {name!r}")
-        if _INPUT_RE.match(name):
-            raise ParseError(no, f"gate name {name!r} is reserved for inputs")
-        if name in names:
+        if name in names or not _GATE_NAME_RE.match(name):
+            if not _NAME_RE.match(name):
+                raise ParseError(no, f"bad gate name {name!r}")
+            if _INPUT_RE.match(name):
+                raise ParseError(no, f"gate name {name!r} is reserved for inputs")
             raise ParseError(no, f"duplicate gate name {name!r}")
-        u2_match = _U2_RE.match(op)
-        if u2_match:  # any U2_<digits>: leading zeros parse, and an op out of range is named
-            if basis != "u2":
-                raise ParseError(no, f"{op} gate in a {basis} circuit")
-            k = int(u2_match.group(1))
-            label = LABELS.get(f"U2_{k}")
-            if label is None:
-                raise ParseError(no, f"u2 op {k} out of range 1..14")
-        else:
-            label = LABELS.get(op)
-            if label is None:
-                raise ParseError(no, f"unknown op {op!r}")
-            if basis != label.kind.basis:
-                raise ParseError(no, f"{op} gate in a {basis} circuit")
-        op_arity = label.kind.arity
-        if len(operands) != op_arity:
-            raise ParseError(no, f"{op} takes 2 operands" if u2_match else f"{op} takes {op_arity} operand(s)")
-        names[name] = builder.gate(label, *(operand(no, t) for t in operands))
+        label = ops.get(op)
+        if label is None:
+            label = ops[op] = _op_label(no, op, basis)
+        arity = label.kind.arity
+        if len(operands) != arity:
+            counted = "2 operands" if label.kind.basis == "u2" else f"{arity} operand(s)"
+            raise ParseError(no, f"{op} takes {counted}")
+        try:
+            args = tuple(map(wire, operands))
+        except KeyError:  # an input, or an operand to report
+            args = tuple(operand(no, t) for t in operands)
+        names[name] = builder.gate(label, *args)
 
     if root is None:
         raise ParseError(lines[-1][0], "missing output line")
@@ -137,25 +154,26 @@ def serialize_circuit(c: Circuit) -> str:
     """Canonical text for the circuit; the parse of the result is isomorphic to c."""
     names: dict[int, str] = {}  # wire -> its name; "" while its gate is on the stack
     body: list[str] = []
+    producer, edges = c.producer, c.edges
     # Depth-first post-order from the output, with an explicit stack so that
-    # depth costs no recursion.  The bottom frame's one argument is the output.
-    stack: list = [(None, None, iter((c.root,)))]
+    # depth costs no recursion: (wire, None) visits the wire, and (wire,
+    # edge), pushed under its unnamed arguments, writes the edge's gate once
+    # they are named.
+    stack: list[tuple[int, Optional[Edge]]] = [(c.root, None)]
     while stack:
-        v, e, args = stack[-1]
-        for a in args:
-            if a not in names:
-                ea = c.producer_edge(a)
-                if ea.label.kind is INPUT:
-                    names[a] = label_name(ea.label)
-                else:
-                    names[a] = ""
-                    stack.append((a, ea, iter(ea.args)))
-                    break
-        else:
-            stack.pop()
-            if e is not None:
-                names[v] = name = f"n{len(body) + 1}"
-                operands = "".join(" " + names[a] for a in e.args)
-                body.append(f"{name} = {label_name(e.label)}{operands}")
+        v, e = stack.pop()
+        if e is not None:
+            names[v] = name = f"n{len(body) + 1}"
+            body.append(" ".join((name, "=", e.label.kind.name, *map(names.__getitem__, e.args))))
+        elif v not in names:
+            e = edges[producer[v]]
+            if e.label.kind is INPUT:
+                names[v] = label_name(e.label)
+            else:
+                names[v] = ""
+                stack.append((v, e))
+                for a in reversed(e.args):
+                    if a not in names:
+                        stack.append((a, None))
     lines = ["ckt 1", f"basis {c.basis}", f"inputs {c.num_inputs}", *body, f"output {names[c.root]}"]
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import (
     assignments,
@@ -23,6 +24,7 @@ from gatelim.circuits import (
     CircuitError,
     Edge,
     INPUT,
+    LABELS,
     Label,
     NOT,
     OR,
@@ -32,6 +34,7 @@ from gatelim.circuits import (
     evaluate,
     isomorphic,
     label_name,
+    reachable_edges,
     topo_order,
     unroll_term,
     validate,
@@ -90,6 +93,99 @@ def test_validate_reports_unreachable_and_cycle():
         b.build(v1)
     cyc = Circuit({0: Edge(Label(INPUT, 1), (0,)), 1: Edge(AND, (1, 1, 0))}, 1, 1)
     assert any("cycle" in v for v in validate(cyc))
+
+
+@st.composite
+def builder_programs(draw):
+    """A builder program, valid or not, and the edges it makes: (n, basis, calls, edges, root, prune).
+
+    A call is ``("input", k)`` or ``("gate", label, args)``.  Every gate has
+    a label of the basis, its arity and earlier wires, except that in half
+    the programs one step breaks one rule: a wrong arity, a label of the
+    other basis, an input gate out of range or duplicated, an argument wire
+    not yet made or never made.  Three programs in four end in binary gates
+    over the wires no gate reads, so that the last gate reaches every gate.
+    Three roots in four are the last gate; the rest may leave gates
+    unreached or be no wire at all.
+    """
+    n = draw(st.integers(0, 3))
+    basis = draw(st.sampled_from(("demorgan", "u2")))
+    own = [label for label in LABELS.values() if label.kind.basis == basis]
+    other = [label for label in LABELS.values() if label.kind.basis != basis]
+    calls, edges, inputs = [], {}, {}
+
+    def unread():
+        return sorted(set(edges) - {a for e in edges.values() for a in e.args})
+
+    def gate(label, args):
+        calls.append(("gate", label, args))
+        edges[len(edges)] = Edge(label, (len(edges), *args))
+
+    size = draw(st.integers(1, 8))
+    fault = draw(st.integers(0, 2 * size - 1))  # the step that breaks a rule, if < size
+    for i in range(size):
+        v = len(edges)
+        step = draw(st.sampled_from(("arity", "basis", "x", "wire") if i == fault else ("input", "gate")))
+        if step == "input":
+            k = draw(st.integers(1, n)) if n else None
+            if k is not None:
+                calls.append(("input", k))
+                if k not in inputs:
+                    inputs[k] = v
+                    edges[v] = Edge(Label(INPUT, k), (v,))
+            continue
+        if step == "x":  # out of range, or a second edge for an input
+            index = st.integers(-1, n + 1)
+            label = Label(INPUT, draw(st.sampled_from(sorted(inputs)) | index if inputs else index))
+        elif step == "wire":
+            label = draw(st.sampled_from([label for label in own if label.kind.arity]))
+        else:
+            label = draw(st.sampled_from(other if step == "basis" else own))
+        arity = label.kind.arity
+        if step == "arity":
+            arity = draw(st.integers(0, 3).filter(lambda a: a != label.kind.arity))
+        bad = draw(st.integers(0, arity - 1)) if step == "wire" else None
+        unmade = st.integers(v, v + 3) | st.just(-1)
+        earlier = st.integers(0, v - 1) | st.sampled_from(ends) if (ends := unread()) else unmade
+        gate(label, tuple(draw(unmade if j == bad else earlier) for j in range(arity)))
+    if draw(st.integers(0, 3)):
+        binary = [label for label in own if label.kind.arity == 2]
+        while len(ends := unread()) > 1:
+            gate(draw(st.sampled_from(binary)), (ends[0], ends[1]))
+    root = draw(st.integers(-1, len(edges)) if draw(st.integers(0, 3)) == 0 else st.just(len(edges) - 1))
+    return n, basis, calls, edges, root, draw(st.booleans())
+
+
+def test_build_raises_exactly_when_validate_reports_a_violation():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(builder_programs())
+    def check(program):
+        n, basis, calls, edges, root, prune = program
+        b = CircuitBuilder(n, basis)
+        for call in calls:
+            if call[0] == "input":
+                b.input(call[1])
+            else:
+                b.gate(call[1], *call[2])
+        if prune:
+            edges = {eid: edges[eid] for eid in reachable_edges(edges, root)}
+        expected = Circuit(edges, root, n, basis)
+        violations = validate(expected)
+        outcomes.add(bool(violations))
+        if violations:
+            with pytest.raises(CircuitError) as info:
+                b.build(root, prune)
+            assert str(info.value) == "invalid circuit: " + "; ".join(violations)
+        else:
+            c = b.build(root, prune)
+            for index in ("edges", "producer", "inputs"):
+                assert list(getattr(c, index).items()) == list(getattr(expected, index).items())
+            assert (c.root, c.num_inputs, c.basis, c.vertices) == (root, n, basis, expected.vertices)
+
+    check()
+    assert outcomes == {False, True}
 
 
 def test_circuit_size():

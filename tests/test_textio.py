@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gen import random_circuit, truth_table
 
-from gatelim.circuits import Circuit, circuit_size, evaluate, isomorphic
+from gatelim.circuits import Circuit, circuit_size, evaluate, isomorphic, u2_label
 from gatelim.refuter import xor_circuit
 from gatelim.textio import ParseError, parse_circuit, serialize_circuit
 
@@ -74,6 +74,11 @@ def _gate_line(basis, line, inputs=2):
         ("u2", "n1 = CONST1", "line 4: CONST1 gate in a u2 circuit"),
         ("demorgan", "n1 = AND x1 X2", "line 4: bad operand 'X2'"),
         ("u2", "n1 = U2_7 x1 2", "line 4: bad operand '2'"),
+        # an op's second line is checked on its own
+        ("demorgan", "n1 = AND x1 x2\nn2 = AND n1", "line 5: AND takes 2 operand(s)"),
+        ("u2", "n1 = U2_7 x1 x2\nn2 = U2_7 n1 x1 x2", "line 5: U2_7 takes 2 operands"),
+        ("demorgan", "n1 = AND x1 x2\nn2 = AND n1 n7", "line 5: undefined operand 'n7'"),
+        ("u2", "n1 = U2_7 x1 x2\nn2 = U2_7 x2 n7", "line 5: undefined operand 'n7'"),
     ],
 )
 def test_parse_error_texts_are_pinned(basis, line, message):
@@ -85,6 +90,8 @@ def test_parse_error_texts_are_pinned(basis, line, message):
 def test_parse_accepts_leading_zeros_in_op_and_input_numbers():
     u2 = parse_circuit(_gate_line("u2", "n1 = U2_07 x01 x2"))
     assert serialize_circuit(u2) == _gate_line("u2", "n1 = U2_7 x1 x2")
+    both = parse_circuit("ckt 1\nbasis u2\ninputs 2\nn1 = U2_07 x1 x2\nn2 = U2_7 n1 x2\noutput n2\n")
+    assert [e.label for e in both.edges.values() if e.args] == [u2_label(7)] * 2
     dm = parse_circuit(_gate_line("demorgan", "n1 = AND x02 x1"))
     assert serialize_circuit(dm) == _gate_line("demorgan", "n1 = AND x2 x1")
 
