@@ -103,6 +103,8 @@ class Edge(_EdgeFields):
 class Circuit:
     """A rooted hypergraph; treat as immutable after construction."""
 
+    ids_ordered = False  # proved: every argument's producer has a smaller id than its reader
+
     def __init__(self, edges: dict[int, Edge], root: int, num_inputs: int, basis: str = "demorgan"):
         if basis not in ("demorgan", "u2"):
             raise CircuitError(f"unknown basis {basis!r}")
@@ -124,17 +126,19 @@ class Circuit:
     def _numbered(
         cls, edges: dict[int, Edge], root: int, num_inputs: int, basis: str, inputs: dict[int, int]
     ) -> Circuit:
-        """A circuit in which edge v has result v and every argument is a result, indexed without a pass.
+        """A circuit in which edge v has result v and reads only earlier results, indexed without a pass.
 
-        So the producer of v is v and the vertices are the edge ids; the
-        caller, ``CircuitBuilder.build``, has proved that and gives the input
-        edges, in edge order.
+        So the producer of v is v, the vertices are the edge ids, and
+        ascending id order is topological (``ids_ordered``, which ``topo_order``
+        trusts); the caller, ``CircuitBuilder.build``, has proved that and
+        gives the input edges, in edge order.
         """
         c = cls({}, root, num_inputs, basis)  # checks the basis
         c.edges = dict(edges)
         c.producer = dict(zip(c.edges, c.edges))
         c.inputs = inputs
         c.vertices = frozenset(c.edges)
+        c.ids_ordered = True
         return c
 
     def producer_edge(self, vertex: int) -> Edge:
@@ -247,9 +251,11 @@ def topo_order(c: Circuit) -> list[int]:
     popped has all of its producers popped, so it is the least ready id.  One
     pass checks for that case, as parsed and built circuits number their
     gates, and builds no index; any other circuit, cyclic or not, is walked.
+    A circuit that ``CircuitBuilder.build`` proved so numbered
+    (``ids_ordered``) skips the pass.
     """
     producer = c.producer
-    if all(producer.get(v, -1) < eid for eid, e in c.edges.items() for v in e.args):
+    if c.ids_ordered or all(producer.get(v, -1) < eid for eid, e in c.edges.items() for v in e.args):
         return sorted(c.edges)
     if not len(c.edges) == len(producer) == len(c.vertices):
         # A wire with no producer or two: walk the copy Kahn sees, where edges read only

@@ -4,7 +4,10 @@
 once, into ``DEMORGAN``, the one ``System``: ``gatelim trs check`` certifies
 its ``trs``, and this module executes the same ``TermRule`` objects on
 circuits.  A line's position in the file sets the deterministic (``det``)
-rule order for both.
+rule order for both.  The rules are grouped by the kind of their left-hand
+root once, in the TRS's own index ``TRS.by_root``: ``System.by_root`` is
+that index, so the formula redex scan and the circuit matcher read the same
+groups.
 
 A left-hand side is matched as a term on the graph, by the one matcher
 ``terms.match``: each operator node must meet a wire whose producing edge
@@ -109,7 +112,6 @@ from .circuits import (
     Circuit,
     CircuitError,
     Edge,
-    LabelKind,
     const_label,
     topo_order,
 )
@@ -127,7 +129,8 @@ class System:
     and, derived from the operator nodes of their left-hand sides:
 
     - ``by_root``: the rules grouped by the kind of their left-hand root,
-      each group in rule order;
+      each group in rule order.  This is the TRS's own index,
+      ``TRS.by_root``, which the formula redex scan reads too;
     - ``inner``: the kinds of the non-root operator nodes with arguments.
       The candidate key reads the arguments of an argument's producer only
       below these kinds, and ``WorkingGraph.rematch`` climbs a second
@@ -146,9 +149,7 @@ class System:
         self.basis = basis
         self.trs = trs
         self.rules = trs.rules
-        self.by_root: dict[LabelKind, tuple[TermRule, ...]] = {}
-        for rule in self.rules:
-            self.by_root[rule.lhs.kind] = self.by_root.get(rule.lhs.kind, ()) + (rule,)
+        self.by_root = trs.by_root
         nodes = []  # (depth, node) of each left-hand operator node
         todo = [(0, rule.lhs) for rule in self.rules]
         while todo:

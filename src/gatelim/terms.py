@@ -11,10 +11,21 @@ to certify it convergent: a node-weight measure that strictly decreases on
 every rewrite (termination) and a critical pair computation whose
 joinability, combined with termination, gives confluence by Newman's lemma.
 
+A system's rules are indexed once, when its ``TRS`` is made: ``TRS.by_root``
+groups them by the kind of their left-hand root, each group in rule order.
+A rule can match only at a node of its root's kind, so the redex scan tries
+just that group at each node, and the critical pair computation unifies only
+the overlaps whose root kinds agree.  ``rewrite.System`` reads the same index.
+
 A term's redexes have one order, innermost first: ``redexes`` yields them
 lazily, positions in post-order and the rules at each in system order.  The
 deterministic strategy (``rewrite_step``, ``normalize_term``) fires the
 first and the random one (``normalize_term_random``) draws from all of them.
+
+Random terms have one draw loop, ``random_term``, which folds each node as
+it is completed.  By default the fold builds the term; ``sample_weight``
+folds the same draws to the term's weight instead, so the certificate's
+weight samples cost no term.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, ClassVar, Iterator, Optional, Union
 
@@ -298,9 +309,20 @@ class TermRule:
 
 @dataclass(frozen=True)
 class TRS:
-    """An ordered list of rewrite rules; order fixes the deterministic strategy."""
+    """An ordered list of rewrite rules; order fixes the deterministic strategy.
+
+    ``by_root`` is the system's one rule index: the rules grouped by the kind
+    of their left-hand root, each group in rule order.
+    """
 
     rules: tuple[TermRule, ...]
+    by_root: dict[LabelKind, tuple[TermRule, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_root: dict[LabelKind, tuple[TermRule, ...]] = {}
+        for rule in self.rules:
+            by_root[rule.lhs.kind] = by_root.get(rule.lhs.kind, ()) + (rule,)
+        object.__setattr__(self, "by_root", by_root)
 
 
 def redexes(trs: TRS, t: Term) -> Iterator[tuple[Position, TermRule, Binding]]:
@@ -309,8 +331,10 @@ def redexes(trs: TRS, t: Term) -> Iterator[tuple[Position, TermRule, Binding]]:
     Positions come in post-order, left to right, and the rules at one
     position in system order; a position is built only when it is yielded.
     This is the one redex order: ``rewrite_step`` fires its first element and
-    ``normalize_term_random`` draws from all of it.
+    ``normalize_term_random`` draws from all of it.  At each node only the
+    rules of its kind in ``trs.by_root`` are tried.
     """
+    by_root = trs.by_root
     path = [[t, 0]]  # the nodes from the root down, each with how many of its arguments were entered
     while path:
         u, i = path[-1]
@@ -321,7 +345,7 @@ def redexes(trs: TRS, t: Term) -> Iterator[tuple[Position, TermRule, Binding]]:
         path.pop()
         if type(u) is Var:
             continue
-        for rule in trs.rules:
+        for rule in by_root.get(u.kind, ()):
             binding = match(rule.lhs, u)
             if binding is not None:
                 yield tuple(i - 1 for _, i in path), rule, binding
@@ -365,12 +389,12 @@ def normalize_term_random(trs: TRS, t: Term, rng: random.Random) -> Term:
     raise BudgetError(f"no normal form within {budget} steps")
 
 
-def weight_shape(t: Term) -> tuple[int, int]:
-    """(skel, occ): the weight of t's non-variable nodes and its number of variable occurrences.
+# The one definition of the per-node weight: zero weighs 3, every other operator node 1.
+_NODE_WEIGHT: dict[LabelKind, int] = {kind: 3 if kind is ZERO.kind else 1 for kind in _OPERATORS.values()}
 
-    This is the one definition of the per-node weight: zero weighs 3, every
-    other node 1.
-    """
+
+def weight_shape(t: Term) -> tuple[int, int]:
+    """(skel, occ): the weight of t's non-variable nodes (``_NODE_WEIGHT``) and its number of variable occurrences."""
     skel = occ = 0
     stack = [t]
     while stack:
@@ -378,7 +402,7 @@ def weight_shape(t: Term) -> tuple[int, int]:
         if type(u) is Var:
             occ += 1
         else:
-            skel += 3 if u.kind is ZERO.kind else 1
+            skel += _NODE_WEIGHT[u.kind]
             stack.extend(u.args)
     return skel, occ
 
@@ -415,7 +439,10 @@ def unify(s: Term, t: Term) -> Optional[Binding]:
     """Syntactic unification with occurs check; returns a fully resolved mgu.
 
     Pairs are visited depth first, left to right: that order picks the
-    variable each binding binds, and so the names in critical pairs.
+    variable each binding binds, and so the names in critical pairs.  The
+    bindings are kept unresolved while unifying: the occurs check walks the
+    bound term through the bindings, each bound variable once, and the mgu
+    is resolved once at the end.
     """
     subst: Binding = {}
 
@@ -424,10 +451,19 @@ def unify(s: Term, t: Term) -> Optional[Binding]:
             u = subst[u.name]
         return u
 
-    def resolved(u: Term) -> Term:  # substituted until no variable of it is bound
-        while variables(u) & subst.keys():
-            u = apply_substitution(u, subst)
-        return u
+    def occurs(name: str, u: Term) -> bool:  # whether the variable is in u resolved
+        entered: set[str] = set()
+        stack = [u]
+        while stack:
+            u = stack.pop()
+            if type(u) is not Var:
+                stack.extend(u.args)
+            elif u.name == name:
+                return True
+            elif u.name in subst and u.name not in entered:
+                entered.add(u.name)
+                stack.append(subst[u.name])
+        return False
 
     stack = [(s, t)]
     while stack:
@@ -437,14 +473,39 @@ def unify(s: Term, t: Term) -> Optional[Binding]:
         if type(a) is Var:
             if type(b) is Var and b.name == a.name:
                 continue
-            if a.name in variables(resolved(b)):
+            if occurs(a.name, b):
                 return None
             subst[a.name] = b
         elif a.kind is not b.kind:
             return None
         else:
             stack.extend(zip(reversed(a.args), reversed(b.args)))
-    return {name: resolved(u) for name, u in subst.items()}
+
+    images: Binding = {}  # each bound variable's image, resolved
+
+    def image(u: Term) -> Term:  # u resolved, folded post-order through images as they are made
+        values: list[Term] = []
+        todo: list = [u]  # terms to resolve, (u,) once u's arguments are resolved, and a name once its image is
+        while todo:
+            u = todo.pop()
+            if type(u) is str:
+                images[u] = values[-1]
+            elif type(u) is tuple:
+                (u,) = u
+                k = len(values) - len(u.args)
+                values[k:] = [Op(u.kind, *values[k:])]
+            elif type(u) is not Var:
+                todo.append((u,))
+                todo.extend(reversed(u.args))
+            elif u.name in images:
+                values.append(images[u.name])
+            elif u.name in subst:
+                todo += u.name, subst[u.name]
+            else:
+                values.append(u)
+        return values[0]
+
+    return {name: image(Var(name)) for name in subst}
 
 
 def critical_pairs(trs: TRS) -> list[CriticalPair]:
@@ -453,7 +514,8 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
     For every ordered rule pair and every non-variable position of the outer
     left-hand side that unifies with the (renamed) inner left-hand side, the
     two one-step results of the overlapped term.  The root overlap of a rule
-    with itself is trivial and skipped.
+    with itself is trivial and skipped.  A position whose node has another
+    kind than the inner left-hand root cannot unify and is not tried.
 
     The inner rule is renamed apart to names no rule uses: each old name and
     the least number from 2 up that frees all of them (Baader and Nipkow,
@@ -469,12 +531,10 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
         apart.append({v: Var(f"{v}{k}") for v in names})
     renamed = [(apply_substitution(r.lhs, a), apply_substitution(r.rhs, a)) for r, a in zip(trs.rules, apart)]
     for i, outer in enumerate(trs.rules):
+        sites = [(pos, sub) for pos in positions(outer.lhs) if type(sub := subterm_at(outer.lhs, pos)) is not Var]
         for j, (inner, (inner_lhs, inner_rhs)) in enumerate(zip(trs.rules, renamed)):
-            for pos in positions(outer.lhs):
-                if pos == () and i == j:
-                    continue
-                sub = subterm_at(outer.lhs, pos)
-                if type(sub) is Var:
+            for pos, sub in sites:
+                if sub.kind is not inner_lhs.kind or (pos == () and i == j):
                     continue
                 sigma = unify(sub, inner_lhs)
                 if sigma is None:
@@ -499,11 +559,26 @@ class ConvergenceReport:
         return not self.unjoinable and self.weight_violations == 0
 
 
-def random_term(rng: random.Random, max_depth: int) -> Term:
-    """A random term over x1, x2 and x3 at most max_depth deep; each node is drawn before its arguments."""
-    leaves = tuple(Op(kind) for kind in _OPERATORS.values() if not kind.arity) + (Var("x1"), Var("x2"), Var("x3"))
-    ops = tuple(kind for kind in _OPERATORS.values() if kind.arity)
-    open_: list[tuple[LabelKind, list[Term]]] = []  # operator nodes still missing arguments, outermost first
+# What ``random_term`` draws from: the leaves, and the kinds of the nodes with arguments.
+LEAVES: tuple[Term, ...] = (
+    *(Op(kind) for kind in _OPERATORS.values() if not kind.arity),
+    Var("x1"),
+    Var("x2"),
+    Var("x3"),
+)
+_NODE_KINDS = tuple(kind for kind in _OPERATORS.values() if kind.arity)
+
+
+def random_term(rng: random.Random, max_depth: int, leaves: tuple = LEAVES, node: Callable = Op):
+    """A random term over x1, x2 and x3 at most max_depth deep; each node is drawn before its arguments.
+
+    This is the one draw loop.  It folds each node as its last argument is
+    drawn: a leaf is ``leaves[i]`` where ``LEAVES[i]`` is drawn, and a node
+    is ``node(kind, *arguments)``.  So the defaults build the term, and other
+    values fold the same draws, with the same ``rng`` calls, to something
+    else, as ``sample_weight`` does.
+    """
+    open_: list[tuple[LabelKind, list]] = []  # operator nodes still missing arguments, outermost first
     while True:
         if len(open_) == max_depth or rng.random() < 0.3:
             t = rng.choice(leaves)
@@ -513,11 +588,19 @@ def random_term(rng: random.Random, max_depth: int) -> Term:
                 if len(args) < kind.arity:
                     break
                 open_.pop()
-                t = Op(kind, *args)
+                t = node(kind, *args)
             else:
                 return t
         else:
-            open_.append((rng.choice(ops), []))
+            open_.append((rng.choice(_NODE_KINDS), []))
+
+
+_LEAF_WEIGHTS = tuple(1 if type(t) is Var else _NODE_WEIGHT[t.kind] for t in LEAVES)
+
+
+def sample_weight(rng: random.Random, max_depth: int) -> int:
+    """term_weight(random_term(rng, max_depth)), drawn with the same ``rng`` calls but no term built."""
+    return random_term(rng, max_depth, _LEAF_WEIGHTS, lambda kind, *weights: _NODE_WEIGHT[kind] + sum(weights))
 
 
 def certify_convergence(trs: TRS, samples: int = 1000, seed: int = 0) -> ConvergenceReport:
@@ -533,9 +616,11 @@ def certify_convergence(trs: TRS, samples: int = 1000, seed: int = 0) -> Converg
 
         term_weight(apply_substitution(t, {x: g})) == skel + occ * term_weight(g)
 
-    with (skel, occ) = weight_shape(t).  The samples are still drawn, with
-    the same random_term calls in the same order, so that a seed gives the
-    same report as instantiating and weighing every rule would.
+    with (skel, occ) = weight_shape(t).  The samples are drawn and weighed,
+    not built: ``sample_weight`` makes the ``rng`` calls that random_term
+    would, in the same order, so a seed gives the same report as
+    instantiating and weighing every rule would.  The rules a sample of one
+    weight violates are counted once per weight.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -543,12 +628,16 @@ def certify_convergence(trs: TRS, samples: int = 1000, seed: int = 0) -> Converg
     unjoinable = tuple(p for p in pairs if not joinable(trs, p.left, p.right))
     shapes = [(weight_shape(rule.lhs), weight_shape(rule.rhs)) for rule in trs.rules]
     rng = random.Random(seed)
+    violated: dict[int, int] = {}  # sample weight -> how many rules a sample of that weight violates
     violations = 0
     for _ in range(samples):
-        w = term_weight(random_term(rng, max_depth=4))
-        for (lhs_skel, lhs_occ), (rhs_skel, rhs_occ) in shapes:
-            if lhs_skel + lhs_occ * w <= rhs_skel + rhs_occ * w:
-                violations += 1
+        w = sample_weight(rng, max_depth=4)
+        if w not in violated:
+            violated[w] = sum(
+                lhs_skel + lhs_occ * w <= rhs_skel + rhs_occ * w
+                for (lhs_skel, lhs_occ), (rhs_skel, rhs_occ) in shapes
+            )
+        violations += violated[w]
     return ConvergenceReport(
         rule_count=len(trs.rules),
         pair_count=len(pairs),

@@ -1,0 +1,115 @@
+"""Reference term algorithms for the tests: unindexed, and resolved on every bind.
+
+``unify`` and ``critical_pairs`` are the certificate's algorithms before the
+rule index: ``critical_pairs`` tries every non-variable position of every
+outer left-hand side against every inner rule, whatever their root kinds,
+and ``unify`` substitutes the bindings into the bound term for every occurs
+check and again for the resolved mgu.  ``random_term`` draws and builds a
+term with its own loop, as before the draw was shared with the weight
+sampler.  They are slow and plainly correct, so the tests require the
+library to agree with them exactly: the same pairs in the same order with
+the same variable names, the same mgu, the same draws.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Optional
+
+from gatelim.terms import (
+    KINDS,
+    Binding,
+    CriticalPair,
+    Op,
+    Term,
+    TRS,
+    Var,
+    apply_substitution,
+    positions,
+    replace_at,
+    subterm_at,
+    variables,
+)
+
+
+def unify(s: Term, t: Term) -> Optional[Binding]:
+    """Syntactic unification with occurs check; returns a fully resolved mgu."""
+    subst: Binding = {}
+
+    def resolve(u: Term) -> Term:
+        while type(u) is Var and u.name in subst:
+            u = subst[u.name]
+        return u
+
+    def resolved(u: Term) -> Term:  # substituted until no variable of it is bound
+        while variables(u) & subst.keys():
+            u = apply_substitution(u, subst)
+        return u
+
+    stack = [(s, t)]
+    while stack:
+        a, b = map(resolve, stack.pop())
+        if type(a) is not Var and type(b) is Var:
+            a, b = b, a
+        if type(a) is Var:
+            if type(b) is Var and b.name == a.name:
+                continue
+            if a.name in variables(resolved(b)):
+                return None
+            subst[a.name] = b
+        elif a.kind is not b.kind:
+            return None
+        else:
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+    return {name: resolved(u) for name, u in subst.items()}
+
+
+def critical_pairs(trs: TRS) -> list[CriticalPair]:
+    """All critical pairs, every (outer, inner, position) triple tried with ``unify``."""
+    pairs = []
+    taken = set().union(*(variables(r.lhs) for r in trs.rules))
+    apart = []
+    for r in trs.rules:
+        names, k = variables(r.lhs), 2
+        while any(f"{v}{k}" in taken for v in names):
+            k += 1
+        apart.append({v: Var(f"{v}{k}") for v in names})
+    renamed = [(apply_substitution(r.lhs, a), apply_substitution(r.rhs, a)) for r, a in zip(trs.rules, apart)]
+    for i, outer in enumerate(trs.rules):
+        for j, (inner, (inner_lhs, inner_rhs)) in enumerate(zip(trs.rules, renamed)):
+            for pos in positions(outer.lhs):
+                if pos == () and i == j:
+                    continue
+                sub = subterm_at(outer.lhs, pos)
+                if type(sub) is Var:
+                    continue
+                sigma = unify(sub, inner_lhs)
+                if sigma is None:
+                    continue
+                peak = apply_substitution(outer.lhs, sigma)
+                left = apply_substitution(outer.rhs, sigma)
+                right = replace_at(peak, pos, apply_substitution(inner_rhs, sigma))
+                pairs.append(CriticalPair(left, right, outer.name, inner.name, pos))
+    return pairs
+
+
+def random_term(rng: random.Random, max_depth: int) -> Term:
+    """A random term over x1, x2 and x3 at most max_depth deep; each node is drawn before its arguments."""
+    formula_kinds = [kind for kind in KINDS.values() if kind.term]
+    leaves = tuple(Op(kind) for kind in formula_kinds if not kind.arity) + (Var("x1"), Var("x2"), Var("x3"))
+    ops = tuple(kind for kind in formula_kinds if kind.arity)
+    open_: list = []  # operator nodes still missing arguments, outermost first
+    while True:
+        if len(open_) == max_depth or rng.random() < 0.3:
+            t = rng.choice(leaves)
+            while open_:  # close every node t completes
+                kind, args = open_[-1]
+                args.append(t)
+                if len(args) < kind.arity:
+                    break
+                open_.pop()
+                t = Op(kind, *args)
+            else:
+                return t
+        else:
+            open_.append((rng.choice(ops), []))

@@ -40,7 +40,7 @@ from gatelim.circuits import (
     validate,
 )
 from gatelim.refuter import xor_circuit
-from gatelim.rewrite import substitute_input
+from gatelim.rewrite import WorkingGraph, substitute_input
 from gatelim.terms import And, Not, Or, Var
 from gatelim.textio import parse_circuit, serialize_circuit
 
@@ -232,6 +232,26 @@ def test_topo_order_equals_min_id_kahn():
             shuffled += not ids_ascend_topologically(d)
             assert topo_order(d) == kahn_order(d)
     assert shuffled > 200
+
+
+def test_only_circuits_the_builder_proved_skip_the_numbering_check():
+    rng = random.Random(21)
+    built = [neartight_parity(n, pos) for n in (4, 7) for pos in range(2, n + 1)]
+    for _ in range(40):
+        built.append(parse_circuit(serialize_circuit(random_circuit(rng, rng.randint(1, 6), rng.randint(1, 16)))))
+    for c in built:
+        assert c.ids_ordered
+        assert topo_order(c) == kahn_order(c) == sorted(c.edges)
+        same = Circuit(c.edges, c.root, c.num_inputs)  # numbered alike, but not by the builder
+        assert not same.ids_ordered and topo_order(same) == sorted(c.edges)
+        d = renumbered(c, rng)
+        assert not d.ids_ordered and topo_order(d) == kahn_order(d)
+        assert not WorkingGraph(c).ids_ordered
+    # a build the proof refuses, as one with an unreached gate, is checked as any circuit is
+    b = CircuitBuilder(1)
+    x1 = b.input(1)
+    b.not_(x1)
+    assert not b.build(b.and_(x1, x1), prune=True).ids_ordered
 
 
 def test_topo_order_reports_a_cycle_as_kahn_does():

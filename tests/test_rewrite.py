@@ -54,6 +54,7 @@ TRS_B = demorgan_system()
 
 def test_rule_table_matches_the_formula_system():
     assert DEMORGAN.rules is DEMORGAN.trs.rules
+    assert DEMORGAN.by_root is DEMORGAN.trs.by_root  # one rule index, the TRS's
 
 
 def test_demorgan_system_derives_what_the_matcher_reads():

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_terms as reference
 from gatelim.terms import (
     ONE,
     ZERO,
@@ -35,6 +36,7 @@ from gatelim.terms import (
     redexes,
     replace_at,
     rewrite_step,
+    sample_weight,
     subterm_at,
     term_weight,
     unify,
@@ -45,6 +47,8 @@ from gatelim.terms import (
 G = Var("g")
 X1, X2 = Var("x1"), Var("x2")
 TRS_B = demorgan_system()
+# violates exactly when term_weight(g) >= 3, so its violation count depends on every sample's weight
+FLIP = TRS((TermRule("flip", And(G, And(ONE, ONE)), And(G, G)),))
 
 
 def boolean_tables_equal(a, b):
@@ -160,13 +164,26 @@ def reference_violations(trs, samples, seed):
 
 
 def test_weight_violations_equal_the_instance_loop():
-    # violates exactly when term_weight(g) >= 3, so the count depends on every sample's weight
-    flip = TRS((TermRule("flip", And(G, And(ONE, ONE)), And(G, G)),))
     for seed in range(5):
-        report = certify_convergence(flip, samples=200, seed=seed)
-        assert report.weight_violations == reference_violations(flip, 200, seed), seed
+        report = certify_convergence(FLIP, samples=200, seed=seed)
+        assert report.weight_violations == reference_violations(FLIP, 200, seed), seed
         assert not report.convergent
-    assert certify_convergence(flip, samples=200, seed=1).weight_violations == 146
+    assert certify_convergence(FLIP, samples=200, seed=1).weight_violations == 146
+
+
+def test_sample_weight_makes_the_draws_random_term_makes():
+    # sample_weight weighs the term random_term builds from the same state, the
+    # shared loop builds what the build-only loop did, and all three leave the
+    # generator in the same state
+    for seed in range(200):
+        for depth in range(7):
+            weigh, build, old = (random.Random(seed) for _ in range(3))
+            for _ in range(3):
+                w = sample_weight(weigh, depth)
+                t = random_term(build, depth)
+                assert t == reference.random_term(old, depth)
+                assert w == term_weight(t), (seed, depth)
+                assert weigh.getstate() == build.getstate() == old.getstate(), (seed, depth)
 
 
 def test_certify_rejects_negative_samples():
@@ -298,6 +315,118 @@ def test_redexes_come_innermost_first_and_rewrite_step_fires_the_first():
         assert rewrite_step(TRS_B, t) == (replace_at(t, pos, apply_substitution(rule.rhs, binding)), pos, rule.name)
         differs += pos != min(pos for pos, _, _ in found)  # the outermost-first order would start elsewhere
     assert differs > 100
+
+
+def unindexed_redexes(trs, t):
+    """Every rule tried at every position of t: positions in post-order, rules in system order."""
+    post_order = sorted(positions(t), key=lambda pos: pos + (float("inf"),))
+    found = []
+    for pos in post_order:
+        for rule in trs.rules:
+            binding = match(rule.lhs, subterm_at(t, pos))
+            if binding is not None:
+                found.append((pos, rule, binding))
+    return found
+
+
+def interleaved(trs):
+    """The rules of trs dealt round-robin from their root-kind groups, so neighbours differ in root kind."""
+    groups = [list(rules) for rules in trs.by_root.values()]
+    rules = []
+    while any(groups):
+        rules += (group.pop(0) for group in groups if group)
+    return TRS(tuple(rules))
+
+
+MIXED = interleaved(TRS_B)
+
+
+def test_by_root_groups_the_rules_by_root_kind_in_rule_order():
+    for trs in (TRS_B, MIXED, FLIP, TRS(())):
+        kinds = {rule.lhs.kind: None for rule in trs.rules}
+        assert trs.by_root == {k: tuple(r for r in trs.rules if r.lhs.kind is k) for k in kinds}
+    assert TRS(TRS_B.rules) == TRS_B and hash(TRS(TRS_B.rules)) == hash(TRS_B)
+    roots = [rule.lhs.kind for rule in MIXED.rules]
+    assert sorted(map(repr, roots)) == sorted(repr(rule.lhs.kind) for rule in TRS_B.rules)
+    assert all(a is not b for a, b in zip(roots, roots[1:]))
+
+
+def test_redexes_equal_the_unindexed_scan():
+    rng = random.Random(23)
+    found = 0
+    for k in range(2000):
+        t = random_term(rng, k % 7)
+        for trs in (TRS_B, MIXED):
+            got = list(redexes(trs, t))
+            assert got == unindexed_redexes(trs, t)
+            found += len(got)
+    assert found > 4000
+
+
+def pair_text(pairs):
+    return [(p.outer_rule, p.inner_rule, p.position, repr(p.left), repr(p.right)) for p in pairs]
+
+
+def test_critical_pairs_equal_the_unindexed_reference():
+    rng = random.Random(29)
+    outer = TermRule("a", parse_term("(and g2 (not g))"), Var("g2"))
+    systems = [TRS_B, MIXED, FLIP, TRS((outer, TermRule("b", Not(G), G)))]
+    for _ in range(40):
+        subset = rng.sample(TRS_B.rules, rng.randint(1, 16))
+        systems += TRS(tuple(subset)), TRS(tuple(r for r in TRS_B.rules if r in subset))
+    count = 0
+    for trs in systems:
+        got, expected = critical_pairs(trs), reference.critical_pairs(trs)
+        assert got == expected
+        assert pair_text(got) == pair_text(expected)
+        count += len(got)
+    assert count > 1000
+
+
+def random_pattern(rng, depth):
+    """A random term whose variables are g, g2, h and x1."""
+    names = ("g", "g2", "h", "x1")
+    return apply_substitution(random_term(rng, depth), {x: Var(rng.choice(names)) for x in ("x1", "x2", "x3")})
+
+
+def test_unify_gives_the_reference_mgu():
+    rng = random.Random(31)
+    unified = 0
+    for k in range(3000):
+        s = random_pattern(rng, k % 5)
+        if k % 2:
+            t = random_pattern(rng, k % 4)
+        else:  # an instance of s, which unifies with it unless a variable occurs in its own image
+            names = sorted(variables(s))
+            t = apply_substitution(s, {v: random_pattern(rng, 2) for v in rng.sample(names, min(2, len(names)))})
+        sigma = unify(s, t)
+        expected = reference.unify(s, t)
+        assert sigma == expected and list(sigma or ()) == list(expected or ())
+        if sigma is not None:
+            assert apply_substitution(s, sigma) == apply_substitution(t, sigma)
+            unified += 1
+    assert 500 < unified < 2500
+
+
+def binding_chain(n, start, tail=ONE):
+    """(and v<start> (and v<start+1> ... (and v<start+n-1> tail)))."""
+    t = tail
+    for k in reversed(range(start, start + n)):
+        t = And(Var(f"v{k}"), t)
+    return t
+
+
+def test_unify_resolves_a_long_chain_of_bindings():
+    # v0 is bound to v1, v1 to v2, and so on: every image is the last variable
+    s, t = binding_chain(200, 0), binding_chain(200, 1)
+    assert unify(s, t) == reference.unify(s, t)
+    n = 5000
+    assert unify(binding_chain(n, 0), binding_chain(n, 1)) == {f"v{k}": Var(f"v{n}") for k in range(n)}
+    assert unify(And(G, Var("h")), And(Var("h"), Not(G))) is None  # g occurs in the image of h
+    # the last pair binds v<n> to (not v0), and v0 is bound to v<n> through every binding
+    for n in (2, 3, 200):
+        s, t = binding_chain(n, 0, Var(f"v{n}")), binding_chain(n, 1, Not(Var("v0")))
+        assert unify(s, t) is None and reference.unify(s, t) is None
 
 
 def test_critical_pair_example_tautology_vs_double_negation():
