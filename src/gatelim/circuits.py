@@ -21,7 +21,8 @@ Circuits are immutable after construction; every operation here is a pure
 function.  Circuit size counts binary gates only - negations, constants, and
 inputs are free.  Two indexes, which ``Circuit.walk`` runs over, are built on
 first use, so that parsing, ``validate`` and ``evaluate`` build neither:
-``readers`` and ``leaves``.  A ``rewrite.WorkingGraph`` keeps both current.
+``readers`` and ``leaves``.  A ``rewrite.WorkingGraph`` keeps both current,
+and keeps its ``Walk`` too.
 """
 
 from __future__ import annotations
@@ -166,21 +167,141 @@ class Circuit:
 
         Kahn's algorithm along the reader index, ready edges on a min-id heap,
         where every wire has one producer (``topo_order`` handles the rest);
-        edges on or above a cycle never come out.  Do not change the circuit
-        while the walk is in use.
+        edges on or above a cycle never come out.  ``Walk.grow`` over a fresh
+        walk that records nothing.  Do not change the circuit while the walk
+        is in use.
         """
-        edges, readers = self.edges, self.readers
-        ready = sorted(self.leaves)
-        waiting: dict[int, int] = {}  # edge -> argument wires whose producers have not popped
+        return Walk(self).grow(self, record=False)
+
+
+class Walk:
+    """Kahn's algorithm part-way through a circuit: the edges it has popped, and its state for the next.
+
+    ``seq`` holds the popped edge ids in order and ``pos`` each one's
+    position in it.  ``ready`` is the min-id heap of the edges whose argument
+    producers have all popped, and ``waiting`` counts, for an edge that has
+    not popped, the distinct argument wires whose producers have not; an edge
+    without an entry has had none of them pop, or is ready.  ``grow`` is the
+    one Kahn loop: ``Circuit.walk`` runs it over a fresh walk without
+    recording the pops, and a ``rewrite.WorkingGraph`` keeps its walk,
+    recorded, across edits.  An edited walk may hold None in ``seq`` where a
+    popped edge was deleted, edges in ``ready`` that are no longer ready, and
+    deleted edges in ``waiting``; the recording loop skips an edge that has
+    popped or that ``waiting`` holds.
+
+    ``unpop`` and ``place``, called as the circuit changes, keep the walk a
+    prefix of the one a fresh walk of the changed circuit pops, cutting it
+    (``cut``) only where that walk could differ.  Each returns True when a
+    cut would fall in the first half of the walk: walking there again costs
+    less than undoing, so the walk is to be dropped, and is left part-edited.
+    """
+
+    __slots__ = ("seq", "pos", "ready", "waiting")
+
+    def __init__(self, c: Circuit):
+        self.seq: list[Optional[int]] = []
+        self.pos: dict[int, int] = {}
+        self.ready: list[int] = sorted(c.leaves)
+        self.waiting: dict[int, int] = {}
+
+    def grow(self, c: Circuit, record: bool = True) -> Iterator[int]:
+        """Pop and yield the edges of ``c`` in order, each one's readers released before it is yielded.
+
+        With ``record`` each pop goes into ``seq`` and ``pos``, and the heap
+        entries that edits left stale are skipped.  A fresh walk that is not
+        kept has no stale entries, and recording would add a fifth to its
+        cost.
+        """
+        edges, readers = c.edges, c.readers
+        seq, pos, ready, waiting = self.seq, self.pos, self.ready, self.waiting
         while ready:
             eid = heapq.heappop(ready)
-            yield eid
+            if record:
+                if eid in pos or eid in waiting:
+                    continue
+                pos[eid] = len(seq)
+                seq.append(eid)
             for r in readers.get(edges[eid].result, ()):
                 k = waiting.pop(r, 0) or len(set(edges[r].args))
                 if k == 1:
                     heapq.heappush(ready, r)
                 else:
                     waiting[r] = k - 1
+            yield eid
+
+    def cut(self, c: Circuit, p: int) -> bool:
+        """Rewind to position ``p``, or True to drop the walk if ``p`` lies in its first half.
+
+        Each edge popped at ``p`` or later is ready again, and each of its
+        readers waits for one more producer.
+        """
+        seq = self.seq
+        if 2 * p < len(seq):
+            return True
+        pos, ready, waiting, edges, readers = self.pos, self.ready, self.waiting, c.edges, c.readers
+        for u in seq[p:]:
+            if u is not None:
+                del pos[u]
+                heapq.heappush(ready, u)
+                for r in readers.get(edges[u].result, ()):
+                    waiting[r] = waiting.get(r, 0) + 1
+        del seq[p:]
+        return False
+
+    def unpop(self, c: Circuit, eid: int) -> bool:
+        """Edge ``eid`` of ``c`` is about to go; True to drop the walk.
+
+        A popped edge's popped readers can no longer pop, so the walk is cut
+        at the earliest of them; the edge leaves None at its position, and
+        each reader waits for one more producer.  Without popped readers
+        nothing else moves.  The edge is marked in ``waiting``, so that a
+        heap entry of it left over is skipped.
+        """
+        pos, waiting = self.pos, self.waiting
+        waiting[eid] = 0
+        p = pos.get(eid)
+        if p is None:
+            return False
+        readers = c.readers.get(c.edges[eid].result, ())
+        popped = [pos[r] for r in readers if r in pos]
+        if popped and self.cut(c, min(popped)):
+            return True
+        self.seq[p] = None
+        del pos[eid]
+        for r in readers:
+            waiting[r] = waiting.get(r, 0) + 1
+        return False
+
+    def place(self, c: Circuit, eid: int, args: tuple[int, ...], above: bool) -> bool:
+        """Edge ``eid`` of ``c``, which has not popped, comes to read ``args``; True to drop the walk.
+
+        If some argument's producer has not popped, the edge waits for them.
+        Otherwise it is ready, and a fresh walk pops it at the first position
+        after its last producer that holds a larger id: the walk is cut
+        there.  An id ``above`` every popped one needs no search.
+        """
+        pos, producer = self.pos, c.producer
+        unpopped, last = 0, -1
+        for v in set(args):
+            p = pos.get(producer.get(v))
+            if p is None:
+                unpopped += 1
+            elif p > last:
+                last = p
+        if unpopped:
+            self.waiting[eid] = unpopped
+            return False
+        self.waiting.pop(eid, None)
+        if not above:
+            seq = self.seq
+            for j in range(last + 1, len(seq)):
+                popped = seq[j]
+                if popped is not None and popped > eid:
+                    if self.cut(c, j):
+                        return True
+                    break
+        heapq.heappush(self.ready, eid)
+        return False
 
 
 def reachable_edges(edges: dict[int, Edge], root: int) -> set[int]:

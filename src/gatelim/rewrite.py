@@ -67,31 +67,61 @@ discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
 kinds and wire shapes, so it stays small.  A step still re-verifies its
 redex before firing it.
 
-One generator, ``Circuit.walk``, yields the edges in ``topo_order``'s
-order - Kahn's algorithm over the reader index from the inputs and
-constants, ready edges on a min-id heap - only as far as it is consumed.
+One Kahn loop, ``Walk.grow``, yields the edges in ``topo_order``'s order -
+Kahn's algorithm over the reader index from the inputs and constants, ready
+edges on a min-id heap - only as far as it is consumed; ``Circuit.walk`` runs
+it over a fresh ``Walk``.  The working graph keeps one walk (``kept``) across
+steps and refuter rounds, and keeps it a prefix of the walk that a fresh
+``Circuit.walk`` of the graph makes: it is cut only where an edit can change
+that walk, and grows again from the cut.  The walk applies these rules
+itself (``Walk.unpop`` and ``Walk.place``); each edit of the graph asks it.
+
+- A popped edge that goes cuts the walk at its earliest popped reader, which
+  can no longer pop.  It leaves None at its own position, and each of its
+  readers waits for one more producer.  Without popped readers nothing else
+  moves, so a collected edge cuts nothing.
+- An edge added or rewired whose argument producers have all popped is
+  ready, and a fresh walk pops it at the first position after its last
+  producer that holds a larger id: the walk is cut there.  A spliced edge's
+  id is above every live one, so it needs no search.
+- ``substitute`` keeps the edge's id and leaves it a leaf, so it cuts
+  nothing.
+- A cut in the first half of the walk drops it instead: walking there again
+  costs less than undoing.
+
+This is dynamic topological order under edits (Pearce and Kelly, ACM JEA 11,
+2006), except that the order kept is the least one, so the walk is rewound
+to a cut instead of reordered.
+
 The live redexes have one order, (topological site, rule), and one
-generator yields them in it, ``WorkingGraph.ordered``, also only as far as
-it is consumed: ``det`` fires its first element and ``rand`` draws uniformly
-from all of it.  The graph counts its inversions (``inverted``): the pairs
-of an edge and a distinct argument wire whose producer's id is not smaller
-than the edge's.  With none, the walk's order is ascending edge id (the
-lemma of ``topo_order``), so the live sites come off a heap of their
-producers' ids and nothing is walked; so does a single live site, which
-needs no order.  Otherwise the walk is consumed until the sites asked for
-have come out: the first live one for ``det``, every one for ``rand``.  New vertex and
-edge ids are one more than the largest live id, as in ``apply_rewrite``,
-which fires one step on the same working graph.  On a circuit that starts
-without inversions only a right-hand side with edges, numbered so from its
-root down, makes any.
+generator yields them in it, ``WorkingGraph.ordered``, only as far as it is
+consumed: ``det`` fires its first element, and ``rand`` draws an index
+uniformly from the live-redex count and consumes it only up to there
+(``draw``).
+The graph counts its inversions (``inverted``): the pairs of an edge and a
+distinct argument wire whose producer's id is not smaller than the edge's.
+With none, the walk's order is ascending edge id (the lemma of
+``topo_order``), so the live sites come off a heap of their producers' ids
+and nothing is walked; so does a single live site, which needs no order.
+Otherwise the live sites that the kept walk has popped come first, by
+position, and the walk grows until the rest have come out.  On a circuit
+that starts without inversions only a right-hand side with edges, numbered
+so from its root down, makes any.
+
+New vertex and edge ids are one more than the largest live id, as in
+``apply_rewrite``, which fires one step on the same working graph.  The
+graph keeps an upper bound on each, raised by the spliced steps that make
+new ids and walked down to the live maximum when a step needs it
+(``next_ids``).
 
 The refuter keeps one working graph for a whole search: each round
 relabels one input edge as a constant (``WorkingGraph.substitute``) and
 normalizes again, so only the sites around that input are matched again.
 The round fires the same steps, edge ids included, as normalizing the
-relabelled circuit from scratch.  A round orders its gates with one walk of
-the graph, advanced only until the gates it compares have come out, so no
-round orders the whole graph with ``topo_order``.
+relabelled circuit from scratch.  A round orders its gates with the kept
+walk, read from its start and grown only until the gates it compares have
+come out, and the next round's steps cut it only where they change it; so
+no round orders the whole graph with ``topo_order``.
 
 The functions on immutable circuits run the same working graph: each copies
 the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` fires one
@@ -104,6 +134,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Callable, Iterator, Mapping, Optional
 
 from .circuits import (
@@ -112,6 +143,7 @@ from .circuits import (
     Circuit,
     CircuitError,
     Edge,
+    Walk,
     const_label,
     topo_order,
 )
@@ -266,9 +298,10 @@ class WorkingGraph(Circuit):
 
     Every change keeps the ``Circuit`` indexes ``edges``, ``producer``,
     ``inputs``, ``readers`` and ``leaves`` current, and ``vertices`` is
-    computed when read, so every function on circuits, ``walk`` included,
-    runs on the graph as it is.  A new graph is neither shared nor scanned;
-    its first ``normalize`` does both.
+    computed when read, so every function on circuits runs on the graph as
+    it is.  ``walk`` is the graph's kept walk, made on first use and kept a
+    fresh walk's prefix by every change after.  A new graph is neither
+    shared nor scanned; its first ``normalize`` does both.
     """
 
     __slots__ = ("readers", "leaves")  # faster to read than instance attributes over Circuit's lazy ones
@@ -289,8 +322,12 @@ class WorkingGraph(Circuit):
         self.touched: set[int] = set()  # vertices whose producing edge changed or went
         self.unshared: set[int] = set()  # edges not yet looked up in the table
         self.inverted = 0  # (reader, distinct argument) pairs whose producer's id is not smaller
+        self.kept: Optional[Walk] = None  # the walk kept on the graph, if any; an edit may drop it
         for eid, e in c.edges.items():
             self._add(eid, e)
+        # Bounds on the live ids, walked down to them by ``next_ids``.
+        self.top_v = max(max(self.producer, default=-1), max(self.readers, default=-1))
+        self.top_e = max(self.edges, default=-1)
         # Results nothing reads: all unreachable, collected by the first step.
         self.orphans = [v for v in self.producer if v != self.root and v not in self.readers]
 
@@ -326,8 +363,12 @@ class WorkingGraph(Circuit):
         self.measure += kind.weight
         self.touched.add(e.result)
         self.unshared.add(eid)
+        if self.kept is not None and self.kept.place(self, eid, e.args, eid > self.top_e):
+            self.kept = None
 
     def _delete(self, eid: int) -> Edge:
+        if self.kept is not None and self.kept.unpop(self, eid):
+            self.kept = None
         e = self.edges.pop(eid)
         for v in set(e.args):
             self.inverted -= self.producer.get(v, -1) >= eid
@@ -361,8 +402,23 @@ class WorkingGraph(Circuit):
             self.readers.setdefault(new, set()).add(r)
             self.touched.add(e.result)
             self.unshared.add(r)
+            if self.kept is not None and self.kept.place(self, r, rewired.args, False):
+                self.kept = None
         if self.root == old:
             self.root = new
+
+    def _kept(self) -> Walk:
+        if self.kept is None:
+            self.kept = Walk(self)
+        return self.kept
+
+    def walk(self) -> Iterator[int]:
+        """The kept walk: the edges it has popped, then those it pops as it grows."""
+        kept = self._kept()
+        for eid in kept.seq:
+            if eid is not None:
+                yield eid
+        yield from kept.grow(self)
 
     def _collect(self, candidates: list[int]) -> list[int]:
         """Delete the producers of unread non-root vertices, cascading; their edge ids."""
@@ -393,8 +449,7 @@ class WorkingGraph(Circuit):
         site, rhs, binding = redex.site, redex.rule.rhs, redex.binding
         spliced = type(rhs) is Op
         if spliced:
-            next_v = max(max(self.producer), max(self.readers, default=-1)) + 1
-            next_e = max(self.edges) + 1
+            next_v, next_e = self.next_ids()
         removed = [self.producer[site]]
         candidates = [*self._delete(removed[0]).args, *self.orphans]
         self.orphans = []
@@ -414,10 +469,27 @@ class WorkingGraph(Circuit):
                 self._add(next_e, Edge(LABELS[u.kind.name], tuple(att)))
                 added.append(next_e)
                 next_e += 1
+            self.top_v, self.top_e = next_v - 1, next_e - 1
         else:
             self._redirect(site, binding[rhs.name])
         removed.extend(sorted(self._collect(candidates)))
         return removed, added
+
+    def next_ids(self) -> tuple[int, int]:
+        """One more than the largest live vertex id, and than the largest live edge id.
+
+        ``top_v`` and ``top_e`` bound the live ids from above: only a spliced
+        step makes new ids, and it raises them.  Each is walked down to the
+        largest live id, past ids freed since, and kept there.
+        """
+        producer, readers, edges = self.producer, self.readers, self.edges
+        v, e = self.top_v, self.top_e
+        while v not in producer and v not in readers:
+            v -= 1
+        while e not in edges:
+            e -= 1
+        self.top_v, self.top_e = v, e
+        return v + 1, e + 1
 
     def share(self) -> list[int]:
         """Merge the duplicates among the unshared edges, cascading; the merged edge ids.
@@ -485,18 +557,24 @@ class WorkingGraph(Circuit):
         With one live site, or with no inversion, the sites come off a heap
         of their producers' ids and nothing is walked: without inversions
         the walk's order is ascending edge id (the lemma of ``topo_order``).
-        Otherwise ``walk`` is consumed until every live site has come out.
+        Otherwise the sites the kept walk has popped come first, by
+        position, and it grows until every other live site has come out.
         Do not change the graph while the generator is in use.
         """
         redexes, edges = self.redexes, self.edges
-        if len(redexes) < 2 or not self.inverted:
-            heap = [self.producer[site] for site in redexes]
-            heapq.heapify(heap)
-            while heap:
-                yield from redexes[edges[heapq.heappop(heap)].result]
-        else:
-            left = len(redexes)
-            for eid in self.walk():
+        sites = [self.producer[site] for site in redexes]
+        if len(sites) < 2 or not self.inverted:
+            heapq.heapify(sites)
+            while sites:
+                yield from redexes[edges[heapq.heappop(sites)].result]
+            return
+        kept = self._kept()
+        popped = sorted(filter(kept.pos.__contains__, sites), key=kept.pos.__getitem__)
+        for eid in popped:
+            yield from redexes[edges[eid].result]
+        left = len(sites) - len(popped)
+        if left:
+            for eid in kept.grow(self):
                 found = redexes.get(edges[eid].result)
                 if found:
                     yield from found
@@ -513,7 +591,19 @@ class WorkingGraph(Circuit):
         eid = self.input_edge(index)
         if eid is None:
             raise CircuitError(f"input x{index} is not present")
+        kept, self.kept = self.kept, None  # a leaf under the same id: the walk order does not move
         self._add(eid, Edge(const_label(int(bit)), self._delete(eid).att))
+        self.kept = kept
+
+    def draw(self, rng: random.Random) -> Redex:
+        """A live redex drawn uniformly, reading ``ordered`` only up to it.
+
+        ``rng.randrange`` of the live-redex count makes the one draw that
+        ``rng.choice`` of the whole ordered list makes, so a seed picks the
+        same redex and leaves the same state.
+        """
+        i = rng.randrange(sum(map(len, self.redexes.values())))
+        return next(islice(self.ordered(), i, None))
 
     def normalize(self, strategy: str = "det", seed: Optional[int] = None) -> list[TraceStep]:
         """Share, match again what changed and fire redexes until none is live; the steps taken.
@@ -534,7 +624,7 @@ class WorkingGraph(Circuit):
         budget = self.measure + 1
         fired = 0
         while self.redexes:
-            chosen = next(self.ordered()) if strategy == "det" else rng.choice(list(self.ordered()))
+            chosen = next(self.ordered()) if strategy == "det" else self.draw(rng)
             removed, added = self._fire(chosen)
             removed += self.share()
             self.rematch()

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from gatelim.circuits import INPUT, Circuit, CircuitBuilder, Edge, circuit_size, topo_order
 from gatelim.terms import Term, evaluate_term
+from gatelim.textio import parse_circuit
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))  # the repository root, for perfbench
+from perfbench.families import layered_dag  # noqa: E402
 
 
 def random_circuit(rng: random.Random, n: int, gates: int) -> Circuit:
@@ -66,6 +72,15 @@ def neartight_parity(n: int, weak_at: int) -> Circuit:
         else:
             acc = b.or_(b.and_(acc, b.not_(xk)), b.and_(b.not_(acc), xk))
     return b.build(acc)
+
+
+def constant_dag(rng: random.Random, n: int, gates: int, width: int, const_share: float) -> Circuit:
+    """The benchmark's layered and/or DAG on x1..xn fed by constants (``perfbench.families.layered_dag``), parsed.
+
+    Constant propagation cascades through the layers, so normalizing takes
+    many steps on one circuit.
+    """
+    return parse_circuit(layered_dag(rng, n, gates, width, const_share)[0])
 
 
 def undersized_circuit(rng: random.Random, n: int) -> Circuit:

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_rewrite
-from gen import demorgan_circuits, neartight_parity, random_circuit, renumbered, revertexed, truth_table
+from gen import (
+    constant_dag,
+    demorgan_circuits,
+    neartight_parity,
+    random_circuit,
+    renumbered,
+    revertexed,
+    truth_table,
+)
 
 from gatelim.circuits import (
     AND,
@@ -23,6 +31,7 @@ from gatelim.circuits import (
     CircuitError,
     Edge,
     Label,
+    Walk,
     bisimilar,
     circuit_size,
     evaluate,
@@ -30,7 +39,7 @@ from gatelim.circuits import (
     label_name,
     validate,
 )
-from gatelim import rewrite, terms
+from gatelim import refuter, rewrite, terms
 from gatelim.cli import main
 from gatelim.refuter import refute_detailed, search_bad_restriction
 from gatelim.rewrite import (
@@ -737,8 +746,8 @@ def test_live_redexes_equal_a_rescan_through_neartight_refutations(checked_remat
 
 
 def walk_order(graph):
-    """The live redexes in (topological site, rule) order, taken from a full walk."""
-    return [r for eid in graph.walk() for r in graph.redexes.get(graph.edges[eid].result, [])]
+    """The live redexes in (topological site, rule) order, taken from a fresh walk of the graph's circuit."""
+    return [r for eid in graph.snapshot().walk() for r in graph.redexes.get(graph.edges[eid].result, [])]
 
 
 def recount_inverted(graph):
@@ -795,6 +804,202 @@ def test_redex_choice_equals_a_full_walk(checked_order):
             search_bad_restriction(neartight_parity(n, pos))
     assert checked_order["shortcut"] > 150
     assert checked_order["walk"] > 150
+
+
+def assert_kept_walk_is_fresh(graph):
+    """The kept walk, without its deleted positions, is a prefix of a fresh walk, and grows into all of it.
+
+    The growing runs on a copy, so the graph's own walk is left as it was.
+    Returns whether a walk is kept.
+    """
+    kept = graph.kept
+    if kept is None:
+        return False
+    fresh = list(graph.snapshot().walk())
+    popped = [eid for eid in kept.seq if eid is not None]
+    assert popped == fresh[: len(popped)]
+    assert kept.pos == {eid: i for i, eid in enumerate(kept.seq) if eid is not None}
+    copy = Walk(graph)
+    copy.seq, copy.pos, copy.ready, copy.waiting = [*kept.seq], {**kept.pos}, [*kept.ready], {**kept.waiting}
+    assert popped + list(copy.grow(graph)) == fresh
+    return True
+
+
+@pytest.fixture
+def checked_walk(monkeypatch):
+    """After every step, ``share``, ``substitute`` and refuter round, the kept walk is a fresh walk's.
+
+    ``substitute`` must also leave the kept walk as it was.  Returns how
+    many checks found a walk kept.
+    """
+    counts = {"checks": 0}
+
+    def check(graph):
+        counts["checks"] += assert_kept_walk_is_fresh(graph)
+
+    def checking(real):
+        def run(graph, *args):
+            out = real(graph, *args)
+            check(graph)
+            return out
+
+        return run
+
+    real_substitute = WorkingGraph.substitute
+
+    def checking_substitute(graph, index, bit):
+        kept = graph.kept
+        seq = None if kept is None else [*kept.seq]
+        real_substitute(graph, index, bit)
+        assert graph.kept is kept and (kept is None or kept.seq == seq)
+        check(graph)
+
+    real_costly_readers = refuter.costly_readers
+
+    def checking_costly_readers(g, *args):
+        out = real_costly_readers(g, *args)
+        check(g)
+        return out
+
+    monkeypatch.setattr(WorkingGraph, "_fire", checking(WorkingGraph._fire))
+    monkeypatch.setattr(WorkingGraph, "share", checking(WorkingGraph.share))
+    monkeypatch.setattr(WorkingGraph, "substitute", checking_substitute)
+    monkeypatch.setattr(refuter, "costly_readers", checking_costly_readers)
+    return counts
+
+
+def constant_fed(c, rng):
+    """c with a random nonempty set of its inputs substituted by random constants."""
+    for i in rng.sample(range(1, c.num_inputs + 1), rng.randint(1, c.num_inputs)):
+        if c.input_edge(i) is not None:
+            c = substitute_input(c, i, rng.randint(0, 1))
+    return c
+
+
+def test_kept_walk_is_a_fresh_walk_on_random_and_substituted_circuits(checked_walk):
+    rng = random.Random(64)
+    for _ in range(40):
+        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 18))
+        fed = constant_fed(c, rng)
+        for circuit in (c, fed, renumbered(fed, rng)):
+            for strategy, seed in STRATEGIES:
+                normalize_circuit(circuit, strategy, seed=seed)
+    assert checked_walk["checks"] > 300
+
+
+def test_kept_walk_is_a_fresh_walk_through_neartight_refutations(checked_walk):
+    for n in range(5, 13):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert checked_walk["checks"] > 300
+
+
+def test_next_ids_are_one_more_than_the_largest_live_ids(monkeypatch):
+    # The bounds ``_fire`` takes its new ids from are walked down to the
+    # live maximum, also after a step collects it; an id freed so is reused.
+    real_fire = WorkingGraph._fire
+    seen = {}  # graph -> every edge id it has held
+    counts = {"steps": 0, "collected": 0, "reused": 0}
+
+    def formula(graph):
+        return max(max(graph.producer), max(graph.readers, default=-1)) + 1, max(graph.edges) + 1
+
+    def checking_fire(graph, redex):
+        before = formula(graph)
+        assert graph.next_ids() == before
+        held = seen.setdefault(graph, set(graph.edges))
+        removed, added = real_fire(graph, redex)
+        after = formula(graph)
+        assert graph.next_ids() == after
+        if added:
+            assert added[0] == before[1]
+        counts["steps"] += 1
+        counts["collected"] += after[1] <= max(held)
+        counts["reused"] += any(eid in held for eid in added)
+        held.update(added)
+        return removed, added
+
+    monkeypatch.setattr(WorkingGraph, "_fire", checking_fire)
+    rng = random.Random(66)
+    for _ in range(40):
+        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 16))
+        for circuit in (c, constant_fed(c, rng), renumbered(constant_fed(c, rng), rng)):
+            for strategy, seed in STRATEGIES[:3]:
+                normalize_circuit(circuit, strategy, seed=seed)
+    for n in range(5, 10):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert counts["steps"] > 1200
+    assert counts["collected"] > 400
+    assert counts["reused"] > 150
+
+
+def test_the_lazy_draw_picks_what_choice_of_the_whole_list_picks():
+    # rand draws an index and consumes ``ordered`` only up to it; the same
+    # seed must draw the same redex and leave the same state.
+    rng = random.Random(67)
+    circuits = [constant_dag(rng, rng.randint(5, 8), 40, 8, 0.3) for _ in range(10)]
+    for _ in range(30):
+        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 16))
+        circuits += [c, constant_fed(c, rng), renumbered(constant_fed(c, rng), rng)]
+    draws = walked = 0
+    for k, c in enumerate(circuits):
+        graph = WorkingGraph(c)
+        graph.share()
+        graph.rematch()
+        lazy = random.Random(k)
+        while graph.redexes:
+            whole = random.Random()
+            whole.setstate(lazy.getstate())
+            chosen = graph.draw(lazy)
+            assert chosen == whole.choice(list(graph.ordered()))
+            assert lazy.getstate() == whole.getstate()
+            graph._fire(chosen)
+            graph.share()
+            graph.rematch()
+            draws += 1
+            walked += graph.kept is not None
+    assert draws > 400
+    assert walked > 200
+
+
+def test_kept_walk_pops_and_undos_on_constant_fed_dags(monkeypatch):
+    """Kahn pops plus undos of normalizing seeded constant-fed DAGs, ``det`` and ``rand``.
+
+    Before the walk was kept on the graph, each choice with inversions and
+    two or more live sites walked from the leaves again, and ``rand`` walked
+    to the last live site: 1,947 pops for ``det`` and 7,139 for ``rand``
+    here, over 597 steps.
+    """
+    counts = {"pops": 0, "undos": 0}
+    real_grow, real_cut = Walk.grow, Walk.cut
+
+    def counting_grow(walk, *args, **kwargs):
+        for eid in real_grow(walk, *args, **kwargs):
+            counts["pops"] += 1
+            yield eid
+
+    def counting_cut(walk, c, p):
+        popped = len(walk.pos)
+        dropped = real_cut(walk, c, p)
+        if not dropped:
+            counts["undos"] += popped - len(walk.pos)
+        return dropped
+
+    monkeypatch.setattr(Walk, "grow", counting_grow)
+    monkeypatch.setattr(Walk, "cut", counting_cut)
+    rng = random.Random(65)
+    work = {"det": 0, "rand": 0}
+    steps = 0
+    for k in range(8):
+        c = constant_dag(rng, rng.randint(6, 10), 64, 8, 0.25)
+        for strategy, seed in (("det", None), ("rand", k)):
+            counts.update(pops=0, undos=0)
+            _, trace = normalize_circuit(c, strategy, seed=seed)
+            steps += len(trace.steps)
+            work[strategy] += counts["pops"] + counts["undos"]
+    assert steps == 597
+    assert work == {"det": 456 + 59, "rand": 1193 + 505}
 
 
 def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
