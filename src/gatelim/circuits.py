@@ -101,6 +101,9 @@ class Edge(_EdgeFields):
         return f"{type(self).__name__}(label={self.label!r}, att={self.att!r})"
 
 
+_new_tuple = tuple.__new__  # with Edge and its four fields, builds an edge without Edge.__new__
+
+
 class Circuit:
     """A rooted hypergraph; treat as immutable after construction."""
 
@@ -515,9 +518,13 @@ class CircuitBuilder:
         self._inputs: dict[int, int] = {}
 
     def gate(self, label: Label, *args: int) -> int:
-        """A new gate with this label reading the argument wires; inputs go through ``input``."""
+        """A new gate with this label reading the argument wires; inputs go through ``input``.
+
+        The edge holds the fields ``Edge(label, att)`` stores, made without
+        its Python-level constructor; ``build`` checks them.
+        """
         v = len(self._edges)
-        self._edges[v] = Edge(label, (v, *args))
+        self._edges[v] = _new_tuple(Edge, (label, (v, *args), v, args))
         return v
 
     def input(self, index: int) -> int:

@@ -197,9 +197,10 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     restriction = Restriction(n)
     iterations: list[IterationRecord] = []
     while len(restriction.active) > 2:
-        unread = sorted(restriction.active - work.inputs.keys())
-        if unread:
-            return RefuterOutcome("degen", restriction, var=unread[0], iterations=tuple(iterations))
+        # Substituted and collected inputs leave ``work.inputs``, so its keys are all active.
+        if len(work.inputs) < len(restriction.active):
+            unread = min(restriction.active - work.inputs.keys())
+            return RefuterOutcome("degen", restriction, var=unread, iterations=tuple(iterations))
         walk = work.walk()
         h = next((eid for eid in walk if is_binary(work.edges[eid].label)), None)
         _check(h is not None, "a normal form reading 3+ variables must contain binary gates")

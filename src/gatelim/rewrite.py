@@ -36,7 +36,12 @@ in place rather than rebuilding the circuit after every step.  It keeps the
 indexes of a ``Circuit`` current, and its reader index is a reference count:
 a step deletes the edges it removes and then every edge whose result is no
 longer read and is not the root, cascading downwards, which collects exactly
-what is no longer reachable.  Besides these it keeps:
+what is no longer reachable.  A new graph copies the circuit's edges,
+producers and inputs and builds its reader and leaf indexes with
+``Circuit``'s own code, each index in one pass with no per-edge
+bookkeeping; its inversion count (below) is 0 for a circuit that
+``CircuitBuilder.build`` proved numbered and is counted once otherwise.
+Besides these it keeps:
 
 - a hash-cons table from ``(label, argument wires)`` to the one edge carrying
   them.  Only edges that are new, rewired or relabelled are looked up, all of
@@ -46,11 +51,11 @@ what is no longer reachable.  Besides these it keeps:
   pass, each pass in the order of its classes' kept edges;
 - the live binary-gate count, for the trace's ``size_after``, and the live
   graph measure, for the step budget;
-- the live redexes, keyed by site in rule order.  On entry every site is
-  matched; after a change only the sites whose candidate key (below) reads
-  a vertex whose producing edge changed are matched again: the vertex, its
-  readers, and the readers of those of them whose kind is in
-  ``DEMORGAN.inner``.
+- the live redexes, keyed by site in rule order.  A new graph has none
+  yet, and its first rematch matches every site once; after a change only
+  the sites whose candidate key (below) reads a vertex whose producing edge
+  changed are matched again: the vertex, its readers, and the readers of
+  those of them whose kind is in ``DEMORGAN.inner``.
 
 The rules that match at a site are looked up by a two-level key
 (``DEMORGAN.candidates``): the label kinds of the site's edge and of its
@@ -301,30 +306,31 @@ class WorkingGraph(Circuit):
     computed when read, so every function on circuits runs on the graph as
     it is.  ``walk`` is the graph's kept walk, made on first use and kept a
     fresh walk's prefix by every change after.  A new graph is neither
-    shared nor scanned; its first ``normalize`` does both.
+    shared nor scanned (``redexes`` is None); its first ``normalize`` does
+    both.
     """
 
     __slots__ = ("readers", "leaves")  # faster to read than instance attributes over Circuit's lazy ones
 
-    def __init__(self, c: Circuit):  # builds every index itself, without Circuit.__init__
-        self.edges: dict[int, Edge] = {}
-        self.producer: dict[int, int] = {}
+    def __init__(self, c: Circuit):  # builds every index in bulk, without Circuit.__init__
+        self.edges: dict[int, Edge] = dict(c.edges)
+        self.producer: dict[int, int] = dict(c.producer)
         self.root = c.root
         self.num_inputs = c.num_inputs
         self.basis = c.basis
-        self.readers: dict[int, set[int]] = {}  # only vertices that are read
+        self.inputs: dict[int, int] = dict(c.inputs)  # input index -> its edge, as on a Circuit
+        self.readers: dict[int, set[int]] = Circuit.readers.func(self)  # only vertices that are read
+        self.leaves: set[int] = Circuit.leaves.func(self)  # edges without arguments: inputs and constants
+        kinds = [e.label.kind for e in self.edges.values()]
+        self.size = sum([kind.arity == 2 for kind in kinds])
+        self.measure = sum([kind.weight for kind in kinds])
         self.table: dict[tuple, int] = {}
-        self.inputs: dict[int, int] = {}  # input index -> its edge, as on a Circuit
-        self.leaves: set[int] = set()  # edges without arguments: inputs and constants
-        self.size = 0
-        self.measure = 0
-        self.redexes: dict[int, list[Redex]] = {}
-        self.touched: set[int] = set()  # vertices whose producing edge changed or went
-        self.unshared: set[int] = set()  # edges not yet looked up in the table
-        self.inverted = 0  # (reader, distinct argument) pairs whose producer's id is not smaller
+        self.redexes: Optional[dict[int, list[Redex]]] = None  # None until the first rematch matches every site
+        self.touched: set[int] = set()  # vertices whose producing edge changed or went since the last rematch
+        self.unshared: set[int] = set(self.edges)  # edges not yet looked up in the table
+        # (reader, distinct argument) pairs whose producer's id is not smaller: none where build proved the order
+        self.inverted = 0 if c.ids_ordered else sum([self._inversions(eid, e.args) for eid, e in self.edges.items()])
         self.kept: Optional[Walk] = None  # the walk kept on the graph, if any; an edit may drop it
-        for eid, e in c.edges.items():
-            self._add(eid, e)
         # Bounds on the live ids, walked down to them by ``next_ids``.
         self.top_v = max(max(self.producer, default=-1), max(self.readers, default=-1))
         self.top_e = max(self.edges, default=-1)
@@ -525,9 +531,9 @@ class WorkingGraph(Circuit):
         return merged
 
     def _match(self, site: int) -> None:
-        found = [match_at(self, rule, site) for rule in DEMORGAN.candidates(self, site)]
-        if found:
-            self.redexes[site] = found
+        rules = DEMORGAN.candidates(self, site)
+        if rules:
+            self.redexes[site] = [match_at(self, rule, site) for rule in rules]
         else:
             self.redexes.pop(site, None)
 
@@ -539,14 +545,19 @@ class WorkingGraph(Circuit):
         ``DEMORGAN.inner``, the producers of that edge's arguments.  So the
         sites are the touched vertices, their readers' results, and the
         readers' results of those of the latter whose kind is in ``inner``.
+        A fresh graph has matched no site yet, so it matches every site once.
         """
         edges, producer, readers, inner = self.edges, self.producer, self.readers, DEMORGAN.inner
-        for v in self.touched:
-            self.redexes.pop(v, None)
-        region = {v for v in self.touched if v in producer}
-        above = {edges[r].result for v in region for r in readers.get(v, ())}
-        region |= above
-        region.update(edges[r].result for v in above if edges[producer[v]].label.kind in inner for r in readers.get(v, ()))
+        if self.redexes is None:
+            self.redexes = {}
+            region = producer.keys()
+        else:
+            for v in self.touched:
+                self.redexes.pop(v, None)
+            region = {v for v in self.touched if v in producer}
+            above = {edges[r].result for v in region for r in readers.get(v, ())}
+            region |= above
+            region.update(edges[r].result for v in above if edges[producer[v]].label.kind in inner for r in readers.get(v, ()))
         self.touched = set()
         for site in region:
             self._match(site)

@@ -64,7 +64,9 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the text format; raises ParseError with a line number."""
     lines = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        stripped = raw.strip()
         if stripped:
             lines.append((no, stripped))
     if not lines:
@@ -92,11 +94,11 @@ def parse_circuit(text: str) -> Circuit:
     num_inputs = int(parts[1])
 
     builder = CircuitBuilder(num_inputs, basis)
-    names: dict[str, int] = {}
+    names: dict[str, int] = {}  # gate names, and the x<k> tokens read so far
     root: int | None = None
 
     def operand(no: int, token: str) -> int:
-        vertex = names.get(token)  # gate names never have the form x<k>
+        vertex = names.get(token)
         if vertex is not None:
             return vertex
         m = _INPUT_RE.match(token)
@@ -104,7 +106,8 @@ def parse_circuit(text: str) -> Circuit:
             index = int(m.group(1))
             if not 1 <= index <= num_inputs:
                 raise ParseError(no, f"input {token} out of declared range 1..{num_inputs}")
-            return builder.input(index)
+            names[token] = vertex = builder.input(index)  # later reads of the token take the fast path
+            return vertex
         if _NAME_RE.match(token):
             raise ParseError(no, f"undefined operand {token!r}")
         raise ParseError(no, f"bad operand {token!r}")
@@ -138,7 +141,7 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(no, f"{op} takes {counted}")
         try:
             args = tuple(map(wire, operands))
-        except KeyError:  # an input, or an operand to report
+        except KeyError:  # an input token read for the first time, or an operand to report
             args = tuple(operand(no, t) for t in operands)
         names[name] = builder.gate(label, *args)
 

@@ -16,6 +16,10 @@ scratch, and every structural question is answered by scanning that circuit.
 
 ``kahn_order`` is the plain min-id Kahn order that ``topo_order`` must give,
 without its ascending-id shortcut.
+
+``replayed_graph`` enters a circuit into a ``WorkingGraph`` edge by edge, as
+the graph's constructor did before it built its indexes in bulk: every index
+starts empty and each edge goes in through the incremental ``add_edge``.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from gatelim.rewrite import (
     RewriteTrace,
     StaleRedexError,
     TraceStep,
+    WorkingGraph,
     find_redexes,
     graph_measure,
     match_at,
@@ -225,3 +230,44 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
             IterationRecord(len(iterations), h, f, f_prime, p, bit, size_before, circuit_size(work))
         )
     return RefuterOutcome("fails", restriction, iterations=tuple(iterations))
+
+
+def add_edge(g: WorkingGraph, eid: int, e: Edge) -> None:
+    """Add one edge to the graph's indexes, counting the inversions it makes with the edges already in."""
+    g.inverted += sum(eid >= r for r in g.readers.get(e.result, ()))
+    g.edges[eid] = e
+    g.producer[e.result] = eid
+    for v in e.args:
+        readers = g.readers.setdefault(v, set())
+        if eid not in readers:
+            readers.add(eid)
+            g.inverted += g.producer.get(v, -1) >= eid
+    if not e.args:
+        g.leaves.add(eid)
+        if e.label.kind is INPUT:
+            g.inputs.setdefault(e.label.index, eid)
+    g.size += e.label.kind.arity == 2
+    g.measure += e.label.kind.weight
+    g.touched.add(e.result)
+    g.unshared.add(eid)
+
+
+def replayed_graph(c: Circuit) -> WorkingGraph:
+    """A working graph of ``c`` entered edge by edge through ``add_edge``.
+
+    Every result is touched, and the redex index is empty rather than
+    unbuilt, so its first ``rematch`` matches the region around the touched
+    vertices, as every later rematch does.
+    """
+    g = WorkingGraph.__new__(WorkingGraph)
+    g.root, g.num_inputs, g.basis = c.root, c.num_inputs, c.basis
+    g.edges, g.producer, g.readers, g.inputs, g.table, g.redexes = {}, {}, {}, {}, {}, {}
+    g.leaves, g.touched, g.unshared = set(), set(), set()
+    g.size = g.measure = g.inverted = 0
+    g.kept = None
+    for eid, e in c.edges.items():
+        add_edge(g, eid, e)
+    g.top_v = max(max(g.producer, default=-1), max(g.readers, default=-1))
+    g.top_e = max(g.edges, default=-1)
+    g.orphans = [v for v in g.producer if v != g.root and v not in g.readers]
+    return g

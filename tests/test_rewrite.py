@@ -1028,6 +1028,87 @@ def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
     assert not any(label == CONST1 for _, label in attempts)
 
 
+def with_duplicate(c, eid):
+    """c with a parallel copy of edge ``eid`` on a new wire, read with the old output by a new AND output."""
+    e = c.edges[eid]
+    top_e, top_v = max(c.edges), max(c.vertices)
+    edges = {**c.edges, top_e + 1: Edge(e.label, (top_v + 1, *e.args))}
+    edges[top_e + 2] = Edge(AND, (top_v + 2, c.root, top_v + 1))
+    return Circuit(edges, top_v + 2, c.num_inputs)
+
+
+@st.composite
+def entry_circuits(draw):
+    """Small circuits, each maybe constant-fed, carrying a duplicate and renumbered (so not ``ids_ordered``)."""
+    c = draw(demorgan_circuits())
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        c = constant_fed(c, rng)
+    if draw(st.booleans()):
+        duplicable = [eid for eid, e in c.edges.items() if e.label.kind is not INPUT]
+        if duplicable:
+            c = with_duplicate(c, rng.choice(duplicable))
+    if draw(st.booleans()):
+        c = renumbered(c, rng)
+    return c
+
+
+ENTRY_INDEXES = (
+    "edges", "producer", "root", "readers", "leaves", "inputs", "table", "unshared",
+    "size", "measure", "inverted", "top_v", "top_e", "orphans",
+)  # fmt: skip
+
+
+def assert_entry_is_the_replay(c):
+    """``WorkingGraph(c)`` holds what an edge-by-edge replay holds, also after the first share and rematch.
+
+    Returns the inversion count on entry, the merge count of the first share and the live redex sites.
+    """
+    bulk, replay = WorkingGraph(c), reference_rewrite.replayed_graph(c)
+    for name in ENTRY_INDEXES:
+        assert getattr(bulk, name) == getattr(replay, name), name
+    inverted = bulk.inverted
+    merged = bulk.share()
+    assert merged == replay.share()
+    bulk.rematch()
+    replay.rematch()
+    for name in ENTRY_INDEXES:
+        assert getattr(bulk, name) == getattr(replay, name), name
+    assert bulk.redexes == replay.redexes
+    assert bulk.touched == replay.touched == set()
+    return inverted, len(merged), len(bulk.redexes)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(entry_circuits())
+def test_bulk_entry_equals_an_edge_by_edge_replay(c):
+    assert_entry_is_the_replay(c)
+
+
+def test_bulk_entry_equals_the_replay_on_renumbered_fed_and_duplicated_dags():
+    # Larger circuits than the property draws, each kind of entry seen.
+    rng = random.Random(68)
+    seen = {"inverted": 0, "merged": 0, "redexes": 0}
+    circuits = [constant_dag(rng, rng.randint(6, 10), 64, 8, 0.25) for _ in range(6)]
+    circuits += [neartight_parity(n, pos) for n in (6, 9) for pos in (2, n)]
+    for c in list(circuits):
+        dup = with_duplicate(c, rng.choice([eid for eid, e in c.edges.items() if e.label.kind is not INPUT]))
+        circuits += [renumbered(c, rng), dup, renumbered(dup, rng)]
+    for c in circuits:
+        for key, count in zip(seen, assert_entry_is_the_replay(c)):
+            seen[key] += count > 0
+    assert seen["inverted"] >= 20 and seen["merged"] >= 20 and seen["redexes"] >= 20, seen
+
+
+def test_a_proved_circuit_enters_without_inversions_and_a_renumbered_one_counts_them():
+    rng = random.Random(69)
+    c = constant_dag(rng, 8, 64, 8, 0.25)
+    assert c.ids_ordered and WorkingGraph(c).inverted == 0
+    shuffled = renumbered(c, rng)
+    assert not shuffled.ids_ordered
+    assert WorkingGraph(shuffled).inverted == recount_inverted(shuffled) > 0
+
+
 # sha256 of every output below: normal forms, traces and refutations.  A
 # change meant to keep outputs byte-identical keeps it.
 PINNED_DIGEST = "1d9fba4a44c679232a3a907af59832a2b0025f87a77af4679f92782ba95734c5"

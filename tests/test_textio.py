@@ -1,5 +1,7 @@
 """Circuit file parsing and canonical serialization."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gen import random_circuit, truth_table
 
-from gatelim.circuits import Circuit, circuit_size, evaluate, isomorphic, u2_label
+from gatelim.circuits import Circuit, Edge, circuit_size, evaluate, isomorphic, u2_label
 from gatelim.refuter import xor_circuit
 from gatelim.textio import ParseError, parse_circuit, serialize_circuit
 
@@ -94,6 +96,40 @@ def test_parse_accepts_leading_zeros_in_op_and_input_numbers():
     assert [e.label for e in both.edges.values() if e.args] == [u2_label(7)] * 2
     dm = parse_circuit(_gate_line("demorgan", "n1 = AND x02 x1"))
     assert serialize_circuit(dm) == _gate_line("demorgan", "n1 = AND x2 x1")
+
+
+def test_an_input_read_under_two_spellings_is_one_edge():
+    c = parse_circuit("ckt 1\nbasis demorgan\ninputs 3\nn1 = AND x3 x1\nn2 = OR x03 n1\noutput n2\n")
+    assert [e.label.index for e in c.edges.values() if not e.args] == [3, 1]
+    assert c.edges[c.producer[c.root]].args[0] == c.inputs[3]
+    assert serialize_circuit(c) == "ckt 1\nbasis demorgan\ninputs 3\nn1 = AND x3 x1\nn2 = OR x3 n1\noutput n2\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # an input token read before stays reserved, and fails on its own line
+        ("n1 = NOT x3\nx3 = NOT n1\noutput x3", "line 5: gate name 'x3' is reserved for inputs"),
+        ("n1 = NOT x3\nn2 = AND n1 x3\nx03 = NOT n2\noutput n2", "line 6: gate name 'x03' is reserved for inputs"),
+        ("n1 = NOT x3\nn2 = AND n1 x3\nn3 = OR n2 x4\noutput n3", "line 6: input x4 out of declared range 1..3"),
+        ("n1 = NOT x1\nn2 = AND n1 x0\noutput n2", "line 5: input x0 out of declared range 1..3"),
+        ("n1 = NOT x1  # not x9\noutput x9", "line 5: input x9 out of declared range 1..3"),
+    ],
+)
+def test_input_errors_name_their_own_line(body, message):
+    with pytest.raises(ParseError) as info:
+        parse_circuit(f"ckt 1\nbasis demorgan\ninputs 3\n{body}\n")
+    assert str(info.value) == message
+
+
+def test_builder_edges_are_edges():
+    c = parse_circuit(EXAMPLE)
+    for eid, e in c.edges.items():
+        made = Edge(e.label, e.att)
+        assert type(e) is Edge and e == made and hash(e) == hash(made) and repr(e) == repr(made)
+        assert (e.result, e.args) == (made.result, made.args) == (e.att[0], e.att[1:])
+        assert pickle.loads(pickle.dumps(e)) == made and copy.copy(e) == made
+    assert pickle.loads(pickle.dumps(c)).edges == {eid: Edge(e.label, e.att) for eid, e in c.edges.items()}
 
 
 def test_serialize_bare_input():

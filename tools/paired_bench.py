@@ -12,14 +12,18 @@ on.  Each pair runs the parent and the change back to back, and pairs
 alternate which side goes first; the pairs go round the workloads in turn,
 so slow drift of the machine spreads over all of them.  The end-to-end
 metrics, their units and which way is better are read from the change's
-``BENCHMARK.json``.
+``BENCHMARK.json``; a ``--claim`` that names no workload or end-to-end
+metric of it exits 2, naming the valid ones, before any run.
 
 For each workload and metric the file holds the medians and quartiles over
 the runs (``statistics.quantiles``, inclusive), the change/parent ratio of
 the medians, how many pairs the change wins (ties count for neither),
 whether the change's median is better than the parent's by more than the
 parent's interquartile range, whether it is worse than the metric's bound,
-and every run, pair by pair.  ``--merge FILE`` adds the top-level keys of a
+and every run, pair by pair.  It also lists the (workload, metric) pairs
+worse than their bound, and whether the claim is met (``claim_met``): the
+change wins at least 9 of the 10 pairs and its median gap exceeds the
+parent's interquartile range.  ``--merge FILE`` adds the top-level keys of a
 JSON file (measurements made some other way) to the output, which is written
 at the root of the repository.  Pure stdlib.
 """
@@ -37,9 +41,11 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+CLAIM_WINS = 9  # of the PAIRS pairs, the fewest wins that meet a claim
 SECONDS = 20
 SEED = 1
 
@@ -88,34 +94,30 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--parent", required=True, help="the revision compared against")
-    parser.add_argument("--change", required=True, help="the revision measured")
-    parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
-    parser.add_argument("--text", default="", help="one line on what the change does")
-    parser.add_argument("--merge", type=Path, help="a JSON object whose top-level keys are added to the output")
-    args = parser.parse_args(argv)
+def check_claim(claim: str, spec: dict) -> tuple[str, str]:
+    """The workload and metric that ``WORKLOAD:METRIC`` names in a ``BENCHMARK.json`` spec.
 
-    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        shas = {side: extract(getattr(args, side), tree) for side, tree in trees.items()}
-        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        metrics = {m["name"]: m for m in spec["end_to_end"]}
-        workloads = [w["name"] for w in spec["workloads"]]
-        runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
-        for k in range(PAIRS):
-            for w in workloads:
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    runs[w][side].append(run_once(trees[side], w))
-                    print(f"pair {k + 1}/{PAIRS} {w} {side} done", file=sys.stderr, flush=True)
+    Raises ``ValueError`` naming the valid workloads and metrics if it names
+    no workload of the spec or no end-to-end metric.
+    """
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workload, _, metric = claim.partition(":")
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(
+            f"--claim {claim!r} is not WORKLOAD:METRIC of BENCHMARK.json; "
+            f"workloads: {', '.join(workloads)}; metrics: {', '.join(metrics)}"
+        )
+    return workload, metric
 
-    out_workloads = {}
+
+def summarize_workloads(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict]) -> dict:
+    """Each workload's counts and each end-to-end metric's ``summarize``, from its runs pair by pair."""
+    out = {}
     for w, sides in runs.items():
-        out_workloads[f"{w}@seed{SEED}"] = {
+        out[w] = {
             "seed": SEED,
-            "pairs": PAIRS,
+            "pairs": len(sides["parent"]),
             "seconds": SECONDS,
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in sides.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
@@ -134,10 +136,56 @@ def main(argv=None) -> int:
                 for name, m in metrics.items()
             },
         }
+    return out
+
+
+def claim_verdict(summary: dict, claim: Optional[tuple[str, str]]) -> dict:
+    """The claim with ``claim_met``, and the (workload, metric) pairs worse than their bound.
+
+    A claim is met when the change wins at least ``CLAIM_WINS`` of the
+    pairs and its median is better than the parent's by more than the
+    parent's interquartile range.
+    """
     claimed = None
-    if args.claim:
-        workload, metric = args.claim.split(":", 1)
-        claimed = {"workload": workload, "metric": metric}
+    if claim is not None:
+        workload, metric = claim
+        s = summary[workload]["metrics"][metric]
+        met = s["change_wins"] >= CLAIM_WINS and s["median_gap_exceeds_parent_iqr"]
+        claimed = {"workload": workload, "metric": metric, "claim_met": met}
+    worse = [[w, name] for w, out in summary.items() for name, s in out["metrics"].items() if s["worse_than_bound"]]
+    return {"claimed": claimed, "worse_than_bound": worse}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", required=True, help="the revision compared against")
+    parser.add_argument("--change", required=True, help="the revision measured")
+    parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
+    parser.add_argument("--text", default="", help="one line on what the change does")
+    parser.add_argument("--merge", type=Path, help="a JSON object whose top-level keys are added to the output")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        shas = {side: extract(getattr(args, side), tree) for side, tree in trees.items()}
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        try:
+            claim = None if args.claim is None else check_claim(args.claim, spec)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
+        workloads = [w["name"] for w in spec["workloads"]]
+        runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
+        for k in range(PAIRS):
+            for w in workloads:
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    runs[w][side].append(run_once(trees[side], w))
+                    print(f"pair {k + 1}/{PAIRS} {w} {side} done", file=sys.stderr, flush=True)
+
+    summary = summarize_workloads(runs, metrics)
+    verdict = claim_verdict(summary, claim)
     report = {
         "change": args.text,
         "parent": shas["parent"][:7],
@@ -152,8 +200,9 @@ def main(argv=None) -> int:
             "pairs where the change is better (ties count for neither); worse_than_bound compares the change's "
             "median with the parent's and the BENCHMARK.json bound; parent_runs/change_runs list every run, "
             "pair by pair",
-            "claimed": claimed,
-            "workloads": out_workloads,
+            "claimed": verdict["claimed"],
+            "worse_than_bound": verdict["worse_than_bound"],
+            "workloads": {f"{w}@seed{SEED}": out for w, out in summary.items()},
         },
     }
     if args.merge:
