@@ -2,15 +2,23 @@
 
 Gates are hyperedges and wires are vertices: each edge's attachment lists its
 result vertex first, then its argument vertices, and every vertex is the
-result of exactly one edge.  A circuit carries a basis tag: ``demorgan``
-circuits use and/or/not/constant gates, ``u2`` circuits use the fourteen
-binary operations indexed 1..14 (all two-input Boolean functions except
-exclusive-or and its complement).
+result of exactly one edge.  A circuit carries the name of its basis, which
+keys its row of the basis table ``terms.BASES``: the row lists the gate kinds
+the basis has, and every other fact about it.  ``demorgan`` circuits use
+and/or/not/constant gates, ``u2`` circuits the fourteen binary operations
+indexed 1..14 (all two-input Boolean functions except exclusive-or and its
+complement).  ``validate`` and ``CircuitBuilder.build`` read the row once per
+circuit and test each gate's kind for membership in it; code that needs one
+particular basis imports its row.
 
-A gate's label is its row of the label table ``KINDS`` (``INPUT`` for an
-input) plus an input index, 0 for every other kind.  Labels compare as
+A gate's label is its kind, a row of the label table ``KINDS`` (``INPUT`` for
+an input), plus an input index, 0 for every other kind.  Labels compare as
 tuples, the kind by identity, so every test of a gate's kind is an identity
 test on ``label.kind``.
+
+``canonical_names`` is a circuit's one canonical numbering: its gates named
+n1..nk in depth-first post-order from the output.  The text format writes
+it, and ``isomorphic`` compares it.
 
 ``CircuitBuilder`` makes circuits in which vertex v is the result of edge v
 and every argument is an earlier wire, so they are defined, acyclic and
@@ -32,7 +40,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import terms
-from .terms import INPUT, KINDS, U2_TRUTH, LabelKind
+from .terms import BASES, DEMORGAN_BASIS, INPUT, KINDS, U2_BASIS, U2_TRUTH, LabelKind
 
 
 class CircuitError(Exception):
@@ -50,6 +58,7 @@ class Label(NamedTuple):
 # the parser construct none.  Only inputs have a label per index.
 LABELS: dict[str, Label] = {name: Label(kind) for name, kind in KINDS.items()}
 NOT, AND, OR, CONST0, CONST1 = (LABELS[name] for name in ("NOT", "AND", "OR", "CONST0", "CONST1"))
+U2_LABELS = tuple(LABELS[kind.name] for kind in U2_BASIS.kinds)  # op k's label is U2_LABELS[k - 1]
 
 
 def const_label(value: int) -> Label:
@@ -59,10 +68,9 @@ def const_label(value: int) -> Label:
 
 
 def u2_label(op: int) -> Label:
-    label = LABELS.get(f"U2_{op}")
-    if label is None:
-        raise CircuitError(f"u2 op {op} out of range 1..14")
-    return label
+    if not 1 <= op <= len(U2_LABELS):
+        raise CircuitError(f"u2 op {op} out of range 1..{len(U2_LABELS)}")
+    return U2_LABELS[op - 1]
 
 
 def is_binary(label: Label) -> bool:
@@ -109,8 +117,8 @@ class Circuit:
 
     ids_ordered = False  # proved: every argument's producer has a smaller id than its reader
 
-    def __init__(self, edges: dict[int, Edge], root: int, num_inputs: int, basis: str = "demorgan"):
-        if basis not in ("demorgan", "u2"):
+    def __init__(self, edges: dict[int, Edge], root: int, num_inputs: int, basis: str = DEMORGAN_BASIS.name):
+        if basis not in BASES:
             raise CircuitError(f"unknown basis {basis!r}")
         self.edges: dict[int, Edge] = dict(edges)
         self.root = root
@@ -333,6 +341,7 @@ def validate(c: Circuit) -> list[str]:
         out.append(f"root vertex {c.root} does not occur in any edge")
     results: dict[int, list[int]] = {}
     seen_inputs: dict[int, int] = {}
+    own = frozenset(BASES[c.basis].kinds)
     for eid, e in sorted(c.edges.items()):
         kind = e.label.kind
         if len(e.att) != 1 + kind.arity:
@@ -344,7 +353,7 @@ def validate(c: Circuit) -> list[str]:
             if e.label.index in seen_inputs:
                 out.append(f"edge {eid}: duplicate edge for input x{e.label.index}")
             seen_inputs[e.label.index] = eid
-        elif kind.basis != c.basis:
+        elif kind not in own:
             out.append(f"edge {eid}: {label_name(e.label)} gate in a {c.basis} circuit")
     for v in sorted(c.vertices):
         eids = results.get(v, [])
@@ -420,8 +429,8 @@ def unroll_term(c: Circuit, budget: int = 2**20) -> terms.Term:
     Worst-case exponential in the circuit, hence the node budget.  Built
     bottom-up with explicit stacks, so depth costs no recursion.
     """
-    if c.basis != "demorgan":
-        raise CircuitError("only demorgan circuits unroll to terms")
+    if c.basis != DEMORGAN_BASIS.name:  # the formula signature is the demorgan row's
+        raise CircuitError(f"only {DEMORGAN_BASIS.name} circuits unroll to terms")
     count = 0
     built: list[terms.Term] = []  # finished subterms, leftmost first
     todo: list = [c.root]  # a vertex to unroll, or an edge whose args are the last in built
@@ -467,39 +476,58 @@ def bisimilar(a: Circuit, b: Circuit) -> bool:
     return True
 
 
-def root_morphism(src: Circuit, dst: Circuit) -> Optional[dict[int, int]]:
-    """The unique label- and attachment-preserving map sending root to root.
+def canonical_names(c: Circuit) -> dict[int, str]:
+    """Each wire the output reaches, by its name in the canonical text.
 
-    Rooted term graphs are rigid: the image of every vertex is forced by
-    following producer edges from the root, so the morphism either exists
-    uniquely or not at all.
+    An input's wire is named by its label (``x<k>``).  The gates are named
+    n1..nk in depth-first post-order from the output, arguments left to
+    right, and the dict holds their wires in that order, each after its
+    arguments.  The walk reads only the circuit's structure, so isomorphic
+    circuits name their gates alike.  An explicit stack keeps depth from
+    costing recursion: (wire, None) visits a wire, and (wire, edge), pushed
+    under its arguments not yet visited, names the edge's gate once they
+    are named.
     """
-    mapping = {src.root: dst.root}
-    stack = [src.root]
+    names: dict[int, str] = {}
+    entered: set[int] = set()  # wires visited: named, or their gate on the stack
+    producer, edges = c.producer, c.edges
+    stack: list[tuple[int, Optional[Edge]]] = [(c.root, None)]
+    gates = 0
     while stack:
-        u = stack.pop()
-        v = mapping[u]
-        ea, eb = src.producer_edge(u), dst.producer_edge(v)
-        if ea.label != eb.label:
-            return None
-        for x, y in zip(ea.args, eb.args):
-            bound = mapping.get(x)
-            if bound is None:
-                mapping[x] = y
-                stack.append(x)
-            elif bound != y:
-                return None
-    return mapping
+        v, e = stack.pop()
+        if e is not None:
+            gates += 1
+            names[v] = f"n{gates}"
+        elif v not in entered:
+            entered.add(v)
+            e = edges[producer[v]]
+            if e.label.kind is INPUT:
+                names[v] = label_name(e.label)
+            else:
+                stack.append((v, e))
+                for a in reversed(e.args):
+                    if a not in entered:
+                        stack.append((a, None))
+    return names
 
 
 def isomorphic(a: Circuit, b: Circuit) -> bool:
-    """Whether a bijective hypergraph morphism maps root to root."""
+    """Whether a bijective hypergraph morphism maps root to root.
+
+    Rooted term graphs are rigid: such a morphism is forced by following
+    producers from the root, so it exists exactly when both circuits have
+    as many vertices, the same canonical names with the same gates under
+    them, and a name for every vertex: every vertex is reached from the
+    root.  The declared input counts are not compared.
+    """
     if a.basis != b.basis:
         raise CircuitError("cannot compare circuits over different bases")
-    m = root_morphism(a, b)
-    if m is None or len(m) != len(a.vertices):
-        return False
-    return len(set(m.values())) == len(m) == len(b.vertices)
+    forms = []
+    for c in (a, b):
+        names = canonical_names(c)
+        gates = zip(names.values(), map(c.producer_edge, names))
+        forms.append([(name, e.label, [names[x] for x in e.args]) for name, e in gates])
+    return len(forms[0]) == len(a.vertices) == len(b.vertices) and forms[0] == forms[1]
 
 
 class CircuitBuilder:
@@ -511,7 +539,7 @@ class CircuitBuilder:
     ``validate``'s words.
     """
 
-    def __init__(self, num_inputs: int, basis: str = "demorgan"):
+    def __init__(self, num_inputs: int, basis: str = DEMORGAN_BASIS.name):
         self.num_inputs = num_inputs
         self.basis = basis
         self._edges: dict[int, Edge] = {}  # edge v produces vertex v
@@ -562,8 +590,9 @@ class CircuitBuilder:
         ``validate``: a gate that reads a later wire fails it.
         """
         edges, num_inputs = self._edges, self.num_inputs
-        if root not in edges:
+        if root not in edges or self.basis not in BASES:
             return None
+        own = frozenset(BASES[self.basis].kinds)
         reached = {root}
         inputs: dict[int, int] = {}  # input index -> its edge, the last edge first
         for v in range(len(edges) - 1, -1, -1):
@@ -578,7 +607,7 @@ class CircuitBuilder:
                 if not 1 <= label.index <= num_inputs or label.index in inputs:
                     return None
                 inputs[label.index] = v
-            elif kind.basis != self.basis:
+            elif kind not in own:
                 return None
             for a in e.args:
                 if not 0 <= a < v:

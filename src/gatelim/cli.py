@@ -106,10 +106,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     c = _load(args.file)
-    if args.to == "u2":
-        out = u2.demorgan_to_u2(c)
-    else:
-        out = u2.u2_to_demorgan(c)
+    out = u2.demorgan_to_u2(c) if args.to == terms.U2_BASIS.name else u2.u2_to_demorgan(c)
     sys.stdout.write(textio.serialize_circuit(out))
     return 0
 
@@ -187,7 +184,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("translate", help="translate between the demorgan and u2 bases")
     p.add_argument("file")
-    p.add_argument("--to", choices=("u2", "demorgan"), required=True)
+    p.add_argument("--to", choices=(terms.U2_BASIS.name, terms.DEMORGAN_BASIS.name), required=True)
     p.set_defaults(fn=_cmd_translate)
 
     p = sub.add_parser("trs", help="formula rewriting system commands")

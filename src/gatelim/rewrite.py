@@ -1,13 +1,15 @@
 """The 16-rule circuit simplification system, run on circuits as the formula rules.
 
-``data/demorgan_rules.txt`` is the one source of the rules.  It is read
-once, into ``DEMORGAN``, the one ``System``: ``gatelim trs check`` certifies
-its ``trs``, and this module executes the same ``TermRule`` objects on
-circuits.  A line's position in the file sets the deterministic (``det``)
-rule order for both.  The rules are grouped by the kind of their left-hand
-root once, in the TRS's own index ``TRS.by_root``: ``System.by_root`` is
-that index, so the formula redex scan and the circuit matcher read the same
-groups.
+``data/demorgan_rules.txt``, the rule file that the demorgan row of
+``terms.BASES`` names, is the one source of the rules.  It is read once, into
+``DEMORGAN``, the one ``System``: ``gatelim trs check`` certifies its
+``trs``, and this module executes the same ``TermRule`` objects on circuits.
+``normalize`` and ``graph_measure`` refuse a circuit whose basis row names
+no rule file, or another.  A line's position in the file sets the
+deterministic (``det``) rule order for both.  The rules are grouped by the
+kind of their left-hand root once, in the TRS's own index ``TRS.by_root``:
+``System.by_root`` is that index, so the formula redex scan and the circuit
+matcher read the same groups.
 
 A left-hand side is matched as a term on the graph, by the one matcher
 ``terms.match``: each operator node must meet a wire whose producing edge
@@ -143,6 +145,7 @@ from itertools import islice
 from typing import Callable, Iterator, Mapping, Optional
 
 from .circuits import (
+    CONST0,
     INPUT,
     LABELS,
     Circuit,
@@ -152,7 +155,7 @@ from .circuits import (
     const_label,
     topo_order,
 )
-from .terms import TRS, BudgetError, Op, TermRule, Var, demorgan_system, match
+from .terms import BASES, DEMORGAN_BASIS, TRS, BudgetError, Op, TermRule, Var, demorgan_system, match
 
 
 class StaleRedexError(CircuitError):
@@ -182,8 +185,7 @@ class System:
     ``ValueError``.
     """
 
-    def __init__(self, basis: str, trs: TRS):
-        self.basis = basis
+    def __init__(self, trs: TRS):
         self.trs = trs
         self.rules = trs.rules
         self.by_root = trs.by_root
@@ -234,7 +236,13 @@ class System:
         return found
 
 
-DEMORGAN = System("demorgan", demorgan_system())
+DEMORGAN = System(demorgan_system())  # the system of every basis row with the demorgan rule file
+
+
+def _require_rules(c: Circuit, what: str) -> None:
+    """Refuse a circuit whose basis row names another rule file than ``DEMORGAN``'s, or none."""
+    if BASES[c.basis].rules != DEMORGAN_BASIS.rules:
+        raise CircuitError(f"{what} is defined for {DEMORGAN_BASIS.name} circuits")
 
 
 @dataclass(frozen=True)
@@ -622,8 +630,7 @@ class WorkingGraph(Circuit):
         A leading ``sharing`` step reports the merges made on entry.  The
         budget is one more step than the graph measure after them.
         """
-        if self.basis != DEMORGAN.basis:
-            raise CircuitError("the rule system is defined for demorgan circuits")
+        _require_rules(self, "the rule system")
         if strategy not in ("det", "rand"):
             raise CircuitError(f"unknown strategy {strategy!r}")
         rng = random.Random(seed) if strategy == "rand" else None
@@ -677,8 +684,8 @@ def merge_parallel_edges(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
 
 def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
     """Relabel the x_index edge as the constant bit; no other change."""
-    if c.basis != "demorgan":
-        raise CircuitError("constants exist only in the demorgan basis")
+    if CONST0.kind not in BASES[c.basis].kinds:
+        raise CircuitError(f"constants exist only in the {DEMORGAN_BASIS.name} basis")
     graph = WorkingGraph(c)
     graph.substitute(index, bit)
     return graph.snapshot()
@@ -686,8 +693,7 @@ def substitute_input(c: Circuit, index: int, bit: int) -> Circuit:
 
 def graph_measure(c: Circuit) -> int:
     """Termination measure; strictly decreases on every rewrite step."""
-    if c.basis != DEMORGAN.basis:
-        raise CircuitError("the measure is defined for demorgan circuits")
+    _require_rules(c, "the measure")
     return sum(e.label.kind.weight for e in c.edges.values())
 
 

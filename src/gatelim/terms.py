@@ -1,9 +1,17 @@
 """Boolean formulas as trees, and a convergent simplification system for them.
 
+Every fact about a basis is stated once, in its row of the basis table
+``BASES`` (a ``Basis``): its name in the text format, its signature (the gate
+kinds it has, in order), the file of its rule system if it has one, and how
+its parse errors count operands.  The label table ``KINDS`` is the union of
+the rows' kinds, each a ``LabelKind`` that gives its arity, truth table,
+measure weight and formula name.  A kind belongs to a basis because the
+basis's row lists it, so two rows may share kinds.
+
 A term is a variable (``Var``) or an operator node (``Op``) whose ``kind``
-is a row of the label table ``KINDS``, as a circuit gate's is: the row gives
-its arity, truth table and formula name (``zero``, ``one``, ``not``, ``and``,
-``or``).  No term operation recurses, so any depth is fine.
+is a row of ``KINDS``, as a circuit gate's is.  The formula signature is the
+demorgan row's (``zero``, ``one``, ``not``, ``and``, ``or``), read in that
+row's order.  No term operation recurses, so any depth is fine.
 
 The module ships a fixed 16-rule simplification system over this signature
 (loaded from ``data/demorgan_rules.txt``) together with the machinery needed
@@ -35,7 +43,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, ClassVar, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 
 class BudgetError(RuntimeError):
@@ -56,7 +64,6 @@ class LabelKind:
 
     name: str  # the op in the text format; an input's name is this and its index
     arity: int
-    basis: Optional[str]  # None for inputs, which every basis has
     truth: Optional[tuple[int, ...]]  # output bit per row of argument bits, in ``output``'s order
     weight: int  # the gate's part of the termination measure
     term: Optional[str]  # the operator's name in formula text; inputs and u2 gates have none
@@ -99,29 +106,55 @@ U2_TRUTH: dict[int, tuple[int, int, int, int]] = {
     14: (0, 0, 0, 1),
 }
 
-INPUT = LabelKind("x", 0, None, None, 1, None)
+INPUT = LabelKind("x", 0, None, 1, None)
 
-# Every gate kind by its text name.  Truth rows are ordered as in U2_TRUTH;
-# the weights make ``graph_measure`` fall on every rewrite step.
-KINDS: dict[str, LabelKind] = {
-    kind.name: kind
-    for kind in (
-        LabelKind("CONST0", 0, "demorgan", (0,), 5, "zero"),
-        LabelKind("CONST1", 0, "demorgan", (1,), 2, "one"),
-        LabelKind("NOT", 1, "demorgan", (0, 1), 1, "not"),
-        LabelKind("AND", 2, "demorgan", (1, 0, 0, 0), 4, "and"),
-        LabelKind("OR", 2, "demorgan", (1, 1, 1, 0), 4, "or"),
-        *(LabelKind(f"U2_{op}", 2, "u2", truth, 0, None) for op, truth in U2_TRUTH.items()),
-    )
-}
+
+class Basis(NamedTuple):
+    """A row of ``BASES``: every fact about one basis.
+
+    ``kinds`` is its signature: a gate kind is in the basis because the row
+    lists it, and inputs, which every basis has, are in none.  ``rules`` is
+    the file of its rule system under ``data/``, or None where it has none.
+    ``operands`` is how a parse error counts an op's operands, formatted
+    with the op's ``arity``.
+    """
+
+    name: str  # the basis in the text format and on every circuit
+    kinds: tuple[LabelKind, ...]
+    rules: Optional[str] = None
+    operands: str = "{arity} operand(s)"
+
+
+# Truth rows are ordered as in U2_TRUTH; the weights make ``graph_measure``
+# fall on every rewrite step.  The u2 kinds are op 1..14 in order.
+DEMORGAN_BASIS = Basis(
+    "demorgan",
+    (
+        LabelKind("CONST0", 0, (0,), 5, "zero"),
+        LabelKind("CONST1", 0, (1,), 2, "one"),
+        LabelKind("NOT", 1, (0, 1), 1, "not"),
+        LabelKind("AND", 2, (1, 0, 0, 0), 4, "and"),
+        LabelKind("OR", 2, (1, 1, 1, 0), 4, "or"),
+    ),
+    "demorgan_rules.txt",
+)
+U2_BASIS = Basis(
+    "u2", tuple(LabelKind(f"U2_{op}", 2, truth, 0, None) for op, truth in U2_TRUTH.items()), operands="2 operands"
+)
+
+# Every basis by its text name: the one place a basis is stated.
+BASES: dict[str, Basis] = {basis.name: basis for basis in (DEMORGAN_BASIS, U2_BASIS)}
+
+# Every gate kind by its text name: the union of the rows.
+KINDS: dict[str, LabelKind] = {kind.name: kind for basis in BASES.values() for kind in basis.kinds}
 
 
 def _kind_named(name: str) -> LabelKind:
     return INPUT if name == INPUT.name else KINDS[name]
 
 
-# The kinds formula nodes have, by their names in formula text.
-_OPERATORS: dict[str, LabelKind] = {kind.term: kind for kind in KINDS.values() if kind.term}
+# The kinds formula nodes have, by their names in formula text: the demorgan row's.
+_OPERATORS: dict[str, LabelKind] = {kind.term: kind for kind in DEMORGAN_BASIS.kinds}
 
 
 @dataclass(frozen=True)
@@ -661,7 +694,7 @@ _TOKEN_RE = re.compile(r"\(|\)|[a-z0-9_]+")
 def parse_term(text: str) -> Term:
     """Parse an s-expression term: (and T T), (or T T), (not T), zero, one, vars.
 
-    The operators and constants are the formula names in ``KINDS``.
+    The operators and constants are the formula names of the demorgan row's kinds.
     """
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens) != re.sub(r"\s+", "", text):
@@ -709,7 +742,7 @@ def _data_lines(filename: str) -> Iterator[str]:
             yield line
 
 
-def load_rules(filename: str = "demorgan_rules.txt") -> TRS:
+def load_rules(filename: str) -> TRS:
     rules = []
     for line in _data_lines(filename):
         head, _, rest = line.partition(":")
@@ -731,8 +764,8 @@ def load_identities(filename: str = "demorgan_identities.txt") -> list[tuple[Ter
 
 
 def demorgan_system() -> TRS:
-    """The shipped 16-rule simplification system."""
-    trs = load_rules()
+    """The shipped 16-rule simplification system, from the demorgan row's rule file."""
+    trs = load_rules(DEMORGAN_BASIS.rules)
     if len(trs.rules) != 16:
         raise RuleSyntaxError(f"expected 16 rules, found {len(trs.rules)}")
     return trs

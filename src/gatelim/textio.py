@@ -10,23 +10,27 @@ One directive per line, ``#`` starts a comment, ASCII only::
     n3 = OR n2 x3
     output n3
 
-Gate ops are the names in the label table ``terms.KINDS``: AND, OR, NOT,
-CONST0, CONST1 (demorgan) and U2_1 .. U2_14 (u2).  Names match
-[a-z][a-z0-9_]* and must be defined before use; ``x<k>`` refers to input k
-and cannot be redefined; there is exactly one ``output`` line.
+The basis line names a row of the basis table ``terms.BASES``, and a gate's
+op is the name of a kind that row lists: AND, OR, NOT, CONST0, CONST1
+(demorgan) and U2_1 .. U2_14 (u2, where leading zeros are allowed).  The
+header's error texts name every row, and an operand-count error is worded
+by the row.  Names match [a-z][a-z0-9_]* and must be defined before use;
+``x<k>`` refers to input k and cannot be redefined; there is exactly one
+``output`` line.
 
-Serialization is canonical: gates are written in a depth-first post-order
-walk from the output (a topological order that depends only on circuit
-structure), renamed n1..nk in that order, so isomorphic circuits with the
-same input indexing serialize to identical text.
+Serialization is canonical: gates are written under their
+``circuits.canonical_names``, n1..nk in depth-first post-order from the
+output (a topological order that depends only on circuit structure), so
+isomorphic circuits with the same input indexing serialize to identical
+text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
-from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, Edge, Label, label_name
+from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, Label, canonical_names, u2_label
+from .terms import BASES, U2_BASIS, Basis
 
 
 class ParseError(Exception):
@@ -41,22 +45,25 @@ _U2_RE = re.compile(r"^U2_([0-9]+)$")
 _GATE_NAME_RE = re.compile(r"^(?!x[0-9]+$)[a-z][a-z0-9_]*$")  # a name, not of the form x<k>
 
 
-def _op_label(no: int, op: str, basis: str) -> Label:
-    """The label an op text names in a circuit of this basis; raises ParseError otherwise."""
+def _op_label(no: int, op: str, basis: Basis) -> Label:
+    """The label an op text names in a circuit of this basis; raises ParseError otherwise.
+
+    ``U2_<k>`` names u2 op k, leading zeros and all: in a basis with u2 ops
+    an op out of range is refused as ``u2_label`` refuses it, and in any
+    other the op is a gate of another basis.
+    """
     u2_match = _U2_RE.match(op)
-    if u2_match:  # any U2_<digits>: leading zeros parse, and an op out of range is named
-        if basis != "u2":
-            raise ParseError(no, f"{op} gate in a {basis} circuit")
-        k = int(u2_match.group(1))
-        label = LABELS.get(f"U2_{k}")
-        if label is None:
-            raise ParseError(no, f"u2 op {k} out of range 1..14")
-        return label
-    label = LABELS.get(op)
-    if label is None:
-        raise ParseError(no, f"unknown op {op!r}")
-    if basis != label.kind.basis:
-        raise ParseError(no, f"{op} gate in a {basis} circuit")
+    if u2_match and not set(basis.kinds).isdisjoint(U2_BASIS.kinds):
+        try:
+            label = u2_label(int(u2_match.group(1)))
+        except CircuitError as exc:
+            raise ParseError(no, str(exc)) from None
+    else:
+        label = LABELS.get(op)
+        if label is None and not u2_match:
+            raise ParseError(no, f"unknown op {op!r}")
+    if label is None or label.kind not in basis.kinds:
+        raise ParseError(no, f"{op} gate in a {basis.name} circuit")
     return label
 
 
@@ -84,16 +91,16 @@ def parse_circuit(text: str) -> Circuit:
     no, parts = expect_header(0, "ckt", "'ckt 1'")
     if parts[1:] != ["1"]:
         raise ParseError(no, f"unsupported format version {' '.join(parts[1:])!r}")
-    no, parts = expect_header(1, "basis", "'basis demorgan' or 'basis u2'")
-    if parts[1:] not in (["demorgan"], ["u2"]):
-        raise ParseError(no, "basis must be 'demorgan' or 'u2'")
-    basis = parts[1]
+    no, parts = expect_header(1, "basis", " or ".join(f"'basis {name}'" for name in BASES))
+    if len(parts) != 2 or parts[1] not in BASES:
+        raise ParseError(no, "basis must be " + " or ".join(map(repr, BASES)))
+    basis = BASES[parts[1]]
     no, parts = expect_header(2, "inputs", "'inputs N'")
     if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
         raise ParseError(no, "expected 'inputs N'")
     num_inputs = int(parts[1])
 
-    builder = CircuitBuilder(num_inputs, basis)
+    builder = CircuitBuilder(num_inputs, basis.name)
     names: dict[str, int] = {}  # gate names, and the x<k> tokens read so far
     root: int | None = None
 
@@ -137,8 +144,7 @@ def parse_circuit(text: str) -> Circuit:
             label = ops[op] = _op_label(no, op, basis)
         arity = label.kind.arity
         if len(operands) != arity:
-            counted = "2 operands" if label.kind.basis == "u2" else f"{arity} operand(s)"
-            raise ParseError(no, f"{op} takes {counted}")
+            raise ParseError(no, f"{op} takes {basis.operands.format(arity=arity)}")
         try:
             args = tuple(map(wire, operands))
         except KeyError:  # an input token read for the first time, or an operand to report
@@ -154,29 +160,15 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def serialize_circuit(c: Circuit) -> str:
-    """Canonical text for the circuit; the parse of the result is isomorphic to c."""
-    names: dict[int, str] = {}  # wire -> its name; "" while its gate is on the stack
-    body: list[str] = []
+    """Canonical text for the circuit; the parse of the result is isomorphic to c.
+
+    The gates are written in the order of ``canonical_names``, under those names.
+    """
+    names = canonical_names(c)
     producer, edges = c.producer, c.edges
-    # Depth-first post-order from the output, with an explicit stack so that
-    # depth costs no recursion: (wire, None) visits the wire, and (wire,
-    # edge), pushed under its unnamed arguments, writes the edge's gate once
-    # they are named.
-    stack: list[tuple[int, Optional[Edge]]] = [(c.root, None)]
-    while stack:
-        v, e = stack.pop()
-        if e is not None:
-            names[v] = name = f"n{len(body) + 1}"
-            body.append(" ".join((name, "=", e.label.kind.name, *map(names.__getitem__, e.args))))
-        elif v not in names:
-            e = edges[producer[v]]
-            if e.label.kind is INPUT:
-                names[v] = label_name(e.label)
-            else:
-                names[v] = ""
-                stack.append((v, e))
-                for a in reversed(e.args):
-                    if a not in names:
-                        stack.append((a, None))
-    lines = ["ckt 1", f"basis {c.basis}", f"inputs {c.num_inputs}", *body, f"output {names[c.root]}"]
-    return "\n".join(lines) + "\n"
+    body = [
+        " ".join((name, "=", e.label.kind.name, *map(names.__getitem__, e.args)))
+        for v, name in names.items()
+        if (e := edges[producer[v]]).label.kind is not INPUT
+    ]
+    return "\n".join(("ckt 1", f"basis {c.basis}", f"inputs {c.num_inputs}", *body, f"output {names[c.root]}")) + "\n"

@@ -41,6 +41,7 @@ from .circuits import (
     topo_order,
     u2_label,
 )
+from .terms import DEMORGAN_BASIS, U2_BASIS
 from .textio import parse_circuit
 
 # The tables below are computed from the truth rows of the label table.  A
@@ -48,7 +49,7 @@ from .textio import parse_circuit
 _OP_OF_TRUTH = {truth: op for op, truth in U2_TRUTH.items()}
 
 # The op of each u2 kind.
-OPS: dict[LabelKind, int] = {KINDS[f"U2_{op}"]: op for op in U2_TRUTH}
+OPS: dict[LabelKind, int] = {kind: op for op, kind in enumerate(U2_BASIS.kinds, 1)}
 
 # COMPOSE[kind][4o + 2p + q] is the u2 op computing kind with its first
 # argument negated if p, its second if q and its output if o.  It covers the
@@ -96,8 +97,8 @@ def _translate(c: Circuit) -> Circuit:
     while (e := c.producer_edge(top)).label.kind in NEGATES:
         top, flip = e.args[NEGATES[e.label.kind]], flip ^ 1
     top_edge = c.producer[top]
-    basis = "u2" if c.basis == "demorgan" else "demorgan"
-    builder = CircuitBuilder(c.num_inputs, basis)
+    target = U2_BASIS if c.basis == DEMORGAN_BASIS.name else DEMORGAN_BASIS
+    builder = CircuitBuilder(c.num_inputs, target.name)
     wires: dict[int, tuple[int, int]] = {}
     negated: dict[int, int] = {}
 
@@ -118,7 +119,7 @@ def _translate(c: Circuit) -> Circuit:
             (w1, p1), (w2, p2) = wires[e.args[0]], wires[e.args[1]]
             o = flip if eid == top_edge else 0
             op = COMPOSE[kind][4 * o + 2 * p1 + p2]
-            if basis == "u2":
+            if target is U2_BASIS:
                 w = builder.u2(op, w1, w2)
             else:
                 gate, n1, n2 = TO_DEMORGAN[op]
@@ -135,8 +136,8 @@ def demorgan_to_u2(c: Circuit) -> Circuit:
     negation splits implicitly), and a negated output complements the top
     gate.  Constants are out of scope: normalize first.
     """
-    if c.basis != "demorgan":
-        raise CircuitError("expected a demorgan circuit")
+    if c.basis != DEMORGAN_BASIS.name:
+        raise CircuitError(f"expected a {DEMORGAN_BASIS.name} circuit")
     if any(e.label.kind in (CONST0.kind, CONST1.kind) for e in c.edges.values()):
         raise CircuitError("translation applies to constant-free (normalized) circuits")
     if circuit_size(c) == 0:  # without constants, the output is a chain of NOTs over an input
@@ -152,12 +153,20 @@ def u2_to_demorgan(c: Circuit) -> Circuit:
     and each gate of op 7..14 that the output still reads becomes one and/or
     gate.  An output that resolves to an input literal becomes that literal.
     """
-    if c.basis != "u2":
-        raise CircuitError("expected a u2 circuit")
+    if c.basis != U2_BASIS.name:
+        raise CircuitError(f"expected a {U2_BASIS.name} circuit")
     for eid, e in sorted(c.edges.items()):
         if e.label.kind in OPS and e.label.kind not in COMPOSE and e.label.kind not in NEGATES:
             raise CircuitError(f"edge {eid}: degenerate op {OPS[e.label.kind]}; not translatable")
     return _translate(c)
+
+
+def _negation(c: Circuit, eid: int) -> tuple[Edge, int]:
+    """The op-4/6 gate ``eid`` of a u2 circuit, and the wire it negates; refuses any other edge."""
+    e = c.edges[eid]
+    if c.basis != U2_BASIS.name or e.label.kind not in NEGATES:
+        raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
+    return e, e.args[NEGATES[e.label.kind]]
 
 
 def push_up(c: Circuit, eid: int) -> Circuit:
@@ -166,10 +175,7 @@ def push_up(c: Circuit, eid: int) -> Circuit:
     The gate's surviving argument is wired through and each reader's op is
     replaced so it computes the same value from the un-negated wire.
     """
-    e = c.edges[eid]
-    if c.basis != "u2" or e.label.kind not in NEGATES:
-        raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    kept = e.args[NEGATES[e.label.kind]]
+    e, kept = _negation(c, eid)
     out = e.result
     if out == c.root:
         raise CircuitError("the negation gate is the output; nothing to relabel above it")
@@ -199,10 +205,7 @@ def push_down(c: Circuit, eid: int) -> Circuit:
     else; an input cannot be complemented in place, which is exactly the
     asymmetry that makes both push directions necessary.
     """
-    e = c.edges[eid]
-    if c.basis != "u2" or e.label.kind not in NEGATES:
-        raise CircuitError(f"edge {eid} is not an op-4/6 negation gate")
-    negarg = e.args[NEGATES[e.label.kind]]
+    e, negarg = _negation(c, eid)
     pid = c.producer[negarg]
     pe = c.edges[pid]
     if OPS.get(pe.label.kind) not in COMPLEMENT:

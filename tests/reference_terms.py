@@ -17,7 +17,7 @@ import random
 from typing import Optional
 
 from gatelim.terms import (
-    KINDS,
+    DEMORGAN_BASIS,
     Binding,
     CriticalPair,
     Op,
@@ -95,7 +95,7 @@ def critical_pairs(trs: TRS) -> list[CriticalPair]:
 
 def random_term(rng: random.Random, max_depth: int) -> Term:
     """A random term over x1, x2 and x3 at most max_depth deep; each node is drawn before its arguments."""
-    formula_kinds = [kind for kind in KINDS.values() if kind.term]
+    formula_kinds = DEMORGAN_BASIS.kinds  # the formula signature
     leaves = tuple(Op(kind) for kind in formula_kinds if not kind.arity) + (Var("x1"), Var("x2"), Var("x3"))
     ops = tuple(kind for kind in formula_kinds if kind.arity)
     open_: list = []  # operator nodes still missing arguments, outermost first

@@ -10,10 +10,12 @@ from gen import (
     neartight_parity,
     random_circuit,
     renumbered,
+    revertexed,
     term_truth_table,
     truth_table,
     undersized_circuit,
 )
+from reference_circuits import isomorphic as reference_isomorphic
 from reference_rewrite import kahn_order
 
 from gatelim.circuits import (
@@ -30,6 +32,7 @@ from gatelim.circuits import (
     OR,
     U2_TRUTH,
     bisimilar,
+    canonical_names,
     circuit_size,
     evaluate,
     isomorphic,
@@ -41,7 +44,7 @@ from gatelim.circuits import (
 )
 from gatelim.refuter import xor_circuit
 from gatelim.rewrite import WorkingGraph, substitute_input
-from gatelim.terms import And, Not, Or, Var
+from gatelim.terms import BASES, And, Not, Or, Var
 from gatelim.textio import parse_circuit, serialize_circuit
 
 
@@ -110,8 +113,8 @@ def builder_programs(draw):
     """
     n = draw(st.integers(0, 3))
     basis = draw(st.sampled_from(("demorgan", "u2")))
-    own = [label for label in LABELS.values() if label.kind.basis == basis]
-    other = [label for label in LABELS.values() if label.kind.basis != basis]
+    own = [label for label in LABELS.values() if label.kind in BASES[basis].kinds]
+    other = [label for label in LABELS.values() if label.kind not in BASES[basis].kinds]
     calls, edges, inputs = [], {}, {}
 
     def unread():
@@ -462,6 +465,45 @@ def test_isomorphic_implies_bisimilar_and_same_size():
         assert isomorphic(c, shifted)
         assert bisimilar(c, shifted)
         assert circuit_size(c) == circuit_size(shifted)
+
+
+def isomorphism_pool(rng):
+    """Small circuits with their renumbered and revertexed copies, copies declaring one more input,
+    and copies carrying an unreachable edge, some of them as many vertices as another circuit."""
+    b = CircuitBuilder(2)
+    bases = [b.build(b.input(2)), xor_circuit(2), xor_circuit(3), neartight_parity(4, 2)]
+    bases += [random_circuit(rng, rng.randint(1, 3), rng.randint(1, 4)) for _ in range(20)]
+    pool = []
+    for c in bases:
+        pool += [c, renumbered(c, rng), revertexed(c, rng), Circuit(c.edges, c.root, c.num_inputs + 1)]
+        # an unreachable NOT of a wire, and an unreachable gate standing in for the output
+        top = max(c.edges) + 1
+        for extra in (Edge(NOT, (max(c.vertices) + 1, c.root)), Edge(OR, (max(c.vertices) + 1, c.root, c.root))):
+            pool.append(Circuit({**c.edges, top: extra}, c.root, c.num_inputs))
+    return pool
+
+
+def test_isomorphic_agrees_with_the_root_morphism_reference():
+    pool = isomorphism_pool(random.Random(9))
+    agreed = 0
+    for a in pool:
+        for b in pool:
+            got = isomorphic(a, b)
+            assert got == reference_isomorphic(a, b), (serialize_circuit(a), serialize_circuit(b))
+            agreed += got
+    assert agreed > 16 * len(pool) // 6  # the four reachable copies of each circuit, and random ones collide
+
+
+def test_canonical_names_name_the_serialized_gates():
+    c = xor_circuit(3)
+    names = canonical_names(c)
+    assert len(names) == len(c.vertices)
+    gates = [name for v, name in names.items() if c.producer_edge(v).label.kind is not INPUT]
+    assert gates == [f"n{k}" for k in range(1, len(gates) + 1)]
+    text = serialize_circuit(c).splitlines()
+    assert [line.split()[0] for line in text[3:-1]] == gates and text[-1] == f"output {names[c.root]}"
+    shifted = revertexed(renumbered(c, random.Random(4)), random.Random(5))
+    assert sorted(canonical_names(shifted).values()) == sorted(names.values())
 
 
 def test_evaluate_agrees_with_term_semantics():

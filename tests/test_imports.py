@@ -4,7 +4,9 @@ import ast
 import functools
 import importlib
 import inspect
+import io
 import sys
+import tokenize
 import typing
 from pathlib import Path
 
@@ -50,3 +52,35 @@ def test_every_annotation_resolves():
             typing.get_type_hints(obj)  # raises NameError on a name the module does not bind
             checked += 1
     assert checked > 200
+
+
+def docstring_lines(tree):
+    """The numbers of the lines that a module, class or function docstring spans."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return lines
+
+
+def test_only_the_basis_table_names_a_basis():
+    # Every fact about a basis is read from its row of ``terms.BASES``, so no other module spells a basis name.
+    from gatelim.terms import BASES
+
+    assert {"demorgan", "u2"} <= set(BASES)
+    found = []
+    for path in SOURCES:
+        if path.name == "terms.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        docs = docstring_lines(ast.parse(text))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.STRING and tok.start[0] not in docs:
+                try:
+                    value = ast.literal_eval(tok.string)
+                except ValueError:  # an f-string
+                    continue
+                if value in BASES:
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []

@@ -67,7 +67,7 @@ def test_rule_table_matches_the_formula_system():
 
 
 def test_demorgan_system_derives_what_the_matcher_reads():
-    assert DEMORGAN.basis == "demorgan" and DEMORGAN.trs == TRS_B
+    assert DEMORGAN.trs == TRS_B
     assert DEMORGAN.inner == {NOT.kind}
     assert {kind.name: [r.name for r in rules] for kind, rules in DEMORGAN.by_root.items()} == {
         "CONST0": ["zero_elim"],
@@ -97,7 +97,7 @@ def test_a_system_reading_deeper_than_the_candidate_key_is_refused():
     g = Var("g")
     deep = TermRule("deep", And(Not(Not(g)), g), g)  # the inner NOT has an argument two hops down
     with pytest.raises(ValueError, match="deeper than the candidate key reads"):
-        System("demorgan", TRS((deep,)))
+        System(TRS((deep,)))
 
 
 def dedup_and_tautology():
@@ -110,7 +110,7 @@ def dedup_and_tautology():
 
 def test_each_system_has_its_own_candidate_memo():
     (and_dedup,) = [r for r in TRS_B.rules if r.name == "and_dedup"]
-    system = System("demorgan", TRS((and_dedup,)))
+    system = System(TRS((and_dedup,)))
     dedup, taut, c = dedup_and_tautology()
     assert [r.name for r in DEMORGAN.candidates(c, taut)] == ["taut_and_right"]
     assert DEMORGAN.memo[AND.kind, (INPUT, NOT.kind, INPUT), (0, 1, 0)] == DEMORGAN.candidates(c, taut)
@@ -125,7 +125,7 @@ def test_each_system_has_its_own_candidate_memo():
 
 def test_an_empty_system_builds_and_offers_no_rule():
     # every term is normal in it; a completion starts from such partial rule sets
-    empty = System("demorgan", TRS(()))
+    empty = System(TRS(()))
     assert empty.rules == () and empty.by_root == {} and empty.inner == frozenset()
     dedup, taut, c = dedup_and_tautology()
     b = CircuitBuilder(1)
@@ -185,7 +185,7 @@ def test_a_node_object_at_two_right_hand_positions_is_spliced_per_occurrence():
     gh = And(g, h)
     rule = TermRule("absorb", Or(g, gh), And(Or(g, gh), Or(g, Not(gh))))
     assert rule.rhs.args[0].args[1] is rule.rhs.args[1].args[1].args[0]
-    system = System("demorgan", TRS((rule,)))
+    system = System(TRS((rule,)))
     assert system.inner == {AND.kind}
     b = CircuitBuilder(2)
     x1, x2 = b.input(1), b.input(2)
