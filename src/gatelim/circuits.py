@@ -40,11 +40,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import terms
-from .terms import BASES, DEMORGAN_BASIS, INPUT, KINDS, U2_BASIS, U2_TRUTH, LabelKind
-
-
-class CircuitError(Exception):
-    pass
+from .terms import BASES, DEMORGAN_BASIS, INPUT, KINDS, U2_BASIS, U2_TRUTH, CircuitError, LabelKind
 
 
 class Label(NamedTuple):

@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage or parse error, 2 precondition violation
 (e.g. refuting a circuit that is not undersized), 3 internal error -
 something the library guarantees failed to hold, which is a bug, or the
 interpreter ran out of stack or memory.
+
+Each command imports the modules it runs when it runs, so a process loads
+only those: ``trs check`` loads ``terms`` alone, and ``translate`` loads no
+``rewrite`` or ``refuter``.  The errors ``main`` maps to exit codes are
+defined in ``terms``, which every command loads.
 """
 
 from __future__ import annotations
@@ -11,12 +16,29 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 from typing import Optional, Sequence
 
-from . import refuter, rewrite, terms, textio, u2
-from .circuits import Circuit, CircuitError, circuit_size, evaluate, isomorphic
+from . import terms
+
+
+def _bound_before() -> dict:
+    from . import refuter, rewrite, textio, u2
+    from .circuits import Circuit, CircuitError, circuit_size, evaluate, isomorphic
+
+    return locals()
+
+
+def __getattr__(name: str) -> object:
+    """A name ``cli`` bound when it imported every module at once: those modules and the circuit names.
+
+    Read as an attribute of ``cli``, it is loaded then, with the rest of them.
+    """
+    if not name.startswith("__"):
+        found = _bound_before()
+        if name in found:
+            return found[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -38,16 +60,26 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _load(path: str) -> Circuit:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return textio.parse_circuit(text)
+
+
+def _write(text: str) -> None:
+    """Write text to stdout and flush it: a write that fails fails here, as a usage error, not at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def _write_trace(path: str, records: Sequence[dict]) -> None:
+    import json
+
     try:
         with open(path, "w") as handle:
             for record in records:
@@ -57,13 +89,17 @@ def _write_trace(path: str, records: Sequence[dict]) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    c = _load(args.file)  # parsing builds the circuit, and building validates it
-    print(f"valid: {len(c.edges)} edges, {circuit_size(c)} binary gates, basis {c.basis}")
+    from . import circuits, textio
+
+    c = textio.parse_circuit(_read(args.file))  # parsing builds the circuit, and building validates it
+    _write(f"valid: {len(c.edges)} edges, {circuits.circuit_size(c)} binary gates, basis {c.basis}\n")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    c = _load(args.file)
+    from . import circuits, textio
+
+    c = textio.parse_circuit(_read(args.file))
     if not all(ch in "01" for ch in args.input) or len(args.input) != c.num_inputs:
         print(
             f"error: --input must be {c.num_inputs} bits of 0/1 (x1 leftmost)",
@@ -71,21 +107,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
         return 2
     bits = [int(ch) for ch in args.input]
-    print(evaluate(c, bits))
+    _write(f"{circuits.evaluate(c, bits)}\n")
     return 0
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    c = _load(args.file)
+    from . import rewrite, textio
+
+    c = textio.parse_circuit(_read(args.file))
     normal, trace = rewrite.normalize_circuit(c, strategy=args.strategy, seed=args.seed)
     if args.trace is not None:
         _write_trace(args.trace, [s.as_dict() for s in trace.steps])
-    sys.stdout.write(textio.serialize_circuit(normal))
+    _write(textio.serialize_circuit(normal))
     return 0
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    c = _load(args.file)
+    from . import refuter, textio
+
+    c = textio.parse_circuit(_read(args.file))
     cex, outcome = refuter.refute_detailed(c)
     if args.trace is not None:
         records = []
@@ -100,58 +140,64 @@ def _cmd_refute(args: argparse.Namespace) -> int:
                 }
             )
         _write_trace(args.trace, records)
-    print("".join(str(b) for b in cex.input))
+    _write("".join(str(b) for b in cex.input) + "\n")
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    c = _load(args.file)
+    from . import textio, u2
+
+    c = textio.parse_circuit(_read(args.file))
     out = u2.demorgan_to_u2(c) if args.to == terms.U2_BASIS.name else u2.u2_to_demorgan(c)
-    sys.stdout.write(textio.serialize_circuit(out))
+    _write(textio.serialize_circuit(out))
     return 0
 
 
 def _cmd_trs_check(args: argparse.Namespace) -> int:
-    report = terms.certify_convergence(rewrite.DEMORGAN.trs, samples=args.samples, seed=args.seed)
-    print(f"rules: {report.rule_count}")
-    print(f"critical pairs: {report.pair_count}")
-    print(f"unjoinable pairs: {len(report.unjoinable)}")
-    print(f"weight samples: {report.weight_samples}, violations: {report.weight_violations}")
+    report = terms.certify_convergence(terms.demorgan_system(), samples=args.samples, seed=args.seed)
+    _write(
+        f"rules: {report.rule_count}\n"
+        f"critical pairs: {report.pair_count}\n"
+        f"unjoinable pairs: {len(report.unjoinable)}\n"
+        f"weight samples: {report.weight_samples}, violations: {report.weight_violations}\n"
+    )
     if not report.convergent:
         print("NOT CONVERGENT", file=sys.stderr)
         return 3
-    print("convergent: all critical pairs joinable, weight strictly decreasing")
+    _write("convergent: all critical pairs joinable, weight strictly decreasing\n")
     return 0
 
 
 def _cmd_schnorr_check(args: argparse.Namespace) -> int:
+    from . import circuits, refuter
+
     lower = refuter.schnorr_exhaustive_check()
     xor2 = refuter.xor_circuit(2)
     upper = all(
-        evaluate(xor2, (a, b)) == (a + b) % 2 for a in (0, 1) for b in (0, 1)
+        circuits.evaluate(xor2, (a, b)) == (a + b) % 2 for a in (0, 1) for b in (0, 1)
     )
-    print(f"no 2-input circuit with <= 2 binary gates computes parity: {lower}")
-    print(f"3-gate parity circuit correct on all 4 inputs: {upper}")
+    _write(
+        f"no 2-input circuit with <= 2 binary gates computes parity: {lower}\n"
+        f"3-gate parity circuit correct on all 4 inputs: {upper}\n"
+    )
     if not (lower and upper):
         return 3
     return 0
 
 
 def _cmd_demo_nonconfluence(args: argparse.Namespace) -> int:
+    from . import circuits, textio, u2
+
     witness, up, down = u2.nonconfluence_witness()
-    print("# witness")
-    sys.stdout.write(textio.serialize_circuit(witness))
-    print("# pushed up")
-    sys.stdout.write(textio.serialize_circuit(up))
-    print("# pushed down")
-    sys.stdout.write(textio.serialize_circuit(down))
+    _write("# witness\n" + textio.serialize_circuit(witness))
+    _write("# pushed up\n" + textio.serialize_circuit(up))
+    _write("# pushed down\n" + textio.serialize_circuit(down))
     table_equal = all(
-        evaluate(up, bits) == evaluate(down, bits) == evaluate(witness, bits)
+        circuits.evaluate(up, bits) == circuits.evaluate(down, bits) == circuits.evaluate(witness, bits)
         for bits in itertools.product((0, 1), repeat=witness.num_inputs)
     )
-    iso = isomorphic(up, down)
-    print(f"truth tables equal: {table_equal}")
-    print(f"isomorphic: {iso}")
+    iso = circuits.isomorphic(up, down)
+    _write(f"truth tables equal: {table_equal}\nisomorphic: {iso}\n")
     if not table_equal or iso:
         return 3
     return 0
@@ -216,13 +262,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except textio.ParseError as exc:
+    except terms.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except CircuitError as exc:
+    except terms.CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, refuter.InternalError, terms.BudgetError) as exc:
+    except (AssertionError, terms.InternalError, terms.BudgetError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:

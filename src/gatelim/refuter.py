@@ -37,14 +37,11 @@ from .circuits import (
     is_binary,
 )
 from .rewrite import WorkingGraph
+from .terms import InternalError
 
 
 class RefuterError(CircuitError):
     """A precondition of the refuter was violated (circuit not undersized)."""
-
-
-class InternalError(Exception):
-    """A guarantee of the refuter failed to hold: a bug, not a bad input."""
 
 
 def _check(ok: bool, message: str) -> None:

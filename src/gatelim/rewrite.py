@@ -512,23 +512,28 @@ class WorkingGraph(Circuit):
         of each class is kept, and the others go in the order of their
         classes' kept ids, ascending within a class.
         """
+        edges, table = self.edges, self.table
         merged: list[int] = []
         while self.unshared:
-            classes: dict[tuple, list[int]] = {}
-            for eid in self.unshared:
-                e = self.edges.get(eid)
+            unshared, self.unshared = self.unshared, set()
+            # The classes with a duplicate, by the id the table held when the first duplicate came: its key,
+            # then its ids.  Each key is hashed once, by ``setdefault``, which enters a new key with the
+            # first id met; only the classes here are sorted and set to their lowest id after.
+            classes: dict[int, list] = {}
+            for eid in unshared:
+                e = edges.get(eid)
                 if e is not None:
-                    classes.setdefault((e.label, e.args), []).append(eid)
-            self.unshared = set()
+                    key = (e.label, e.args)
+                    first = table.setdefault(key, eid)
+                    if first != eid:
+                        if first not in classes:
+                            classes[first] = [key, first]
+                        classes[first].append(eid)
             duplicates = []
-            for key, ids in classes.items():
-                owner = self.table.get(key)
-                if owner is not None:
-                    ids.append(owner)
+            for key, *ids in classes.values():
                 ids.sort()
-                self.table[key] = ids[0]
-                if len(ids) > 1:
-                    duplicates.append(ids)
+                table[key] = ids[0]
+                duplicates.append(ids)
             moves = []
             for keep, *others in sorted(duplicates):
                 for other in others:

@@ -46,12 +46,34 @@ from importlib import resources
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 
+# The package's errors.  They are defined here, in the module every command
+# loads, so that ``cli.main`` maps them to exit codes without loading the
+# modules of other commands; ``circuits``, ``textio`` and ``refuter`` bind
+# the same objects under their names.
+
+
 class BudgetError(RuntimeError):
     """A rewriting or unrolling budget was exhausted.
 
     The shipped systems terminate, so this firing indicates a bug rather
     than a legal outcome.
     """
+
+
+class CircuitError(Exception):
+    """A circuit breaks a structural invariant, or a precondition of an operation on it."""
+
+
+class ParseError(Exception):
+    """A line of circuit text that does not parse."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+class InternalError(Exception):
+    """A guarantee of the library failed to hold: a bug, not a bad input."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,16 +420,54 @@ def rewrite_step(trs: TRS, t: Term) -> Optional[tuple[Term, Position, str]]:
 def normalize_term(trs: TRS, t: Term) -> Term:
     """Rewrite to a fixpoint.  The result is the unique normal form.
 
+    One bottom-up pass: a node's arguments are normalized left to right,
+    then its root is tried, and a contractum is normalized in turn.  Its
+    variables' images are subterms of a redex whose arguments were normal,
+    so they are not entered again.  This fires the steps of ``rewrite_step``
+    repeated, in their order, without scanning from the root after each.
+
     Budget is 3x the initial weight; the weight strictly decreases per
     step, so exceeding it means the rule system is broken.
     """
     budget = 3 * term_weight(t)
-    for _ in range(budget + 1):
-        got = rewrite_step(trs, t)
-        if got is None:
-            return t
-        t = got[0]
-    raise BudgetError(f"no normal form within {budget} steps")
+    by_root = trs.by_root
+    steps = 0
+    values: list[Term] = []  # normal forms of the terms done, in order
+    # Terms to normalize; (u,) once u's arguments are the last of values; (p, binding) for a contractum's node p.
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            if len(u) == 2:
+                p, binding = u
+                if type(p) is Var:
+                    values.append(binding[p.name])
+                else:
+                    todo.append((p,))
+                    todo.extend((a, binding) for a in reversed(p.args))
+                continue
+            (u,) = u
+            k = len(values) - len(u.args)
+            args = values[k:]
+            del values[k:]
+            if any(a is not b for a, b in zip(args, u.args)):
+                u = Op(u.kind, *args)
+            for rule in by_root.get(u.kind, ()):
+                binding = match(rule.lhs, u)
+                if binding is not None:
+                    if steps == budget:
+                        raise BudgetError(f"no normal form within {budget} steps")
+                    steps += 1
+                    todo.append((rule.rhs, binding))
+                    break
+            else:
+                values.append(u)
+        elif type(u) is Var:
+            values.append(u)
+        else:
+            todo.append((u,))
+            todo.extend(reversed(u.args))
+    return values[0]
 
 
 def normalize_term_random(trs: TRS, t: Term, rng: random.Random) -> Term:
@@ -763,8 +823,14 @@ def load_identities(filename: str = "demorgan_identities.txt") -> list[tuple[Ter
     return out
 
 
+@functools.cache
 def demorgan_system() -> TRS:
-    """The shipped 16-rule simplification system, from the demorgan row's rule file."""
+    """The shipped 16-rule simplification system, from the demorgan row's rule file.
+
+    Loaded once per process: every caller, ``rewrite.DEMORGAN`` among them,
+    holds the one object, so ``trs check`` certifies the very system that
+    ``normalize`` runs.
+    """
     trs = load_rules(DEMORGAN_BASIS.rules)
     if len(trs.rules) != 16:
         raise RuleSyntaxError(f"expected 16 rules, found {len(trs.rules)}")

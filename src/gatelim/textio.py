@@ -30,13 +30,7 @@ from __future__ import annotations
 import re
 
 from .circuits import INPUT, LABELS, Circuit, CircuitBuilder, CircuitError, Label, canonical_names, u2_label
-from .terms import BASES, U2_BASIS, Basis
-
-
-class ParseError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+from .terms import BASES, U2_BASIS, Basis, ParseError
 
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")

@@ -6,9 +6,11 @@ outer left-hand side against every inner rule, whatever their root kinds,
 and ``unify`` substitutes the bindings into the bound term for every occurs
 check and again for the resolved mgu.  ``random_term`` draws and builds a
 term with its own loop, as before the draw was shared with the weight
-sampler.  They are slow and plainly correct, so the tests require the
-library to agree with them exactly: the same pairs in the same order with
-the same variable names, the same mgu, the same draws.
+sampler.  ``normalize_term`` fires one ``rewrite_step`` at a time, each
+scanning again from the root, as before the one bottom-up pass.  They are
+slow and plainly correct, so the tests require the library to agree with
+them exactly: the same pairs in the same order with the same variable names,
+the same mgu, the same draws, the same normal forms after the same steps.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 from gatelim.terms import (
     DEMORGAN_BASIS,
     Binding,
+    BudgetError,
     CriticalPair,
     Op,
     Term,
@@ -27,7 +30,9 @@ from gatelim.terms import (
     apply_substitution,
     positions,
     replace_at,
+    rewrite_step,
     subterm_at,
+    term_weight,
     variables,
 )
 
@@ -113,3 +118,14 @@ def random_term(rng: random.Random, max_depth: int) -> Term:
                 return t
         else:
             open_.append((rng.choice(ops), []))
+
+
+def normalize_term(trs: TRS, t: Term) -> Term:
+    """Rewrite to a fixpoint, one ``rewrite_step`` at a time: each step scans again from the root."""
+    budget = 3 * term_weight(t)
+    for _ in range(budget + 1):
+        got = rewrite_step(trs, t)
+        if got is None:
+            return t
+        t = got[0]
+    raise BudgetError(f"no normal form within {budget} steps")

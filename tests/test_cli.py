@@ -1,10 +1,14 @@
 """Command-line interface: commands, exit codes, trace files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gatelim import rewrite
+from gatelim import cli, rewrite
 from gatelim.circuits import isomorphic
 from gatelim.cli import main
 from gatelim.refuter import xor_circuit
@@ -308,3 +312,23 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert captured.err == ""
     assert captured.out == serialize_circuit(real_normalize(xor_circuit(4))[0])
     assert calls[-1] == ("det", 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", [["normalize"], ["translate", "--to", "u2"]])
+def test_stdout_that_cannot_be_written_is_a_usage_error(tmp_path, command):
+    # One line on stderr and exit 1, as for a trace file; no traceback, and nothing more at interpreter exit.
+    src = tmp_path / "x.ckt"
+    src.write_text(serialize_circuit(xor_circuit(4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "gatelim.cli", command[0], str(src), *command[1:]],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert run.returncode == 1
+    assert run.stderr.startswith("usage error: cannot write stdout:") and run.stderr.count("\n") == 1, run.stderr

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_terms as reference
+from gatelim import terms
 from gatelim.terms import (
     ONE,
     ZERO,
@@ -595,6 +596,68 @@ def test_term_operations_at_depth_ten_thousand():
     assert joinable(TRS_B, t, same)
     assert normalize_term(TRS_B, t) == t
     assert normalize_term(TRS_B, chain(DEEP, Not(Not(X1)))) == t
+
+
+# Not confluent: innermost-first turns (not (not one)) into (not zero), outermost-first into one.
+SKEWED = TRS(
+    (
+        TermRule("dneg", Not(Not(G)), G),
+        TermRule("not_one", Not(ONE), ZERO),
+        TermRule("or_zero", Or(G, ZERO), And(G, G)),
+        TermRule("and_dup", And(G, G), ONE),
+    )
+)
+
+
+def outcome_and_steps(monkeypatch, normalize, trs, t):
+    """normalize(trs, t), or the error it raises, and how many steps it fired: the matches that bound."""
+    steps = []
+    real_match = terms.match
+
+    def counting(*args):
+        binding = real_match(*args)
+        steps.append(binding is not None)
+        return binding
+
+    with monkeypatch.context() as m:
+        m.setattr(terms, "match", counting)
+        try:
+            outcome = normalize(trs, t)
+        except BudgetError as exc:
+            outcome = ("BudgetError", str(exc))
+    return outcome, sum(steps), len(steps)
+
+
+def test_normalize_term_fires_the_leftmost_innermost_steps(monkeypatch):
+    # The one pass against the restart loop: the same normal form after the same steps, or the same error.
+    assert normalize_term(SKEWED, Not(Not(ONE))) == Not(ZERO)
+    rng = random.Random(25)
+    cases = [(trs, random_term(rng, rng.randint(1, 7))) for _ in range(150) for trs in (TRS_B, SKEWED)]
+    cases += [(TRS(terms_rules_loop()), And(X1, X2)), (FLIP, And(X1, And(ONE, ONE))), (SKEWED, Or(X1, ZERO))]
+    fired = errors = 0
+    for trs, t in cases:
+        got, steps, _ = outcome_and_steps(monkeypatch, normalize_term, trs, t)
+        assert (got, steps) == outcome_and_steps(monkeypatch, reference.normalize_term, trs, t)[:2], t
+        fired += steps
+        errors += type(got) is tuple
+    assert fired > 300 and errors == 1
+
+
+def spread_chain(depth):
+    """``chain(depth)`` with every x2 written (and x2 one): a redex hangs off every level."""
+    t = X1
+    for k in range(depth):
+        t = (And if k % 2 == 0 else Or)(t, And(X2, ONE))
+    return t
+
+
+def test_normalize_term_on_spread_redexes_makes_linearly_many_matches(monkeypatch):
+    # 11 per level: the restart loop made 35,750 at depth 100, quadratically many, and took 5 s at depth 1,000.
+    for depth in (1_000, 2_000):
+        got, steps, calls = outcome_and_steps(monkeypatch, normalize_term, TRS_B, spread_chain(depth))
+        assert got == chain(depth) and steps == depth
+        assert calls == 11 * depth
+    assert outcome_and_steps(monkeypatch, reference.normalize_term, TRS_B, spread_chain(100))[1:] == (100, 35_750)
 
 
 def test_positions_and_redexes_at_depth_two_thousand():
