@@ -189,9 +189,12 @@ class Walk:
     producers have all popped, and ``waiting`` counts, for an edge that has
     not popped, the distinct argument wires whose producers have not; an edge
     without an entry has had none of them pop, or is ready.  ``grow`` is the
-    one Kahn loop: ``Circuit.walk`` runs it over a fresh walk without
-    recording the pops, and a ``rewrite.WorkingGraph`` keeps its walk,
-    recorded, across edits.  An edited walk may hold None in ``seq`` where a
+    Kahn loop over the whole circuit: ``Circuit.walk`` runs it over a fresh
+    walk without recording the pops, and a ``rewrite.WorkingGraph`` keeps
+    its walk, recorded, across edits.  ``walk_within`` is the other Kahn
+    loop, over a down-closed edge set alone; it repeats ``grow``'s release
+    loop with a membership test on each reader, kept out of ``grow`` so that
+    the whole-circuit walk pays nothing for it.  An edited walk may hold None in ``seq`` where a
     popped edge was deleted, edges in ``ready`` that are no longer ready, and
     deleted edges in ``waiting``; the recording loop skips an edge that has
     popped or that ``waiting`` holds.
@@ -309,6 +312,49 @@ class Walk:
                     break
         heapq.heappush(self.ready, eid)
         return False
+
+
+def down_closure(c: Circuit, eids: set[int], limit: int) -> Optional[set[int]]:
+    """The edges ``eids`` and every producer below them, or None once that is more than ``limit`` edges.
+
+    The set is down-closed: it holds the producer of each argument of each
+    of its edges.  ``eids`` is extended in place.  Every argument wire of
+    ``c`` must have a producer, as in a working graph between steps.
+    """
+    edges, producer = c.edges, c.producer
+    todo = list(eids)
+    while todo:
+        for v in edges[todo.pop()].args:
+            p = producer[v]
+            if p not in eids:
+                eids.add(p)
+                todo.append(p)
+        if len(eids) > limit:
+            return None
+    return eids
+
+
+def walk_within(c: Circuit, within: set[int]) -> Iterator[int]:
+    """Kahn's algorithm over the down-closed edge set ``within`` alone, ready edges on a min-id heap.
+
+    Its order is ``c.walk()``'s restricted to ``within`` (the down-closure
+    lemma of ``rewrite``), and it pops nothing outside.  Computed only as
+    far as it is consumed.
+    """
+    edges, readers = c.edges, c.readers
+    ready = [eid for eid in within if not edges[eid].args]
+    heapq.heapify(ready)
+    waiting: dict[int, int] = {}
+    while ready:
+        eid = heapq.heappop(ready)
+        yield eid
+        for r in readers.get(edges[eid].result, ()):
+            if r in within:
+                k = waiting.pop(r, 0) or len(set(edges[r].args))
+                if k == 1:
+                    heapq.heappush(ready, r)
+                else:
+                    waiting[r] = k - 1
 
 
 def reachable_edges(edges: dict[int, Edge], root: int) -> set[int]:

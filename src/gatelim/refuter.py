@@ -74,9 +74,13 @@ class Restriction:
         return frozenset(i for i in range(1, self.n + 1) if i not in fixed)
 
     def assign(self, var: int, bit: int) -> "Restriction":
-        if any(v == var for v, _ in self.assigned):
+        """The restriction with x_var fixed to the bit; its ``active`` is this one's without var."""
+        active = self.active
+        if var not in active and any(v == var for v, _ in self.assigned):
             raise ValueError(f"x{var} already assigned")
-        return Restriction(self.n, self.assigned + ((var, int(bit)),))
+        child = Restriction(self.n, self.assigned + ((var, int(bit)),))
+        child.__dict__["active"] = active - {var}  # what ``active`` would compute, cached
+        return child
 
     def completion(self) -> tuple[int, ...]:
         """The total assignment extending the restriction with every active bit 0."""
@@ -190,7 +194,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
     if circuit_size(c) >= 3 * (n - 1):
         raise RefuterError(f"circuit size {circuit_size(c)} is not below 3(n-1) = {3 * (n - 1)}")
     work = WorkingGraph(c)
-    work.normalize()
+    work._normalize()
     restriction = Restriction(n)
     iterations: list[IterationRecord] = []
     while len(restriction.active) > 2:
@@ -222,7 +226,7 @@ def search_bad_restriction(c: Circuit) -> RefuterOutcome:
         restriction = restriction.assign(p, bit)
         size_before = work.size
         work.substitute(p, bit)
-        work.normalize()
+        work._normalize()
         size_after = work.size
         _check(
             size_after <= size_before - 3,

@@ -262,7 +262,7 @@ def replayed_graph(c: Circuit) -> WorkingGraph:
     g = WorkingGraph.__new__(WorkingGraph)
     g.root, g.num_inputs, g.basis = c.root, c.num_inputs, c.basis
     g.edges, g.producer, g.readers, g.inputs, g.table, g.redexes = {}, {}, {}, {}, {}, {}
-    g.leaves, g.touched, g.unshared = set(), set(), set()
+    g.leaves, g.touched, g.rewired, g.unshared = set(), set(), set(), set()
     g.size = g.measure = g.inverted = 0
     g.kept = None
     for eid, e in c.edges.items():

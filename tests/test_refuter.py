@@ -122,6 +122,24 @@ def test_restriction_bookkeeping():
         r.assign(2, 0)
 
 
+def test_assign_derives_active_as_a_fresh_restriction_computes_it():
+    # ``assign`` passes the child its active set, derived from the parent's;
+    # fields, equality, hash, repr and the reassignment error stay the same.
+    rng = random.Random(71)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        r = Restriction(n)
+        for var in rng.sample(range(0, n + 2), rng.randint(1, n + 2)):
+            bit = rng.randint(0, 1)
+            r = r.assign(var, bit)
+            fresh = Restriction(n, r.assigned)
+            assert r.active == fresh.active == frozenset(range(1, n + 1)) - {v for v, _ in r.assigned}
+            assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
+            assert r.assigned[-1] == (var, bit)
+            with pytest.raises(ValueError, match=f"x{var} already assigned"):
+                r.assign(var, 1 - bit)
+
+
 def test_search_degen_on_unread_input():
     b = CircuitBuilder(4)
     c = b.build(b.and_(b.and_(b.input(1), b.input(2)), b.input(3)))
@@ -337,15 +355,17 @@ def test_brute_force_agreeing_with_parity_is_an_internal_error(monkeypatch):
 
 
 def test_round_removing_fewer_than_three_gates_is_an_internal_error(monkeypatch):
-    real_normalize = WorkingGraph.normalize
+    # A round normalizes through ``_normalize``, the loop that records no steps.
+    real_normalize = WorkingGraph._normalize
     calls = []
 
     def normalize_only_first(graph, *args, **kwargs):
         # later rounds leave the substituted graph unsimplified
         calls.append(graph)
-        return real_normalize(graph, *args, **kwargs) if len(calls) == 1 else []
+        if len(calls) == 1:
+            real_normalize(graph, *args, **kwargs)
 
-    monkeypatch.setattr(WorkingGraph, "normalize", normalize_only_first)
+    monkeypatch.setattr(WorkingGraph, "_normalize", normalize_only_first)
     with pytest.raises(InternalError, match="must remove >= 3 gates"):
         search_bad_restriction(neartight_parity(6, 6))
     assert len(calls) == 2

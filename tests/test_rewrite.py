@@ -1,5 +1,6 @@
 """Circuit rewriting: redex detection, the proper step, and the driver."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -806,6 +807,90 @@ def test_redex_choice_equals_a_full_walk(checked_order):
     assert checked_order["walk"] > 150
 
 
+def test_det_choice_is_the_head_of_a_full_walk(monkeypatch):
+    # ``first`` skips ``ordered`` when a down-closure decides, so it is
+    # checked on its own: at every det choice, against a fresh full walk.
+    real_first, real_closure = WorkingGraph.first, rewrite.down_closure
+    choices = collections.Counter()
+
+    def checking_first(graph):
+        if len(graph.redexes) == 1:
+            branch = "one site"
+        elif not graph.inverted:
+            branch = "no inversions"
+        else:
+            branch = "kept walk" if graph.kept is not None else "closure"
+        got = real_first(graph)
+        assert got == walk_order(graph)[0]
+        choices[branch] += 1
+        return got
+
+    def counting_closure(c, eids, limit):
+        out = real_closure(c, eids, limit)
+        choices["over budget"] += out is None
+        return out
+
+    monkeypatch.setattr(WorkingGraph, "first", checking_first)
+    monkeypatch.setattr(rewrite, "down_closure", counting_closure)
+    rng = random.Random(70)
+    for _ in range(30):
+        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 16))
+        fed = constant_fed(c, rng)
+        for circuit in (c, fed, renumbered(fed, rng), revertexed(fed, rng), revertexed(renumbered(c, rng), rng)):
+            normalize_circuit(circuit)
+    for _ in range(4):
+        normalize_circuit(renumbered(constant_dag(rng, rng.randint(6, 10), 64, 8, 0.25), rng))
+    for n in range(5, 13):
+        for pos in range(2, n + 1):
+            search_bad_restriction(neartight_parity(n, pos))
+    assert min(choices[b] for b in ("one site", "no inversions", "kept walk", "closure")) > 100, choices
+    assert choices["over budget"] > 20, choices
+
+
+@st.composite
+def dags_with_a_down_closed_subset(draw):
+    """A circuit whose edge ids do not follow its shape, and a down-closed set of its edges."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    c = renumbered(random_circuit(rng, draw(st.integers(1, 6)), draw(st.integers(1, 30))), rng)
+    tops = {eid for eid in c.edges if draw(st.booleans())}
+    return c, rewrite.down_closure(c, tops, len(c.edges))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dags_with_a_down_closed_subset())
+def test_least_order_restricted_to_a_down_closed_set_is_its_own(dag):
+    # The down-closure lemma: the least Kahn order of the whole graph,
+    # restricted to a down-closed set S, is the least Kahn order of S alone.
+    c, down = dag
+    own = list(Circuit({eid: c.edges[eid] for eid in down}, c.root, c.num_inputs).walk())
+    assert [eid for eid in c.walk() if eid in down] == own
+    assert list(rewrite.walk_within(c, down)) == own
+
+
+def test_a_rewired_edge_rematches_its_readers_only_when_its_kind_is_read_below():
+    # x3's readers come to read x1 instead.  The AND keeps its kind, so the OR
+    # above it is not matched again; NOT is in ``DEMORGAN.inner``, so the
+    # readers of a rewired NOT are.
+    b = CircuitBuilder(3)
+    x1, x2, x3 = (b.input(i) for i in (1, 2, 3))
+    conj, neg = b.and_(x2, x3), b.not_(x3)
+    disj, conj2 = b.or_(conj, x1), b.and_(neg, x2)
+    c = b.build(b.or_(disj, conj2))
+    assert DEMORGAN.inner == {NOT.kind}
+    graph = WorkingGraph(c)
+    graph.normalize()
+    assert graph.redexes == {}
+    matched = []
+    real_match = WorkingGraph._match
+    graph._match = lambda site: (matched.append(site), real_match(graph, site))
+    graph._redirect(x3, x1)
+    assert graph.touched == set() and graph.rewired == {conj, neg}
+    graph.rematch()
+    assert sorted(matched) == sorted([conj, neg, conj2])
+    assert graph.rewired == set()
+    assert graph.redexes == {} and redex_keys(find_redexes(graph.snapshot())) == []
+
+
 def assert_kept_walk_is_fresh(graph):
     """The kept walk, without its deleted positions, is a prefix of a fresh walk, and grows into all of it.
 
@@ -966,18 +1051,25 @@ def test_the_lazy_draw_picks_what_choice_of_the_whole_list_picks():
 def test_kept_walk_pops_and_undos_on_constant_fed_dags(monkeypatch):
     """Kahn pops plus undos of normalizing seeded constant-fed DAGs, ``det`` and ``rand``.
 
-    Before the walk was kept on the graph, each choice with inversions and
-    two or more live sites walked from the leaves again, and ``rand`` walked
-    to the last live site: 1,947 pops for ``det`` and 7,139 for ``rand``
-    here, over 597 steps.
+    Pops count those of the kept walk and those of ``det``'s down-closure
+    walks.  Before the walk was kept on the graph, each choice with
+    inversions and two or more live sites walked from the leaves again, and
+    ``rand`` walked to the last live site: 1,947 pops for ``det`` and 7,139
+    for ``rand`` here, over 597 steps.  With the kept walk alone, before
+    ``det`` chose by down-closures, it took 456 pops and 59 undos; now 435
+    walk pops, 30 closure pops and 59 undos.  Without the closure budget
+    (``CLOSURE_SHARE``), ``det`` keeps no walk and takes 1,402.
     """
     counts = {"pops": 0, "undos": 0}
-    real_grow, real_cut = Walk.grow, Walk.cut
+    real_grow, real_cut, real_within = Walk.grow, Walk.cut, rewrite.walk_within
 
-    def counting_grow(walk, *args, **kwargs):
-        for eid in real_grow(walk, *args, **kwargs):
-            counts["pops"] += 1
-            yield eid
+    def counting(walk):
+        def run(*args, **kwargs):
+            for eid in walk(*args, **kwargs):
+                counts["pops"] += 1
+                yield eid
+
+        return run
 
     def counting_cut(walk, c, p):
         popped = len(walk.pos)
@@ -986,7 +1078,8 @@ def test_kept_walk_pops_and_undos_on_constant_fed_dags(monkeypatch):
             counts["undos"] += popped - len(walk.pos)
         return dropped
 
-    monkeypatch.setattr(Walk, "grow", counting_grow)
+    monkeypatch.setattr(Walk, "grow", counting(real_grow))
+    monkeypatch.setattr(rewrite, "walk_within", counting(real_within))
     monkeypatch.setattr(Walk, "cut", counting_cut)
     rng = random.Random(65)
     work = {"det": 0, "rand": 0}
@@ -999,7 +1092,7 @@ def test_kept_walk_pops_and_undos_on_constant_fed_dags(monkeypatch):
             steps += len(trace.steps)
             work[strategy] += counts["pops"] + counts["undos"]
     assert steps == 597
-    assert work == {"det": 456 + 59, "rand": 1193 + 505}
+    assert work == {"det": 435 + 30 + 59, "rand": 1193 + 505}
 
 
 def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
@@ -1054,7 +1147,7 @@ def entry_circuits(draw):
 
 
 ENTRY_INDEXES = (
-    "edges", "producer", "root", "readers", "leaves", "inputs", "table", "unshared",
+    "edges", "producer", "root", "readers", "leaves", "inputs", "table", "unshared", "rewired",
     "size", "measure", "inverted", "top_v", "top_e", "orphans",
 )  # fmt: skip
 
@@ -1075,7 +1168,7 @@ def assert_entry_is_the_replay(c):
     for name in ENTRY_INDEXES:
         assert getattr(bulk, name) == getattr(replay, name), name
     assert bulk.redexes == replay.redexes
-    assert bulk.touched == replay.touched == set()
+    assert bulk.touched == replay.touched == bulk.rewired == set()
     return inverted, len(merged), len(bulk.redexes)
 
 
