@@ -447,9 +447,11 @@ def topo_order(c: Circuit) -> list[int]:
 
 
 def evaluate(c: Circuit, bits: Sequence[int]) -> int:
-    """The bit computed at the root; bits[i] is the value of x_{i+1}."""
+    """The bit computed at the root; bits[i] is the value of x_{i+1}, 0 or 1."""
     if len(bits) != c.num_inputs:
         raise CircuitError(f"assignment has {len(bits)} bits, circuit declares {c.num_inputs} inputs")
+    if not {*bits} <= {0, 1}:
+        raise CircuitError(f"assignment {tuple(bits)} holds a value that is not a bit")
     value: dict[int, int] = {}
     for eid in topo_order(c):
         e = c.edges[eid]

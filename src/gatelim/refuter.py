@@ -15,6 +15,36 @@ shrinking the instance.  Rounds (c) preserve the invariant that the circuit
 is too small for parity on the remaining variables, so after at most n-2
 rounds only two variables remain with fewer than three gates, and the four
 completions can be brute-forced.
+
+A round normalizes with ``det``, the first redex of the one order
+(``rewrite``), and its outcome depends on that order only through the ids
+of the gates that survive:
+
+1. Every right-hand side of the 16 rules is a variable, ``one`` or
+   ``(not one)``.  So no step builds a binary gate, and each binary gate of
+   a normal form is a gate of the input, under its input id.
+2. Take an input numbered topologically, as every parsed or built circuit
+   is.  Only spliced constants, whose ids are new, and the readers of
+   constant wires are ever inverted: a variable right-hand side or a merge
+   moves readers onto a wire with a lower id.  A normal form that keeps a
+   binary gate has no constant edge, so it has no inversion, and the walk
+   that a round reads is ascending edge id.
+3. So ``h``, ``f`` and ``f_prime`` depend only on which binary gates
+   survive.  Convergence does not fix that: it fixes the normal form up to
+   isomorphism, and of two gates that would become copies of each other,
+   the order decides which one lives to keep its id.  With
+   ``z = not one``, take ``a = and(x3, z)``, ``b = or(x2, a)``,
+   ``c = and(x1, b)``, ``d = and(c, z)``, ``e = and(x1, x2)`` and the
+   output ``or(e, d)``, numbered in that order.  Firing at ``b`` first
+   turns ``c`` into ``and(x1, x2)``, and sharing keeps ``c``, the lower
+   id; firing at ``d`` first leaves ``c`` unread, it is collected, and
+   ``e`` survives.
+
+So no round fires just any live redex.  The tests check the rule shape, the
+absence of inversions after every round that keeps a binary gate, and whole
+outcomes against a refuter that normalizes every round from scratch with
+``det``, on renumbered inputs too, where step 2 does not hold, and on
+circuits built around the case of step 3.
 """
 
 from __future__ import annotations
@@ -74,10 +104,17 @@ class Restriction:
         return frozenset(i for i in range(1, self.n + 1) if i not in fixed)
 
     def assign(self, var: int, bit: int) -> "Restriction":
-        """The restriction with x_var fixed to the bit; its ``active`` is this one's without var."""
+        """The restriction with x_var fixed to the bit; its ``active`` is this one's without var.
+
+        Raises ValueError unless x_var is active and the bit is 0 or 1.
+        """
         active = self.active
-        if var not in active and any(v == var for v, _ in self.assigned):
+        if not 1 <= var <= self.n:
+            raise ValueError(f"x{var} is not a variable of x1..x{self.n}")
+        if var not in active:
             raise ValueError(f"x{var} already assigned")
+        if bit not in (0, 1):
+            raise ValueError(f"x{var} cannot be fixed to {bit!r}, which is not a bit")
         child = Restriction(self.n, self.assigned + ((var, int(bit)),))
         child.__dict__["active"] = active - {var}  # what ``active`` would compute, cached
         return child

@@ -172,7 +172,7 @@ import heapq
 import random
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .circuits import (
     CONST0,
@@ -280,8 +280,7 @@ def _require_rules(c: Circuit, what: str) -> None:
         raise CircuitError(f"{what} is defined for {DEMORGAN_BASIS.name} circuits")
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     site: int
     rule: TermRule
     binding: Mapping[str, int]  # each left-hand variable's wire

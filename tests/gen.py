@@ -10,6 +10,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from gatelim.circuits import INPUT, Circuit, CircuitBuilder, Edge, circuit_size, topo_order
+from gatelim.rewrite import substitute_input
 from gatelim.terms import Term, evaluate_term
 from gatelim.textio import parse_circuit
 
@@ -74,6 +75,38 @@ def neartight_parity(n: int, weak_at: int) -> Circuit:
     return b.build(acc)
 
 
+def merge_or_collect(rng: random.Random, n: int) -> Circuit:
+    """Near-tight parity whose block of a random x_k builds its left gate twice, once through constants.
+
+    The left gate ``and(acc, not xk)`` is built as ``e`` and, at a lower
+    id, as ``c = and(acc, or(not xk, and(x_r, zero)))``; the block's left
+    wire is ``or(e, and(c, zero))``.  Normalizing turns ``c`` into a copy
+    of ``e`` that merges, keeping ``c``'s id, or collects ``c`` first when
+    ``and(c, zero)`` fires first, keeping ``e``'s: the order decides.
+    Three other blocks are single ORs, so the size is 3(n-1)-1.  n >= 5.
+    """
+    k = rng.randint(2, n)
+    weak = rng.sample([i for i in range(2, n + 1) if i != k], 3)
+    b = CircuitBuilder(n)
+    x = [None] + [b.input(i) for i in range(1, n + 1)]
+    zero = b.not_(b.const(1))
+    acc = x[1]
+    for i in range(2, n + 1):
+        if i in weak:
+            acc = b.or_(acc, x[i])
+            continue
+        if i == k:
+            nx = b.not_(x[i])
+            c = b.and_(acc, b.or_(nx, b.and_(x[rng.randint(1, n)], zero)))
+            d = b.and_(c, zero)
+            e = b.and_(acc, nx)
+            left = b.or_(e, d) if rng.random() < 0.5 else b.or_(d, e)
+        else:
+            left = b.and_(acc, b.not_(x[i]))
+        acc = b.or_(left, b.and_(b.not_(acc), x[i]))
+    return b.build(acc)
+
+
 def constant_dag(rng: random.Random, n: int, gates: int, width: int, const_share: float) -> Circuit:
     """The benchmark's layered and/or DAG on x1..xn fed by constants (``perfbench.families.layered_dag``), parsed.
 
@@ -106,6 +139,14 @@ def revertexed(c: Circuit, rng: random.Random) -> Circuit:
     new = dict(zip(vs, rng.sample(vs, len(vs))))
     edges = {eid: Edge(e.label, tuple(map(new.__getitem__, e.att))) for eid, e in c.edges.items()}
     return Circuit(edges, new[c.root], c.num_inputs)
+
+
+def constant_fed(c: Circuit, rng: random.Random) -> Circuit:
+    """c with a random nonempty set of its inputs substituted by random constants."""
+    for i in rng.sample(range(1, c.num_inputs + 1), rng.randint(1, c.num_inputs)):
+        if c.input_edge(i) is not None:
+            c = substitute_input(c, i, rng.randint(0, 1))
+    return c
 
 
 def assignments(n: int):

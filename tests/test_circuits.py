@@ -355,6 +355,15 @@ def test_evaluate_rejects_wrong_length():
         evaluate(single_input(), (0, 1))
 
 
+def test_evaluate_rejects_a_value_that_is_not_a_bit():
+    b = CircuitBuilder(2)
+    conj = b.build(b.and_(b.input(1), b.input(2)))
+    for c, bits in ((conj, (2, 1)), (conj, (0, -1)), (single_input(), (7,))):
+        with pytest.raises(CircuitError, match="not a bit"):
+            evaluate(c, bits)
+    assert evaluate(conj, (True, 1)) == 1
+
+
 def test_bit_parallel_truth_table_agrees_with_evaluate():
     # gen.truth_table reads kind.truth over row masks; evaluate reads it one row at a time
     def evaluated(c):

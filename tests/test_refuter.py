@@ -10,9 +10,19 @@ from pathlib import Path
 import pytest
 
 import reference_rewrite
-from gen import assignments, neartight_parity, random_circuit, truth_table, undersized_circuit, xor_table
+from gen import (
+    assignments,
+    constant_fed,
+    merge_or_collect,
+    neartight_parity,
+    random_circuit,
+    renumbered,
+    truth_table,
+    undersized_circuit,
+    xor_table,
+)
 
-from gatelim.circuits import AND, CONST1, NOT, OR, Circuit, CircuitBuilder, Edge, circuit_size, evaluate
+from gatelim.circuits import AND, CONST1, NOT, OR, Circuit, CircuitBuilder, Edge, circuit_size, evaluate, is_binary
 import gatelim
 from gatelim import circuits, refuter, rewrite
 from gatelim.refuter import (
@@ -129,7 +139,7 @@ def test_assign_derives_active_as_a_fresh_restriction_computes_it():
     for _ in range(20):
         n = rng.randint(1, 12)
         r = Restriction(n)
-        for var in rng.sample(range(0, n + 2), rng.randint(1, n + 2)):
+        for var in rng.sample(range(1, n + 1), rng.randint(1, n)):
             bit = rng.randint(0, 1)
             r = r.assign(var, bit)
             fresh = Restriction(n, r.assigned)
@@ -138,6 +148,17 @@ def test_assign_derives_active_as_a_fresh_restriction_computes_it():
             assert r.assigned[-1] == (var, bit)
             with pytest.raises(ValueError, match=f"x{var} already assigned"):
                 r.assign(var, 1 - bit)
+
+
+def test_assign_refuses_a_variable_out_of_range_and_a_non_bit():
+    r = Restriction(3)
+    for var in (0, 4, 7):
+        with pytest.raises(ValueError, match=f"x{var} is not a variable of x1..x3"):
+            r.assign(var, 1)
+    for bit in (5, -1, 2):
+        with pytest.raises(ValueError, match="not a bit"):
+            r.assign(2, bit)
+    assert r.assign(2, True).assigned == ((2, 1),)
 
 
 def test_search_degen_on_unread_input():
@@ -420,9 +441,93 @@ def test_refuter_matches_reference_on_neartight_parity():
 
 
 def test_refuter_matches_reference_on_undersized_circuits():
+    # Each circuit also constant-fed, and renumbered so that its ids do not
+    # follow its shape: there a round's walk is not ascending id, and the
+    # outcome must still be the reference's.
     rng = random.Random(47)
     for _ in range(30):
-        assert_refuter_matches_reference(undersized_circuit(rng, rng.randint(4, 12)))
+        c = undersized_circuit(rng, rng.randint(4, 12))
+        for circuit in (c, constant_fed(c, rng), renumbered(c, rng)):
+            assert_refuter_matches_reference(circuit)
+
+
+def test_a_round_that_keeps_a_binary_gate_leaves_no_inversion(monkeypatch):
+    # The second step of the refuter module docstring: on an input numbered
+    # topologically, a round whose normal form keeps a binary gate has no
+    # inversion, so its walk is ascending id.
+    # Renumbered inputs break the premise, and there rounds do keep inversions.
+    real_normalize = WorkingGraph._normalize
+    rounds = collections.Counter()
+
+    def checking_normalize(graph, *args, **kwargs):
+        real_normalize(graph, *args, **kwargs)
+        if graph.size:
+            inverted = sum(graph.producer[v] >= eid for eid, e in graph.edges.items() for v in set(e.args))
+            assert graph.inverted == inverted
+            rounds[numbered, bool(inverted)] += 1
+
+    monkeypatch.setattr(WorkingGraph, "_normalize", checking_normalize)
+    rng = random.Random(48)
+    cases = []
+    for _ in range(100):
+        c = undersized_circuit(rng, rng.randint(4, 14))
+        cases += [(True, c), (True, constant_fed(c, rng)), (False, renumbered(c, rng))]
+    for n in range(5, 17):
+        for pos in range(2, n + 1):
+            c = neartight_parity(n, pos)
+            cases += [(True, c), (False, renumbered(c, rng))]
+    for numbered, circuit in cases:  # ``numbered`` is read by checking_normalize
+        refute_detailed(circuit)
+    assert rounds[True, True] == 0, rounds
+    assert rounds[True, False] > 700 and rounds[False, True] > 700, rounds
+
+
+def duplicates_case(n):
+    """The case of step 3 of the refuter module docstring on x1..xn, with its gates c and e.
+
+    For n = 3 the output is ``or(e, d)``.  Above, that wire and
+    ``and(not x1, x2)`` feed an OR, and x3..xn are or-ed in one by one, so
+    the first round's ``h`` is whichever of c and e survives.
+    """
+    b = CircuitBuilder(n)
+    x = [None] + [b.input(i) for i in range(1, n + 1)]
+    z = b.not_(b.const(1))
+    c = b.and_(x[1], b.or_(x[2], b.and_(x[3], z)))
+    d = b.and_(c, z)
+    e = b.and_(x[1], x[2])
+    acc = b.or_(e, d)
+    if n > 3:
+        acc = b.or_(acc, b.and_(b.not_(x[1]), x[2]))
+        for i in range(3, n + 1):
+            acc = b.or_(acc, x[i])
+    return b.build(acc), c, e
+
+
+def test_which_of_two_duplicates_keeps_its_id_depends_on_the_order():
+    # Firing at or(x2, and(x3, z)) first makes c a copy of e, and c keeps
+    # its lower id; firing at d = and(c, z) first collects c, and e survives.
+    # So a refuter round may not fire just any live redex.
+    circuit, c, e = duplicates_case(3)
+
+    def survivors(normal):
+        return {eid for eid, edge in normal.edges.items() if is_binary(edge.label)}
+
+    assert survivors(normalize_circuit(circuit)[0]) == {c}
+    drawn = {frozenset(survivors(normalize_circuit(circuit, "rand", seed)[0])) for seed in range(20)}
+    assert drawn == {frozenset({c}), frozenset({e})}
+
+
+def test_refuter_matches_reference_where_a_gate_merges_or_is_collected():
+    circuit, c, _ = duplicates_case(6)
+    assert search_bad_restriction(circuit).iterations[0].h == c
+    assert_refuter_matches_reference(circuit)
+    rng = random.Random(49)
+    rounds = 0
+    for _ in range(100):
+        circuit = merge_or_collect(rng, rng.randint(5, 12))
+        assert_refuter_matches_reference(circuit)
+        rounds += bool(search_bad_restriction(circuit).iterations)
+    assert rounds > 30
 
 
 def test_refuter_matches_reference_when_the_substituted_constant_merges(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import reference_rewrite
 from gen import (
     constant_dag,
+    constant_fed,
     demorgan_circuits,
     neartight_parity,
     random_circuit,
@@ -56,7 +57,7 @@ from gatelim.rewrite import (
     StaleRedexError,
     substitute_input,
 )
-from gatelim.terms import ONE, TRS, And, Not, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_step
+from gatelim.terms import ONE, TRS, And, Not, Op, Or, TermRule, Var, demorgan_system, normalize_term, rewrite_step
 from gatelim.textio import serialize_circuit
 
 TRS_B = demorgan_system()
@@ -92,6 +93,22 @@ def test_demorgan_system_derives_what_the_matcher_reads():
             "taut_or_left",
         ],
     }
+
+
+def test_no_right_hand_side_builds_a_binary_gate():
+    # Every right-hand side is a variable or holds no binary operator, so
+    # every binary gate of a normal form is a gate of the input, under its id
+    # (the first step of the refuter module docstring).
+    shapes = set()
+    for rule in DEMORGAN.rules:
+        todo = [rule.rhs]
+        while todo:
+            u = todo.pop()
+            if type(u) is Op:
+                assert u.kind.arity < 2, rule.name
+                todo += u.args
+        shapes.add(repr(rule.rhs) if type(rule.rhs) is Op else "variable")
+    assert shapes == {"variable", repr(ONE), repr(Not(ONE))}
 
 
 def test_a_system_reading_deeper_than_the_candidate_key_is_refused():
@@ -951,14 +968,6 @@ def checked_walk(monkeypatch):
     monkeypatch.setattr(WorkingGraph, "substitute", checking_substitute)
     monkeypatch.setattr(refuter, "costly_readers", checking_costly_readers)
     return counts
-
-
-def constant_fed(c, rng):
-    """c with a random nonempty set of its inputs substituted by random constants."""
-    for i in rng.sample(range(1, c.num_inputs + 1), rng.randint(1, c.num_inputs)):
-        if c.input_edge(i) is not None:
-            c = substitute_input(c, i, rng.randint(0, 1))
-    return c
 
 
 def test_kept_walk_is_a_fresh_walk_on_random_and_substituted_circuits(checked_walk):
