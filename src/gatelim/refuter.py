@@ -171,10 +171,12 @@ def literal_of(c: Circuit, vertex: int) -> Optional[tuple[int, bool]]:
 def costly_readers(g: Circuit, wire: int, walk: Iterator[int], seen: dict[int, int]) -> list[int]:
     """And/or gates reading the wire directly or through a negation, in the walk's order.
 
-    ``walk`` yields edge ids, ``g.walk()`` for topological order, and may be
-    partly consumed; ``seen`` maps the gates already taken from it to
-    increasing positions.  The walk advances, recording what it yields into
-    ``seen``, only until each gate has come out.
+    ``walk`` yields edge ids in topological order, and may be partly
+    consumed: a round passes ``WorkingGraph.walk()``, ascending ids when the
+    graph has no inversion and a fresh Kahn walk otherwise.  ``seen`` maps
+    the gates already taken from it to increasing positions.  The walk
+    advances, recording what it yields into ``seen``, only until each gate
+    has come out.
     """
     wires = [wire]
     wires += (g.edges[r].result for r in g.readers.get(wire, ()) if g.edges[r].label.kind is NOT.kind)

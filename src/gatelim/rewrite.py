@@ -39,9 +39,8 @@ indexes of a ``Circuit`` current, and its reader index is a reference count:
 a step deletes the edges it removes and then every edge whose result is no
 longer read and is not the root, cascading downwards, which collects exactly
 what is no longer reachable.  A new graph copies the circuit's edges,
-producers and inputs and builds its reader and leaf indexes with
-``Circuit``'s own code, each index in one pass with no per-edge
-bookkeeping; its inversion count (below) is 0 for a circuit that
+producers and inputs and builds its reader index with ``Circuit``'s own
+code, in one pass with no per-edge bookkeeping; its inversion count (below) is 0 for a circuit that
 ``CircuitBuilder.build`` proved numbered and is counted once otherwise.
 Besides these it keeps:
 
@@ -78,70 +77,37 @@ discrimination tree does it (McCune, JAR 9(2), 1992); the memo holds only
 kinds and wire shapes, so it stays small.  A step still re-verifies its
 redex before firing it.
 
-One Kahn loop, ``Walk.grow``, yields the edges in ``topo_order``'s order -
-Kahn's algorithm over the reader index from the inputs and constants, ready
-edges on a min-id heap - only as far as it is consumed; ``Circuit.walk`` runs
-it over a fresh ``Walk``.  The working graph keeps one walk (``kept``) across
-steps and refuter rounds, and keeps it a prefix of the walk that a fresh
-``Circuit.walk`` of the graph makes: it is cut only where an edit can change
-that walk, and grows again from the cut.  The walk applies these rules
-itself (``Walk.unpop`` and ``Walk.place``); each edit of the graph asks it.
-
-- A popped edge that goes cuts the walk at its earliest popped reader, which
-  can no longer pop.  It leaves None at its own position, and each of its
-  readers waits for one more producer.  Without popped readers nothing else
-  moves, so a collected edge cuts nothing.
-- An edge added or rewired whose argument producers have all popped is
-  ready, and a fresh walk pops it at the first position after its last
-  producer that holds a larger id: the walk is cut there.  A spliced edge's
-  id is above every live one, so it needs no search.
-- ``substitute`` keeps the edge's id and leaves it a leaf, so it cuts
-  nothing.
-- A cut in the first half of the walk drops it instead: walking there again
-  costs less than undoing.
-
-This is dynamic topological order under edits (Pearce and Kelly, ACM JEA 11,
-2006), except that the order kept is the least one, so the walk is rewound
-to a cut instead of reordered.
+One Kahn loop, ``circuits.walk_within``, yields the edges in
+``topo_order``'s order - Kahn's algorithm over the reader index from the
+inputs and constants, ready edges on a min-id heap - only as far as it is
+consumed; ``Circuit.walk`` runs it over every edge.  Each query walks
+afresh, and only what it needs.
 
 The live redexes have one order, (topological site, rule), and one
 generator yields them in it, ``WorkingGraph.ordered``, only as far as it is
 consumed: ``rand`` draws an index uniformly from the live-redex count and
 consumes it only up to there (``draw``), and ``det`` fires its first
-element, which ``WorkingGraph.first`` finds walking only what decides it.
-The graph counts its inversions (``inverted``): the pairs of an edge and a
-distinct argument wire whose producer's id is not smaller than the edge's.
-With none, the walk's order is ascending edge id (the lemma of
+element.  The graph counts its inversions (``inverted``): the pairs of an
+edge and a distinct argument wire whose producer's id is not smaller than
+the edge's.  With none, the walk's order is ascending edge id (the lemma of
 ``topo_order``), so the live sites come off a heap of their producers' ids
 and nothing is walked; so does a single live site, which needs no order.
-Otherwise the live sites that the kept walk has popped come first, by
-position, and the walk grows until the rest have come out.  On a circuit
-that starts without inversions only a right-hand side with edges, numbered
-so from its root down, makes any.
+On a circuit that starts without inversions only a right-hand side with
+edges, numbered so from its root down, makes any.
 
-``det`` needs only the first live site, and a refute round fires near the
-leaves, where its cuts drop the kept walk; walking again from the leaves
-pops every input before the first gate.  The down-closure lemma lets the
-first site be found locally.  Call a set of edges S down-closed when it
-holds the producer of each argument of each of its edges.  Then the least
-Kahn order of the whole graph, restricted to S, is the least Kahn order of
-S alone.  Proof sketch: an edge of S is ready in the whole graph exactly
-when it is ready in S, since its producers all lie in S, and a pop outside
-S readies no edge of S.  So when the whole walk pops an edge of S, it is
-the least ready edge of the whole graph, hence of S; by induction over the
-pops the two orders agree.  So the first live site of the whole order is
-the first live site of a Kahn walk over the down-closure of the live sites
+Otherwise the down-closure lemma lets the order be found locally.  Call a
+set of edges S down-closed when it holds the producer of each argument of
+each of its edges.  Then the least Kahn order of the whole graph,
+restricted to S, is the least Kahn order of S alone.  Proof sketch: an
+edge of S is ready in the whole graph exactly when it is ready in S, since
+its producers all lie in S, and a pop outside S readies no edge of S.  So
+when the whole walk pops an edge of S, it is the least ready edge of the
+whole graph, hence of S; by induction over the pops the two orders agree.
+So the live sites come in the order of a Kahn walk over their down-closure
 (``circuits.down_closure`` and ``circuits.walk_within``), and nothing
-outside that closure pops.  ``first`` takes this walk when the graph has
-inversions, two or more live sites and no kept walk, and the closure holds
-at most ``CLOSURE_SHARE`` of the edges.  A step high in a deep DAG has a
-large closure, which the kept walk, grown by ``ordered`` and cut and reused
-by the steps after, answers for less.  Without the budget ``det`` would
-never keep a walk once the graph has inversions, and would walk every
-step's closure afresh: on seeded constant-fed DAGs of 64 gates, 2.7 times
-the pops and undos.
-The closure walk is not kept, so a later ``rand`` draw or refuter round
-walks as before.
+outside that closure pops.  A refute round fires near the leaves, where
+that closure is small, while a walk of the whole graph pops every input
+before the first gate.
 
 New vertex and edge ids are one more than the largest live id, as in
 ``apply_rewrite``, which fires one step on the same working graph.  The
@@ -155,10 +121,12 @@ normalizes again, so only the sites around that input are matched again.
 A round discards its steps, so it runs the normalize loop without
 recording them (``_normalize``).
 The round fires the same steps, edge ids included, as normalizing the
-relabelled circuit from scratch.  A round orders its gates with the kept
-walk, read from its start and grown only until the gates it compares have
-come out, and the next round's steps cut it only where they change it; so
-no round orders the whole graph with ``topo_order``.
+relabelled circuit from scratch.  A round orders its gates with
+``WorkingGraph.walk``, read only until the gates it compares have come
+out: ascending edge id when the graph has no inversion, as after every
+round that keeps a binary gate on a numbered input (step 2 of the
+``refuter`` docstring), and a fresh walk otherwise; so no round orders the
+whole graph with ``topo_order``.
 
 The functions on immutable circuits run the same working graph: each copies
 the circuit in and takes a ``snapshot`` out.  ``apply_rewrite`` fires one
@@ -181,16 +149,12 @@ from .circuits import (
     Circuit,
     CircuitError,
     Edge,
-    Walk,
     const_label,
     down_closure,
     topo_order,
     walk_within,
 )
 from .terms import BASES, DEMORGAN_BASIS, TRS, BudgetError, Op, TermRule, Var, demorgan_system, match
-
-
-CLOSURE_SHARE = 1 / 8  # the largest share of the edges that ``first`` walks as a down-closure
 
 
 class StaleRedexError(CircuitError):
@@ -344,15 +308,13 @@ class WorkingGraph(Circuit):
     """A circuit rewritten in place: the working graph of the module docstring.
 
     Every change keeps the ``Circuit`` indexes ``edges``, ``producer``,
-    ``inputs``, ``readers`` and ``leaves`` current, and ``vertices`` is
-    computed when read, so every function on circuits runs on the graph as
-    it is.  ``walk`` is the graph's kept walk, made on first use and kept a
-    fresh walk's prefix by every change after.  A new graph is neither
-    shared nor scanned (``redexes`` is None); its first ``normalize`` does
-    both.
+    ``inputs`` and ``readers`` current, and ``vertices`` is computed when
+    read, so every function on circuits runs on the graph as it is.  A new
+    graph is neither shared nor scanned (``redexes`` is None); its first
+    ``normalize`` does both.
     """
 
-    __slots__ = ("readers", "leaves")  # faster to read than instance attributes over Circuit's lazy ones
+    __slots__ = ("readers",)  # faster to read than an instance attribute over Circuit's lazy one
 
     def __init__(self, c: Circuit):  # builds every index in bulk, without Circuit.__init__
         self.edges: dict[int, Edge] = dict(c.edges)
@@ -362,7 +324,6 @@ class WorkingGraph(Circuit):
         self.basis = c.basis
         self.inputs: dict[int, int] = dict(c.inputs)  # input index -> its edge, as on a Circuit
         self.readers: dict[int, set[int]] = Circuit.readers.func(self)  # only vertices that are read
-        self.leaves: set[int] = Circuit.leaves.func(self)  # edges without arguments: inputs and constants
         kinds = [e.label.kind for e in self.edges.values()]
         self.size = sum([kind.arity == 2 for kind in kinds])
         self.measure = sum([kind.weight for kind in kinds])
@@ -373,7 +334,6 @@ class WorkingGraph(Circuit):
         self.unshared: set[int] = set(self.edges)  # edges not yet looked up in the table
         # (reader, distinct argument) pairs whose producer's id is not smaller: none where build proved the order
         self.inverted = 0 if c.ids_ordered else sum([self._inversions(eid, e.args) for eid, e in self.edges.items()])
-        self.kept: Optional[Walk] = None  # the walk kept on the graph, if any; an edit may drop it
         # Bounds on the live ids, walked down to them by ``next_ids``.
         self.top_v = max(max(self.producer, default=-1), max(self.readers, default=-1))
         self.top_e = max(self.edges, default=-1)
@@ -403,21 +363,15 @@ class WorkingGraph(Circuit):
             if eid not in readers:
                 readers.add(eid)
                 self.inverted += self.producer.get(v, -1) >= eid
-        if not e.args:
-            self.leaves.add(eid)
-            if e.label.kind is INPUT:
-                self.inputs.setdefault(e.label.index, eid)
+        if e.label.kind is INPUT:
+            self.inputs.setdefault(e.label.index, eid)
         kind = e.label.kind
         self.size += kind.arity == 2
         self.measure += kind.weight
         self.touched.add(e.result)
         self.unshared.add(eid)
-        if self.kept is not None and self.kept.place(self, eid, e.args, eid > self.top_e):
-            self.kept = None
 
     def _delete(self, eid: int) -> Edge:
-        if self.kept is not None and self.kept.unpop(self, eid):
-            self.kept = None
         e = self.edges.pop(eid)
         for v in set(e.args):
             self.inverted -= self.producer.get(v, -1) >= eid
@@ -427,7 +381,6 @@ class WorkingGraph(Circuit):
                 del self.readers[v]
         del self.producer[e.result]
         self.inverted -= self._inverted_readers(eid, e.result)
-        self.leaves.discard(eid)
         if e.label.kind is INPUT and self.inputs.get(e.label.index) == eid:
             del self.inputs[e.label.index]
         key = (e.label, e.args)
@@ -451,23 +404,12 @@ class WorkingGraph(Circuit):
             self.readers.setdefault(new, set()).add(r)
             self.rewired.add(e.result)
             self.unshared.add(r)
-            if self.kept is not None and self.kept.place(self, r, rewired.args, False):
-                self.kept = None
         if self.root == old:
             self.root = new
 
-    def _kept(self) -> Walk:
-        if self.kept is None:
-            self.kept = Walk(self)
-        return self.kept
-
     def walk(self) -> Iterator[int]:
-        """The kept walk: the edges it has popped, then those it pops as it grows."""
-        kept = self._kept()
-        for eid in kept.seq:
-            if eid is not None:
-                yield eid
-        yield from kept.grow(self)
+        """The edge ids in ``topo_order``'s order: ascending id without inversions (its lemma), else a fresh walk."""
+        return iter(sorted(self.edges)) if not self.inverted else Circuit.walk(self)
 
     def _collect(self, candidates: list[int]) -> list[int]:
         """Delete the producers of unread non-root vertices, cascading; their edge ids."""
@@ -627,9 +569,10 @@ class WorkingGraph(Circuit):
         With one live site, or with no inversion, the sites come off a heap
         of their producers' ids and nothing is walked: without inversions
         the walk's order is ascending edge id (the lemma of ``topo_order``).
-        Otherwise the sites the kept walk has popped come first, by
-        position, and it grows until every other live site has come out.
-        Do not change the graph while the generator is in use.
+        Otherwise the down-closure of the live sites is walked alone (the
+        down-closure lemma); its last pop is a live site, since every other
+        edge of it has a reader in it.  Do not change the graph while the
+        generator is in use.
         """
         redexes, edges = self.redexes, self.edges
         sites = [self.producer[site] for site in redexes]
@@ -638,38 +581,8 @@ class WorkingGraph(Circuit):
             while sites:
                 yield from redexes[edges[heapq.heappop(sites)].result]
             return
-        kept = self._kept()
-        popped = sorted(filter(kept.pos.__contains__, sites), key=kept.pos.__getitem__)
-        for eid in popped:
-            yield from redexes[edges[eid].result]
-        left = len(sites) - len(popped)
-        if left:
-            for eid in kept.grow(self):
-                found = redexes.get(edges[eid].result)
-                if found:
-                    yield from found
-                    left -= 1
-                    if not left:
-                        return
-
-    def first(self) -> Redex:
-        """The first redex of ``ordered``, walking only what decides it; ``det``'s choice.
-
-        With inversions, two or more live sites and no kept walk, the live
-        sites' down-closure is walked alone (the down-closure lemma), unless
-        it holds more than ``CLOSURE_SHARE`` of the edges.  Otherwise
-        ``ordered`` decides, walking nothing for one live site or a graph
-        without inversions.
-        """
-        redexes, producer, edges = self.redexes, self.producer, self.edges
-        if self.kept is None and self.inverted and len(redexes) > 1:
-            closure = down_closure(self, set(map(producer.__getitem__, redexes)), len(edges) * CLOSURE_SHARE)
-            if closure is not None:
-                for eid in walk_within(self, closure):
-                    found = redexes.get(edges[eid].result)
-                    if found:
-                        return found[0]
-        return next(self.ordered())
+        for eid in walk_within(self, down_closure(self, set(sites))):
+            yield from redexes.get(edges[eid].result, ())
 
     def substitute(self, index: int, bit: int) -> None:
         """Relabel the x_index edge as the constant bit, keeping its edge id.
@@ -680,9 +593,7 @@ class WorkingGraph(Circuit):
         eid = self.input_edge(index)
         if eid is None:
             raise CircuitError(f"input x{index} is not present")
-        kept, self.kept = self.kept, None  # a leaf under the same id: the walk order does not move
         self._add(eid, Edge(const_label(int(bit)), self._delete(eid).att))
-        self.kept = kept
 
     def draw(self, rng: random.Random) -> Redex:
         """A live redex drawn uniformly, reading ``ordered`` only up to it.
@@ -717,7 +628,7 @@ class WorkingGraph(Circuit):
         budget = self.measure + 1
         fired = 0
         while self.redexes:
-            chosen = self.first() if rng is None else self.draw(rng)
+            chosen = next(self.ordered()) if rng is None else self.draw(rng)
             removed, added = self._fire(chosen)
             removed += self.share()
             self.rematch()

@@ -107,6 +107,36 @@ def merge_or_collect(rng: random.Random, n: int) -> Circuit:
     return b.build(acc)
 
 
+def parity_tree(rng: random.Random, n: int, weak: int) -> Circuit:
+    """Parity of x1..xn as a random tree of 3-gate XOR gadgets over a shuffled input order, ``weak`` of them ORs.
+
+    Leaves are the inputs in a shuffled order; two random nodes are joined
+    until one is left.  Each join is one of four gadgets for ``a xor b``:
+    ``or(and(a, not b), and(not a, b))``; ``and(or(a, b), not(and(a, b)))``;
+    ``and(or(a, b), or(not a, not b))``; ``not(or(and(a, b), and(not a, not b)))``.
+    ``weak`` of the n-1 joins, drawn at random, are a single ``or(a, b)``
+    instead, so the size is 3(n-1) - 2 * weak.
+    """
+    b = CircuitBuilder(n)
+    nodes = [b.input(i) for i in rng.sample(range(1, n + 1), n)]
+    ors = set(rng.sample(range(n - 1), weak))
+    for k in range(n - 1):
+        x, y = (nodes.pop(rng.randrange(len(nodes))) for _ in range(2))
+        gadget = 4 if k in ors else rng.randrange(4)
+        if gadget == 0:
+            z = b.or_(b.and_(x, b.not_(y)), b.and_(b.not_(x), y))
+        elif gadget == 1:
+            z = b.and_(b.or_(x, y), b.not_(b.and_(x, y)))
+        elif gadget == 2:
+            z = b.and_(b.or_(x, y), b.or_(b.not_(x), b.not_(y)))
+        elif gadget == 3:
+            z = b.not_(b.or_(b.and_(x, y), b.and_(b.not_(x), b.not_(y))))
+        else:
+            z = b.or_(x, y)
+        nodes.append(z)
+    return b.build(nodes[0])
+
+
 def constant_dag(rng: random.Random, n: int, gates: int, width: int, const_share: float) -> Circuit:
     """The benchmark's layered and/or DAG on x1..xn fed by constants (``perfbench.families.layered_dag``), parsed.
 

@@ -242,10 +242,8 @@ def add_edge(g: WorkingGraph, eid: int, e: Edge) -> None:
         if eid not in readers:
             readers.add(eid)
             g.inverted += g.producer.get(v, -1) >= eid
-    if not e.args:
-        g.leaves.add(eid)
-        if e.label.kind is INPUT:
-            g.inputs.setdefault(e.label.index, eid)
+    if e.label.kind is INPUT:
+        g.inputs.setdefault(e.label.index, eid)
     g.size += e.label.kind.arity == 2
     g.measure += e.label.kind.weight
     g.touched.add(e.result)
@@ -262,9 +260,8 @@ def replayed_graph(c: Circuit) -> WorkingGraph:
     g = WorkingGraph.__new__(WorkingGraph)
     g.root, g.num_inputs, g.basis = c.root, c.num_inputs, c.basis
     g.edges, g.producer, g.readers, g.inputs, g.table, g.redexes = {}, {}, {}, {}, {}, {}
-    g.leaves, g.touched, g.rewired, g.unshared = set(), set(), set(), set()
+    g.touched, g.rewired, g.unshared = set(), set(), set()
     g.size = g.measure = g.inverted = 0
-    g.kept = None
     for eid, e in c.edges.items():
         add_edge(g, eid, e)
     g.top_v = max(max(g.producer, default=-1), max(g.readers, default=-1))

@@ -324,11 +324,11 @@ def test_parse_validate_and_evaluate_build_no_reader_index():
     c = parse_circuit(serialize_circuit(neartight_parity(6, 4)))
     assert validate(c) == []
     assert truth_table(c) == truth_table(neartight_parity(6, 4))
-    assert "readers" not in vars(c) and "leaves" not in vars(c)
+    assert "readers" not in vars(c)
     d = renumbered(c, random.Random(3))
     assert not ids_ascend_topologically(d)
-    topo_order(d)  # walks, so builds both
-    assert "readers" in vars(d) and "leaves" in vars(d)
+    topo_order(d)  # walks, so builds it
+    assert "readers" in vars(d)
 
 
 def test_topo_order_simple_chain():

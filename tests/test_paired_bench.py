@@ -110,4 +110,33 @@ def test_claim_met_needs_9_wins_and_a_gap_beyond_the_parent_iqr(change_latency, 
 
 def test_no_claim_still_lists_what_is_worse_than_its_bound():
     verdict = paired_bench.claim_verdict(summary_of([p * 1.5 for p in PARENT]), None)
-    assert verdict == {"claimed": None, "worse_than_bound": [["fast", "latency_s.p90"], ["slow", "ops_per_s"]]}
+    assert verdict["claimed"] is None
+    assert verdict["worse_than_bound"] == [["fast", "latency_s.p90"], ["slow", "ops_per_s"]]
+
+
+TIGHT = [100.0 + x / 10 for x in range(10)]  # quartiles 100.225, 100.45, 100.675: IQR 0.45, well inside 25%
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, unresolved",
+    [
+        (TIGHT, [t + 1 for t in TIGHT], "lower", False),  # resolved: the parent's spread is inside the bound
+        (PARENT, [p + 1 for p in PARENT], "lower", True),  # IQR 4.5 > 0.25 * 14.5, and the change loses
+        (PARENT, [p - 1 for p in PARENT], "lower", True),  # ten paired wins, but change run 11 is not below run 10
+        (PARENT, [p - 10 for p in PARENT], "lower", False),  # every change run (0-9) beats every parent run (10-19)
+        (PARENT, [p + 10 for p in PARENT], "higher", False),  # every change run (20-29) beats every parent run
+        (PARENT, [p + 1 for p in PARENT], "higher", True),
+    ],
+)
+def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_the_bound(parent, change, better, unresolved):
+    assert paired_bench.summarize(parent, change, better, 0.25)["unresolved"] is unresolved
+
+
+def test_the_verdict_lists_each_unresolved_metric():
+    runs = {
+        "fast": {"parent": runs_of(TIGHT, PARENT), "change": runs_of(TIGHT, [p + 30 for p in PARENT])},
+        "slow": {"parent": runs_of(PARENT, TIGHT), "change": runs_of(PARENT, TIGHT)},
+    }
+    verdict = paired_bench.claim_verdict(paired_bench.summarize_workloads(runs, METRICS), None)
+    assert verdict["unresolved"] == [["slow", "latency_s.p90"]]  # fast ops_per_s: every change run is better
+    assert verdict["worse_than_bound"] == []

@@ -15,6 +15,7 @@ from gen import (
     constant_fed,
     merge_or_collect,
     neartight_parity,
+    parity_tree,
     random_circuit,
     renumbered,
     truth_table,
@@ -430,6 +431,7 @@ def assert_refuter_matches_reference(c):
     expected = reference_rewrite.search_bad_restriction(c)
     assert outcome == expected
     assert cex == extract_counterexample(c, expected)
+    return outcome
 
 
 def test_refuter_matches_reference_on_neartight_parity():
@@ -449,6 +451,19 @@ def test_refuter_matches_reference_on_undersized_circuits():
         c = undersized_circuit(rng, rng.randint(4, 12))
         for circuit in (c, constant_fed(c, rng), renumbered(c, rng)):
             assert_refuter_matches_reference(circuit)
+
+
+def test_refuter_matches_reference_on_parity_trees():
+    # Random undersized circuits rarely reach an elimination round; parity
+    # trees with one gadget turned into an OR run about n/3 of them.  Each
+    # tree is also renumbered, where a round's walk is not ascending id.
+    rng = random.Random(50)
+    rounds = 0
+    for _ in range(50):
+        c = parity_tree(rng, rng.randint(6, 16), 1)
+        for circuit in (c, renumbered(c, rng)):
+            rounds += len(assert_refuter_matches_reference(circuit).iterations)
+    assert rounds >= 300
 
 
 def test_a_round_that_keeps_a_binary_gate_leaves_no_inversion(monkeypatch):

@@ -15,6 +15,7 @@ from gen import (
     constant_fed,
     demorgan_circuits,
     neartight_parity,
+    parity_tree,
     random_circuit,
     renumbered,
     revertexed,
@@ -33,7 +34,6 @@ from gatelim.circuits import (
     CircuitError,
     Edge,
     Label,
-    Walk,
     bisimilar,
     circuit_size,
     evaluate,
@@ -728,7 +728,7 @@ def checked_rematch(monkeypatch):
         calls.append(len(graph.edges))
         fresh = Circuit(graph.edges, graph.root, graph.num_inputs)
         assert isinstance(graph, Circuit)
-        for index in ("producer", "inputs", "vertices", "readers", "leaves"):
+        for index in ("producer", "inputs", "vertices", "readers"):
             assert getattr(graph, index) == getattr(fresh, index), index
         live = [r for found in graph.redexes.values() for r in found]
         assert redex_keys(live) == redex_keys(find_redexes(graph.snapshot()))
@@ -825,30 +825,24 @@ def test_redex_choice_equals_a_full_walk(checked_order):
 
 
 def test_det_choice_is_the_head_of_a_full_walk(monkeypatch):
-    # ``first`` skips ``ordered`` when a down-closure decides, so it is
-    # checked on its own: at every det choice, against a fresh full walk.
-    real_first, real_closure = WorkingGraph.first, rewrite.down_closure
+    # ``det`` consumes only the head of ``ordered``, so the head is checked
+    # on its own, branch by branch: at every det choice, against a fresh
+    # full walk.
+    real_ordered = WorkingGraph.ordered
     choices = collections.Counter()
 
-    def checking_first(graph):
+    def checking_ordered(graph):
         if len(graph.redexes) == 1:
             branch = "one site"
-        elif not graph.inverted:
-            branch = "no inversions"
         else:
-            branch = "kept walk" if graph.kept is not None else "closure"
-        got = real_first(graph)
-        assert got == walk_order(graph)[0]
+            branch = "closure" if graph.inverted else "no inversions"
+        got = real_ordered(graph)
+        head = next(got)
+        assert head == walk_order(graph)[0]
         choices[branch] += 1
-        return got
+        return itertools.chain([head], got)
 
-    def counting_closure(c, eids, limit):
-        out = real_closure(c, eids, limit)
-        choices["over budget"] += out is None
-        return out
-
-    monkeypatch.setattr(WorkingGraph, "first", checking_first)
-    monkeypatch.setattr(rewrite, "down_closure", counting_closure)
+    monkeypatch.setattr(WorkingGraph, "ordered", checking_ordered)
     rng = random.Random(70)
     for _ in range(30):
         c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 16))
@@ -860,8 +854,7 @@ def test_det_choice_is_the_head_of_a_full_walk(monkeypatch):
     for n in range(5, 13):
         for pos in range(2, n + 1):
             search_bad_restriction(neartight_parity(n, pos))
-    assert min(choices[b] for b in ("one site", "no inversions", "kept walk", "closure")) > 100, choices
-    assert choices["over budget"] > 20, choices
+    assert min(choices[b] for b in ("one site", "no inversions", "closure")) > 100, choices
 
 
 @st.composite
@@ -870,7 +863,7 @@ def dags_with_a_down_closed_subset(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     c = renumbered(random_circuit(rng, draw(st.integers(1, 6)), draw(st.integers(1, 30))), rng)
     tops = {eid for eid in c.edges if draw(st.booleans())}
-    return c, rewrite.down_closure(c, tops, len(c.edges))
+    return c, rewrite.down_closure(c, tops)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -908,84 +901,26 @@ def test_a_rewired_edge_rematches_its_readers_only_when_its_kind_is_read_below()
     assert graph.redexes == {} and redex_keys(find_redexes(graph.snapshot())) == []
 
 
-def assert_kept_walk_is_fresh(graph):
-    """The kept walk, without its deleted positions, is a prefix of a fresh walk, and grows into all of it.
-
-    The growing runs on a copy, so the graph's own walk is left as it was.
-    Returns whether a walk is kept.
-    """
-    kept = graph.kept
-    if kept is None:
-        return False
-    fresh = list(graph.snapshot().walk())
-    popped = [eid for eid in kept.seq if eid is not None]
-    assert popped == fresh[: len(popped)]
-    assert kept.pos == {eid: i for i, eid in enumerate(kept.seq) if eid is not None}
-    copy = Walk(graph)
-    copy.seq, copy.pos, copy.ready, copy.waiting = [*kept.seq], {**kept.pos}, [*kept.ready], {**kept.waiting}
-    assert popped + list(copy.grow(graph)) == fresh
-    return True
-
-
-@pytest.fixture
-def checked_walk(monkeypatch):
-    """After every step, ``share``, ``substitute`` and refuter round, the kept walk is a fresh walk's.
-
-    ``substitute`` must also leave the kept walk as it was.  Returns how
-    many checks found a walk kept.
-    """
-    counts = {"checks": 0}
-
-    def check(graph):
-        counts["checks"] += assert_kept_walk_is_fresh(graph)
-
-    def checking(real):
-        def run(graph, *args):
-            out = real(graph, *args)
-            check(graph)
-            return out
-
-        return run
-
-    real_substitute = WorkingGraph.substitute
-
-    def checking_substitute(graph, index, bit):
-        kept = graph.kept
-        seq = None if kept is None else [*kept.seq]
-        real_substitute(graph, index, bit)
-        assert graph.kept is kept and (kept is None or kept.seq == seq)
-        check(graph)
-
+def test_the_walk_a_round_reads_is_a_fresh_walk(monkeypatch):
+    # A round reads ``WorkingGraph.walk``: ascending ids without inversions,
+    # a Kahn walk of the graph otherwise.  Either way it must be the walk of
+    # the graph's circuit taken afresh; renumbered inputs drive the Kahn branch.
     real_costly_readers = refuter.costly_readers
+    branches = collections.Counter()
 
     def checking_costly_readers(g, *args):
-        out = real_costly_readers(g, *args)
-        check(g)
-        return out
+        assert list(g.walk()) == list(g.snapshot().walk())
+        branches["kahn" if g.inverted else "ascending"] += 1
+        return real_costly_readers(g, *args)
 
-    monkeypatch.setattr(WorkingGraph, "_fire", checking(WorkingGraph._fire))
-    monkeypatch.setattr(WorkingGraph, "share", checking(WorkingGraph.share))
-    monkeypatch.setattr(WorkingGraph, "substitute", checking_substitute)
     monkeypatch.setattr(refuter, "costly_readers", checking_costly_readers)
-    return counts
-
-
-def test_kept_walk_is_a_fresh_walk_on_random_and_substituted_circuits(checked_walk):
-    rng = random.Random(64)
-    for _ in range(40):
-        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 18))
-        fed = constant_fed(c, rng)
-        for circuit in (c, fed, renumbered(fed, rng)):
-            for strategy, seed in STRATEGIES:
-                normalize_circuit(circuit, strategy, seed=seed)
-    assert checked_walk["checks"] > 300
-
-
-def test_kept_walk_is_a_fresh_walk_through_neartight_refutations(checked_walk):
-    for n in range(5, 13):
-        for pos in range(2, n + 1):
-            search_bad_restriction(neartight_parity(n, pos))
-    assert checked_walk["checks"] > 300
+    rng = random.Random(71)
+    circuits = [neartight_parity(n, pos) for n in range(5, 13) for pos in range(2, n + 1)]
+    circuits += [parity_tree(rng, rng.randint(6, 16), 1) for _ in range(20)]
+    for c in circuits:
+        for circuit in (c, renumbered(c, rng)):
+            search_bad_restriction(circuit)
+    assert min(branches["ascending"], branches["kahn"]) >= 100, branches
 
 
 def test_next_ids_are_one_more_than_the_largest_live_ids(monkeypatch):
@@ -1043,6 +978,7 @@ def test_the_lazy_draw_picks_what_choice_of_the_whole_list_picks():
         graph.rematch()
         lazy = random.Random(k)
         while graph.redexes:
+            walked += bool(graph.inverted) and len(graph.redexes) > 1  # ``ordered`` walks a down-closure
             whole = random.Random()
             whole.setstate(lazy.getstate())
             chosen = graph.draw(lazy)
@@ -1052,56 +988,8 @@ def test_the_lazy_draw_picks_what_choice_of_the_whole_list_picks():
             graph.share()
             graph.rematch()
             draws += 1
-            walked += graph.kept is not None
     assert draws > 400
     assert walked > 200
-
-
-def test_kept_walk_pops_and_undos_on_constant_fed_dags(monkeypatch):
-    """Kahn pops plus undos of normalizing seeded constant-fed DAGs, ``det`` and ``rand``.
-
-    Pops count those of the kept walk and those of ``det``'s down-closure
-    walks.  Before the walk was kept on the graph, each choice with
-    inversions and two or more live sites walked from the leaves again, and
-    ``rand`` walked to the last live site: 1,947 pops for ``det`` and 7,139
-    for ``rand`` here, over 597 steps.  With the kept walk alone, before
-    ``det`` chose by down-closures, it took 456 pops and 59 undos; now 435
-    walk pops, 30 closure pops and 59 undos.  Without the closure budget
-    (``CLOSURE_SHARE``), ``det`` keeps no walk and takes 1,402.
-    """
-    counts = {"pops": 0, "undos": 0}
-    real_grow, real_cut, real_within = Walk.grow, Walk.cut, rewrite.walk_within
-
-    def counting(walk):
-        def run(*args, **kwargs):
-            for eid in walk(*args, **kwargs):
-                counts["pops"] += 1
-                yield eid
-
-        return run
-
-    def counting_cut(walk, c, p):
-        popped = len(walk.pos)
-        dropped = real_cut(walk, c, p)
-        if not dropped:
-            counts["undos"] += popped - len(walk.pos)
-        return dropped
-
-    monkeypatch.setattr(Walk, "grow", counting(real_grow))
-    monkeypatch.setattr(rewrite, "walk_within", counting(real_within))
-    monkeypatch.setattr(Walk, "cut", counting_cut)
-    rng = random.Random(65)
-    work = {"det": 0, "rand": 0}
-    steps = 0
-    for k in range(8):
-        c = constant_dag(rng, rng.randint(6, 10), 64, 8, 0.25)
-        for strategy, seed in (("det", None), ("rand", k)):
-            counts.update(pops=0, undos=0)
-            _, trace = normalize_circuit(c, strategy, seed=seed)
-            steps += len(trace.steps)
-            work[strategy] += counts["pops"] + counts["undos"]
-    assert steps == 597
-    assert work == {"det": 435 + 30 + 59, "rand": 1193 + 505}
 
 
 def test_zero_elim_is_never_tried_at_a_one(monkeypatch):
@@ -1156,7 +1044,7 @@ def entry_circuits(draw):
 
 
 ENTRY_INDEXES = (
-    "edges", "producer", "root", "readers", "leaves", "inputs", "table", "unshared", "rewired",
+    "edges", "producer", "root", "readers", "inputs", "table", "unshared", "rewired",
     "size", "measure", "inverted", "top_v", "top_e", "orphans",
 )  # fmt: skip
 

@@ -20,12 +20,17 @@ the runs (``statistics.quantiles``, inclusive), the change/parent ratio of
 the medians, how many pairs the change wins (ties count for neither),
 whether the change's median is better than the parent's by more than the
 parent's interquartile range, whether it is worse than the metric's bound,
-and every run, pair by pair.  It also lists the (workload, metric) pairs
-worse than their bound, and whether the claim is met (``claim_met``): the
-change wins at least 9 of the 10 pairs and its median gap exceeds the
-parent's interquartile range.  ``--merge FILE`` adds the top-level keys of a
-JSON file (measurements made some other way) to the output, which is written
-at the root of the repository.  Pure stdlib.
+whether the metric is unresolved, and every run, pair by pair.  A metric
+is unresolved when the parent's own runs spread wider than the bound (its
+interquartile range exceeds the bound times its median), unless every run
+of the change is better than every run of the parent: a median inside the
+bound then does not show that nothing moved.  It also lists the (workload,
+metric) pairs worse than their bound and those unresolved, and whether the
+claim is met (``claim_met``): the change wins at least 9 of the 10 pairs
+and its median gap exceeds the parent's interquartile range.  ``--merge
+FILE`` adds the top-level keys of a JSON file (measurements made some other
+way) to the output, which is written at the root of the repository.  Pure
+stdlib.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     sign = 1 if better == "lower" else -1  # positive gain: the change is better
     p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
     c_q1, c_med, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
+    every_run_better = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "parent_median": p_med,
         "change_median": c_med,
@@ -89,6 +95,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
         "median_gap_exceeds_parent_iqr": sign * (p_med - c_med) > p_q3 - p_q1,
         "worse_than_bound": sign * (c_med - p_med) > bound * p_med,
+        "unresolved": p_q3 - p_q1 > bound * p_med and not every_run_better,
         "parent_runs": parent,
         "change_runs": change,
     }
@@ -140,7 +147,7 @@ def summarize_workloads(runs: dict[str, dict[str, list[dict]]], metrics: dict[st
 
 
 def claim_verdict(summary: dict, claim: Optional[tuple[str, str]]) -> dict:
-    """The claim with ``claim_met``, and the (workload, metric) pairs worse than their bound.
+    """The claim with ``claim_met``, and the (workload, metric) pairs worse than their bound, and unresolved.
 
     A claim is met when the change wins at least ``CLAIM_WINS`` of the
     pairs and its median is better than the parent's by more than the
@@ -152,8 +159,12 @@ def claim_verdict(summary: dict, claim: Optional[tuple[str, str]]) -> dict:
         s = summary[workload]["metrics"][metric]
         met = s["change_wins"] >= CLAIM_WINS and s["median_gap_exceeds_parent_iqr"]
         claimed = {"workload": workload, "metric": metric, "claim_met": met}
-    worse = [[w, name] for w, out in summary.items() for name, s in out["metrics"].items() if s["worse_than_bound"]]
-    return {"claimed": claimed, "worse_than_bound": worse}
+    pairs = [(w, name, s) for w, out in summary.items() for name, s in out["metrics"].items()]
+    return {
+        "claimed": claimed,
+        "worse_than_bound": [[w, name] for w, name, s in pairs if s["worse_than_bound"]],
+        "unresolved": [[w, name] for w, name, s in pairs if s["unresolved"]],
+    }
 
 
 def main(argv=None) -> int:
@@ -198,10 +209,12 @@ def main(argv=None) -> int:
             f"{PAIRS} pairs per workload, pairs alternate which side runs first and go round the workloads "
             "in turn; medians and quartiles over the runs (statistics.quantiles, inclusive); change_wins counts "
             "pairs where the change is better (ties count for neither); worse_than_bound compares the change's "
-            "median with the parent's and the BENCHMARK.json bound; parent_runs/change_runs list every run, "
-            "pair by pair",
+            "median with the parent's and the BENCHMARK.json bound; unresolved: the parent's IQR exceeds the "
+            "bound times its median and not every change run is better than every parent run; "
+            "parent_runs/change_runs list every run, pair by pair",
             "claimed": verdict["claimed"],
             "worse_than_bound": verdict["worse_than_bound"],
+            "unresolved": verdict["unresolved"],
             "workloads": {f"{w}@seed{SEED}": out for w, out in summary.items()},
         },
     }

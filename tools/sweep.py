@@ -1,19 +1,23 @@
-"""Size sweeps of the refuter and of det normalize: best-of-3 times and the fitted exponent of each.
+"""Size sweeps of the refuter and of normalize: best-of-3 times and the fitted exponent of each.
 
     python3 tools/sweep.py [--src DIR] [--json OUT.json]
 
 Refutes near-tight parity (``tests/gen.neartight_parity(n, pos)``, two gates
 below the parity bound) with ``refuter.refute_detailed`` for n in 40, 80,
-160, 320 and 640 and pos n, n/2 and 2.  Then normalizes (``det``) seeded
-constant-fed layered DAGs of 200 to 3,200 binary gates, where a step high
-in a deep DAG has a large down-closure.  As in the normalize_constdag
-benchmark, each DAG (``perfbench.families.layered_dag``: 20 inputs, layers
-16 wide, 15% constants) is redrawn until 15-20% of its gates read a
-constant once constants are propagated, so that its steps grow with it.
+160, 320 and 640 and pos n, n/2 and 2.  Then normalizes seeded
+constant-fed layered DAGs of 200 to 3,200 binary gates, with ``det`` and
+with ``rand`` (seeded with the gate count), where a step high in a deep DAG
+has a large down-closure and the order of a graph with inversions comes
+from walking it.  As in the normalize_constdag benchmark, each DAG
+(``perfbench.families.layered_dag``: 20 inputs, layers 16 wide, 15%
+constants) is redrawn until 15-20% of its gates read a constant once
+constants are propagated, so that its steps grow with it.
 Each time is the best of ``BEST`` (3) runs in this one process, circuits
-built beforehand.  Prints one table per sweep and, per column, the exponent: the
-least-squares slope of log time over log size, over n 160-640 for the
-refutes and over 800-3,200 gates for the DAGs.
+built beforehand.  Prints one table per sweep and, per column, the
+exponent: the least-squares slope of log time over log size, over n
+160-640 for the refutes and over 800-3,200 gates for the DAGs.  The DAG
+table also gives each DAG's step count under each strategy, from the
+returned trace, since the time follows the steps more than the size.
 
 ``--src`` imports ``gatelim`` from another source tree (default: this
 checkout's ``src``), so that two revisions can be swept alike.  ``--json``
@@ -24,6 +28,7 @@ writes the readings as one JSON object under the key ``sweep``, for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,6 +37,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 REFUTE_NS = (40, 80, 160, 320, 640)
@@ -74,19 +80,27 @@ def exponent(times: dict[int, float], lo: int, hi: int) -> float:
     return sum((x - mx) * (y - my) for x, y in points) / sum((x - mx) ** 2 for x, _ in points)
 
 
-def table(title: str, size: str, columns: dict[str, dict[int, float]], fit: tuple[int, int]) -> dict:
-    """Print one sweep's times and exponents; the same as a JSON-ready dict."""
+def table(
+    title: str, size: str, columns: dict[str, dict[int, float]], fit: tuple[int, int], steps: Optional[dict] = None
+) -> dict:
+    """Print one sweep's times, step counts if given, and exponents; the same as a JSON-ready dict."""
     exponents = {name: round(exponent(times, *fit), 3) for name, times in columns.items()}
+    steps = steps or {}
     print(title)
-    print(f"{size:>6} " + " ".join(f"{name:>9}" for name in columns))
+    heads = [f"{name:>9}" for name in columns] + [f"{name + ' steps':>11}" for name in steps]
+    print(f"{size:>6} " + " ".join(heads))
     for s in next(iter(columns.values())):
-        print(f"{s:>6} " + " ".join(f"{times[s]:>8.3f}s" for times in columns.values()))
+        cells = [f"{times[s]:>8.3f}s" for times in columns.values()] + [f"{count[s]:>11}" for count in steps.values()]
+        print(f"{s:>6} " + " ".join(cells))
     print(f"exponent over {fit[0]}-{fit[1]}: " + ", ".join(f"{k} {v:.2f}" for k, v in exponents.items()))
-    return {
+    out = {
         "seconds": {name: {str(s): round(t, 5) for s, t in times.items()} for name, times in columns.items()},
         "exponent": exponents,
         "fit": list(fit),
     }
+    if steps:
+        out["steps"] = {name: {str(s): n for s, n in count.items()} for name, count in steps.items()}
+    return out
 
 
 def main(argv=None) -> int:
@@ -105,18 +119,23 @@ def main(argv=None) -> int:
     for n in REFUTE_NS:
         for name, pos in positions(n).items():
             refutes[name][n] = best_time(refute_detailed, neartight_parity(n, pos))
-    dags = {"det": {}}
+    dags: dict[str, dict[int, float]] = {"det": {}, "rand": {}}
+    steps: dict[str, dict[int, int]] = {"det": {}, "rand": {}}
     for gates in DAG_GATES:
-        dags["det"][gates] = best_time(normalize_circuit, parse_circuit(constant_fed_dag(gates)))
+        dag = parse_circuit(constant_fed_dag(gates))
+        for strategy, seed in (("det", None), ("rand", gates)):
+            run = functools.partial(normalize_circuit, strategy=strategy, seed=seed)
+            dags[strategy][gates] = best_time(run, dag)
+            steps[strategy][gates] = len(run(dag)[1].steps)
     report = {
         "method": f"tools/sweep.py: best of {BEST} in-process runs per point; "
-        "refute_detailed of tests/gen.neartight_parity(n, pos), and normalize_circuit det of "
+        "refute_detailed of tests/gen.neartight_parity(n, pos), and normalize_circuit det and rand (seed = gates) of "
         "perfbench.families.layered_dag(random.Random(gates), 20, gates, 16, const_share=0.15), redrawn until "
         "15-20% of the gates are touched; exponent = least-squares slope "
         "of log seconds over log size within fit",
         "machine": f"{os.cpu_count()}-CPU {platform.system()}, CPython {platform.python_version()}",
         "refute_neartight": table("near-tight refute, seconds", "n", refutes, REFUTE_FIT),
-        "constant_dag_det": table("det normalize of constant-fed DAGs, seconds", "gates", dags, DAG_FIT),
+        "constant_dag": table("normalize of constant-fed DAGs, seconds", "gates", dags, DAG_FIT, steps),
     }
     if args.json:
         args.json.write_text(json.dumps({"sweep": report}, indent=1) + "\n")
