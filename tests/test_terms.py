@@ -50,6 +50,8 @@ X1, X2 = Var("x1"), Var("x2")
 TRS_B = demorgan_system()
 # violates exactly when term_weight(g) >= 3, so its violation count depends on every sample's weight
 FLIP = TRS((TermRule("flip", And(G, And(ONE, ONE)), And(G, G)),))
+# outweighs its right side at every weight below 5, but the right side gains faster in g
+FIVE = TRS((TermRule("five", parse_term("(and (and one one) (and one g))"), parse_term("(and g g)")),))
 
 
 def boolean_tables_equal(a, b):
@@ -164,12 +166,47 @@ def reference_violations(trs, samples, seed):
     return violations
 
 
-def test_weight_violations_equal_the_instance_loop():
-    for seed in range(5):
-        report = certify_convergence(FLIP, samples=200, seed=seed)
-        assert report.weight_violations == reference_violations(FLIP, 200, seed), seed
-        assert not report.convergent
+def test_weight_violations_equal_the_instance_loop(monkeypatch):
+    draws = []
+    real = terms.sample_weight
+    monkeypatch.setattr(terms, "sample_weight", lambda *args, **kwargs: draws.append(1) or real(*args, **kwargs))
+    assert weight_shape(FIVE.rules[0].lhs) == (6, 1) and weight_shape(FIVE.rules[0].rhs) == (1, 2)
+    for trs in (FLIP, FIVE):
+        for seed in range(5):
+            draws.clear()
+            report = certify_convergence(trs, samples=200, seed=seed)
+            assert report.weight_violations == reference_violations(trs, 200, seed) > 0, (trs, seed)
+            assert len(draws) == report.weight_samples == 200 and not report.convergent
     assert certify_convergence(FLIP, samples=200, seed=1).weight_violations == 146
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_a_system_heavier_on_the_left_at_every_weight_draws_no_sample(monkeypatch):
+    # Every rule outweighs its right side at the least sample weight and gains at least as fast, so no draw can count.
+    monkeypatch.setattr(terms, "sample_weight", must_not_run)
+    for trs in (TRS_B, MIXED):
+        for seed in range(5):
+            report = certify_convergence(trs, samples=200, seed=seed)
+            assert report.weight_violations == reference_violations(trs, 200, seed) == 0, seed
+            assert report.weight_samples == 200 and report.convergent
+
+
+def test_the_same_sample_check_misses_a_violation_of_a_split_binding(monkeypatch):
+    # ROADMAP item 5: the rule falls whenever g and h are one term, so neither the
+    # no-draw decision nor the sampler it replaces sees that a light g and a heavy h make it rise.
+    split = TermRule("split", parse_term("(and (and g g) (not h))"), parse_term("(and h h)"))
+    monkeypatch.setattr(terms, "sample_weight", must_not_run)
+    for seed in range(5):
+        assert certify_convergence(TRS((split,)), samples=200, seed=seed).weight_violations == 0
+        assert reference_violations(TRS((split,)), 200, seed) == 0
+    heavy = parse_term("(and (and x1 x1) x1)")
+    binding = {"g": X1, "h": heavy}
+    assert term_weight(heavy) == 5
+    assert term_weight(apply_substitution(split.lhs, binding)) == 10
+    assert term_weight(apply_substitution(split.rhs, binding)) == 11
 
 
 def test_sample_weight_makes_the_draws_random_term_makes():
@@ -512,12 +549,58 @@ def test_joinable_examples():
     assert not joinable(TRS_B, ONE, Not(ONE))
 
 
+def test_equal_sides_are_joined_without_normalizing(monkeypatch):
+    # 53 of the shipped system's 61 pairs have equal sides.  Under a system that
+    # loops, normalizing them would exceed the budget; they are joinable all the same.
+    looping = TRS((TermRule("dd", Not(Not(G)), Not(Not(G))),))
+    with pytest.raises(BudgetError):
+        normalize_term(looping, Not(Not(X1)))
+    monkeypatch.setattr(terms, "normalize_term", must_not_run)
+    for build in (lambda: X1, lambda: Not(Not(X1)), lambda: chain(DEEP)):
+        assert joinable(looping, build(), build()) and joinable(TRS_B, build(), build())
+    assert sum(p.left == p.right for p in critical_pairs(TRS_B)) == 53
+    assert certify_convergence(looping, samples=0).unjoinable == ()
+
+
 def test_certificate_report():
     report = certify_convergence(TRS_B, samples=200, seed=1)
     assert report.convergent
     assert report.rule_count == 16
     assert report.pair_count == 61
     print(f"critical pairs of the shipped system: {report.pair_count}")
+
+
+def report_key(trs, seed):
+    """certify_convergence's report, its unjoinable pairs as text, or the message of the BudgetError it raises."""
+    try:
+        r = certify_convergence(trs, samples=200, seed=seed)
+    except BudgetError as exc:
+        return str(exc)
+    pairs = [f"{p.outer_rule}/{p.inner_rule} at {p.position}: {p.left!r} vs {p.right!r}" for p in r.unjoinable]
+    return r.rule_count, r.pair_count, pairs, r.weight_violations
+
+
+def test_reports_are_pinned():
+    skewed_pairs = ["dneg/not_one at (0,): one vs (not zero)"]
+    expected = {
+        "TRS_B": [(16, 61, [], 0)] * 5,
+        "MIXED": [(16, 61, [], 0)] * 5,
+        "FLIP": [(1, 0, [], n) for n in (157, 146, 140, 129, 135)],
+        "FIVE": [(1, 0, [], n) for n in (127, 116, 111, 111, 112)],
+        "SKEWED": [(4, 2, skewed_pairs, n) for n in (357, 346, 340, 329, 335)],
+        "loop": [(1, 0, [], 200)] * 5,
+        "loop and and_one": ["no normal form within 9 steps"] * 5,
+    }
+    systems = {
+        "TRS_B": TRS_B,
+        "MIXED": MIXED,
+        "FLIP": FLIP,
+        "FIVE": FIVE,
+        "SKEWED": SKEWED,
+        "loop": TRS(terms_rules_loop()),
+        "loop and and_one": TRS(terms_rules_loop() + (TermRule("and_one", And(G, ONE), G),)),
+    }
+    assert {name: [report_key(trs, seed) for seed in range(5)] for name, trs in systems.items()} == expected
 
 
 def test_parse_term_grammar():

@@ -1,4 +1,4 @@
-"""Size sweeps of the refuter and of normalize: best-of-3 times and the fitted exponent of each.
+"""Size sweeps of the refuter, of normalize and of the certificate: best-of-3 times and the fitted exponents.
 
     python3 tools/sweep.py [--src DIR] [--json OUT.json]
 
@@ -18,6 +18,10 @@ exponent: the least-squares slope of log time over log size, over n
 160-640 for the refutes and over 800-3,200 gates for the DAGs.  The DAG
 table also gives each DAG's step count under each strategy, from the
 returned trace, since the time follows the steps more than the size.
+Last, it times ``terms.certify_convergence(demorgan_system(), samples, 1)``
+at 0, 1,000, 10,000 and 100,000 weight samples, with the exponent over
+1,000-100,000: about 0 where the weight check is decided without draws,
+about 1 where every sample is drawn.
 
 ``--src`` imports ``gatelim`` from another source tree (default: this
 checkout's ``src``), so that two revisions can be swept alike.  ``--json``
@@ -45,6 +49,8 @@ REFUTE_FIT = (160, 640)
 DAG_GATES = (200, 400, 800, 1600, 3200)
 DAG_FIT = (800, 3200)
 DAG_TOUCHED = (0.15, 0.2)
+CERTIFY_SAMPLES = (0, 1_000, 10_000, 100_000)
+CERTIFY_FIT = (1_000, 100_000)
 BEST = 3  # runs per point; the least time counts
 
 
@@ -90,7 +96,7 @@ def table(
     heads = [f"{name:>9}" for name in columns] + [f"{name + ' steps':>11}" for name in steps]
     print(f"{size:>6} " + " ".join(heads))
     for s in next(iter(columns.values())):
-        cells = [f"{times[s]:>8.3f}s" for times in columns.values()] + [f"{count[s]:>11}" for count in steps.values()]
+        cells = [f"{times[s]:>8.4f}s" for times in columns.values()] + [f"{count[s]:>11}" for count in steps.values()]
         print(f"{s:>6} " + " ".join(cells))
     print(f"exponent over {fit[0]}-{fit[1]}: " + ", ".join(f"{k} {v:.2f}" for k, v in exponents.items()))
     out = {
@@ -113,6 +119,7 @@ def main(argv=None) -> int:
 
     from gatelim.refuter import refute_detailed
     from gatelim.rewrite import normalize_circuit
+    from gatelim.terms import certify_convergence, demorgan_system
     from gatelim.textio import parse_circuit
 
     refutes: dict[str, dict[int, float]] = {name: {} for name in positions(REFUTE_NS[0])}
@@ -127,15 +134,19 @@ def main(argv=None) -> int:
             run = functools.partial(normalize_circuit, strategy=strategy, seed=seed)
             dags[strategy][gates] = best_time(run, dag)
             steps[strategy][gates] = len(run(dag)[1].steps)
+    certify = functools.partial(certify_convergence, demorgan_system(), seed=1)
+    certified = {"certify": {samples: best_time(certify, samples) for samples in CERTIFY_SAMPLES}}
     report = {
         "method": f"tools/sweep.py: best of {BEST} in-process runs per point; "
         "refute_detailed of tests/gen.neartight_parity(n, pos), and normalize_circuit det and rand (seed = gates) of "
         "perfbench.families.layered_dag(random.Random(gates), 20, gates, 16, const_share=0.15), redrawn until "
-        "15-20% of the gates are touched; exponent = least-squares slope "
+        "15-20% of the gates are touched; and certify_convergence(demorgan_system(), samples, 1); "
+        "exponent = least-squares slope "
         "of log seconds over log size within fit",
         "machine": f"{os.cpu_count()}-CPU {platform.system()}, CPython {platform.python_version()}",
         "refute_neartight": table("near-tight refute, seconds", "n", refutes, REFUTE_FIT),
         "constant_dag": table("normalize of constant-fed DAGs, seconds", "gates", dags, DAG_FIT, steps),
+        "certify": table("trs check certificate, seconds", "samples", certified, CERTIFY_FIT),
     }
     if args.json:
         args.json.write_text(json.dumps({"sweep": report}, indent=1) + "\n")
